@@ -9,10 +9,8 @@ from .problems import (
     ProblemSpec,
     SimulatorError,
     SimulatorHandle,
-    log_gaussian_density,
     log_likelihood,
     log_prior,
-    mahalanobis_sq,
 )
 from .rml import (
     RMLInstance,

@@ -24,44 +24,27 @@ import time
 import numpy as np
 
 from . import bench
-from .baselines import per_objective_local_search, random_design
-from .hdbo import ConfigError, HDBOConfig, RunAborted, run_hdbo_rml, write_trace
+from .hdbo import ConfigError, HDBOConfig, RunAborted, atomic_write, write_trace
 from .rml import draw_randomizations
-from .seeding import (
-    STREAM_BASELINE,
-    STREAM_LANDSCAPE,
-    STREAM_RANDOMIZE,
-    labeled_stream,
-)
+from .seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
 
 METHOD_NAMES = ("hdbo-rml", "random-design", "local-search", "oracle-rml")
 
-_TOP_LEVEL_DEFAULTS = {
+# The run fields take HDBOConfig's defaults, except n_rml, which is
+# required.  Key order is the order of report.json's config snapshot.
+_DEFAULTS = {
     "method": "hdbo-rml",
     "methods": ["hdbo-rml", "random-design", "local-search"],
-    "budget_N": 1000,
-    "K": 10,
+    **{name: value for name, value in HDBOConfig().to_dict().items() if name != "n_rml"},
     "d_e": None,          # defaults to active dimension + 1 (capped at D)
-    "n0": 5,
-    "beta": 2.0,
-    "acq_restarts": 10,
-    "prox_eta": 0.25,
-    "seed": 0,
     "trials": 5,
     "checkpoints": None,  # defaults to 20 evenly spaced budgets
     "prior_samples": 10000,
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _atomic_write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _parse_override(raw: str):
@@ -112,31 +95,23 @@ def _require_positive_int(cfg: dict, field: str) -> int:
 
 def resolve_config(cfg: dict) -> dict:
     """Validate and fill defaults; raises ConfigError naming the field."""
-    known = set(_TOP_LEVEL_DEFAULTS) | {"problem", "n_rml"}
+    known = set(_DEFAULTS) | {"problem", "n_rml"}
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown field '{key}'")
-    resolved = dict(_TOP_LEVEL_DEFAULTS)
+    resolved = dict(_DEFAULTS)
     resolved.update(cfg)
     for field in ("problem", "n_rml"):
         if field not in cfg:
             raise ConfigError(f"missing required field '{field}'")
     if not isinstance(resolved["problem"], dict):
         raise ConfigError("problem: expected an object")
-    for field in ("n_rml", "budget_N", "K", "n0", "acq_restarts", "trials",
-                  "prior_samples"):
+    # a null d_e is derived from the problem later; the dataclass default
+    # stands in for it until then
+    d_e = HDBOConfig.d_e if resolved["d_e"] is None else resolved["d_e"]
+    _hdbo_config(resolved, d_e).validate()
+    for field in ("trials", "prior_samples"):
         _require_positive_int(resolved, field)
-    if resolved["d_e"] is not None:
-        _require_positive_int(resolved, "d_e")
-    for field in ("beta", "prox_eta"):
-        if not isinstance(resolved[field], (int, float)) or isinstance(resolved[field], bool):
-            raise ConfigError(f"{field}: expected a number, got {resolved[field]!r}")
-    if resolved["beta"] < 0:
-        raise ConfigError("beta: must be non-negative")
-    if resolved["prox_eta"] <= 0:
-        raise ConfigError("prox_eta: must be strictly positive")
-    if not isinstance(resolved["seed"], int) or isinstance(resolved["seed"], bool):
-        raise ConfigError(f"seed: expected an integer, got {resolved['seed']!r}")
     if resolved["method"] not in METHOD_NAMES:
         raise ConfigError(
             f"method: unknown method {resolved['method']!r}; choose from {METHOD_NAMES}")
@@ -163,53 +138,46 @@ def resolve_config(cfg: dict) -> dict:
     return resolved
 
 
-def _problem_active_dim(problem) -> int | None:
+def _hdbo_config(resolved: dict, d_e) -> HDBOConfig:
+    fields = {name: resolved[name] for name in HDBOConfig.__dataclass_fields__}
+    fields["d_e"] = d_e
+    return HDBOConfig(**fields)
+
+
+def _embedding_dim(resolved: dict, problem) -> int:
+    """``d_e``, or when it is null the problem's active dimension + 1,
+    capped at D (3 when the active dimension is unknown)."""
+    if resolved["d_e"] is not None:
+        return resolved["d_e"]
     A = getattr(problem.simulator, "active_matrix", None)
-    return None if A is None else int(A.shape[1])
+    d = 2 if A is None else int(A.shape[1])
+    return min(d + 1, problem.input_dim)
 
 
-def _hdbo_config(resolved: dict, problem) -> HDBOConfig:
-    d_e = resolved["d_e"]
-    if d_e is None:
-        d = _problem_active_dim(problem)
-        d_e = min((d or 2) + 1, problem.input_dim)
-    if d_e > problem.input_dim:
-        raise ConfigError(f"d_e: embedding dimension {d_e} exceeds input "
-                          f"dimension {problem.input_dim}")
-    return HDBOConfig(n_rml=resolved["n_rml"], budget_N=resolved["budget_N"],
-                      K=resolved["K"], d_e=d_e, n0=resolved["n0"],
-                      beta=float(resolved["beta"]), acq_restarts=resolved["acq_restarts"],
-                      prox_eta=float(resolved["prox_eta"]), seed=resolved["seed"])
-
-
-def _run_method(name: str, problem, instances, resolved: dict):
-    seed = resolved["seed"]
-    if name == "hdbo-rml":
-        return run_hdbo_rml(problem, instances, _hdbo_config(resolved, problem))
-    if name == "random-design":
-        rng = labeled_stream(seed, STREAM_BASELINE, 0)
-        return random_design(problem, instances, resolved["budget_N"], rng)
-    if name == "local-search":
-        rng = labeled_stream(seed, STREAM_BASELINE, 1)
-        return per_objective_local_search(problem, instances, resolved["budget_N"], rng)
-    if name == "oracle-rml":
-        try:
-            return bench.oracle_rml_result(problem, instances)
-        except ValueError as exc:
-            raise ConfigError(f"method: {exc}") from exc
-    raise ConfigError(f"method: unknown method {name!r}")
-
-
-def _bench_method(entry, resolved: dict, problem) -> bench.Method:
+def _method(entry, resolved: dict, problem) -> bench.Method:
+    """The method a ``method`` or ``methods`` entry names: a built-in
+    budgeted method or an external trace."""
     if isinstance(entry, dict):
         return bench.trace_method(entry["trace"], entry["name"])
     if entry == "hdbo-rml":
-        return bench.hdbo_method(_hdbo_config(resolved, problem))
+        return bench.hdbo_method(_hdbo_config(resolved, _embedding_dim(resolved, problem)))
     if entry == "random-design":
         return bench.random_design_method(resolved["budget_N"])
     if entry == "local-search":
         return bench.local_search_method(resolved["budget_N"])
     raise ConfigError(f"methods: {entry!r} is not a budgeted method")
+
+
+def _run_method(problem, instances, resolved: dict):
+    """Run ``method`` with the config seed as its method seed, exactly as
+    compare runs a trial with the trial seed."""
+    if resolved["method"] == "oracle-rml":
+        try:
+            return bench.oracle_rml_result(problem, instances)
+        except ValueError as exc:
+            raise ConfigError(f"method: {exc}") from exc
+    method = _method(resolved["method"], resolved, problem)
+    return method.run(problem, instances, resolved["seed"])
 
 
 def _draw_instances(problem, resolved: dict):
@@ -223,7 +191,7 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     trace_path = os.path.join(out_dir, "trace.jsonl")
     started = time.perf_counter()
     try:
-        result = _run_method(resolved["method"], problem, instances, resolved)
+        result = _run_method(problem, instances, resolved)
     except RunAborted as exc:
         write_trace(exc.records, trace_path)
         print(f"runtime failure: {exc}", file=sys.stderr)
@@ -232,8 +200,7 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     elapsed = time.perf_counter() - started
     mean_ret = bench.mean_return(result, instances, problem)
 
-    lines = [json.dumps(rec.to_dict()) for rec in result.records]
-    _atomic_write(trace_path, "".join(line + "\n" for line in lines))
+    write_trace(result.records, trace_path)
     report = {
         "config": resolved,
         "method": resolved["method"],
@@ -262,13 +229,13 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
     problem = bench.problem_from_config(resolved["problem"])
     instances = _draw_instances(problem, resolved)
     checkpoints = resolved["checkpoints"] or bench.default_checkpoints(resolved["budget_N"])
-    methods = [_bench_method(entry, resolved, problem) for entry in resolved["methods"]]
+    methods = [_method(entry, resolved, problem) for entry in resolved["methods"]]
     report = bench.budget_curve(problem, instances, methods, checkpoints,
                                 resolved["trials"], resolved["seed"])
     report.config = resolved
 
     curves_path = os.path.join(out_dir, "curves.csv")
-    _atomic_write(curves_path, "\n".join(bench.curves_csv_lines(report)) + "\n")
+    atomic_write(curves_path, "\n".join(bench.curves_csv_lines(report)) + "\n")
     summary_lines = ["method,final_neg_mean_return_mean,final_neg_mean_return_sd"]
     print(f"{'method':<16} final negative mean return (mean +/- sd over "
           f"{report.trials} trials)")
@@ -278,7 +245,7 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
         summary_lines.append(f"{m.name},{mean!r},{sd!r}")
         print(f"{m.name:<16} {mean:.6f} +/- {sd:.6f}")
     summary_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
+    atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     report_path = os.path.join(out_dir, "report.json")
     _atomic_write_json(report_path, report.to_dict())
     print(f"curves: {curves_path}")
@@ -298,7 +265,7 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
     rng = labeled_stream(resolved["seed"], STREAM_LANDSCAPE)
     _, coords, logpost = bench.prior_landscape(problem, resolved["prior_samples"], rng)
     landscape_path = os.path.join(out_dir, "landscape.csv")
-    _atomic_write(landscape_path,
+    atomic_write(landscape_path,
                   "\n".join(bench.projections_csv_lines(coords, logpost)) + "\n")
     print(f"landscape ({coords.shape[0]} prior samples): {landscape_path}")
 
@@ -306,16 +273,16 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
         oracle = bench.oracle_rml_result(problem, instances)
         o_coords, o_logpost = bench.project_active(oracle.maximizers, A, problem)
         oracle_path = os.path.join(out_dir, "oracle_samples.csv")
-        _atomic_write(oracle_path,
+        atomic_write(oracle_path,
                       "\n".join(bench.projections_csv_lines(o_coords, o_logpost)) + "\n")
         print(f"oracle samples: {oracle_path}")
     else:
         print("warning: oracle samples unavailable (nonlinear simulator)", file=sys.stderr)
 
-    result = _run_method(resolved["method"], problem, instances, resolved)
+    result = _run_method(problem, instances, resolved)
     m_coords, m_logpost = bench.project_active(result.maximizers, A, problem)
     method_path = os.path.join(out_dir, "method_samples.csv")
-    _atomic_write(method_path,
+    atomic_write(method_path,
                   "\n".join(bench.projections_csv_lines(m_coords, m_logpost)) + "\n")
     print(f"method samples ({resolved['method']}): {method_path}")
     return 0

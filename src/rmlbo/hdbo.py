@@ -16,6 +16,8 @@ only; with a box prior selection scans the lifted points.
 """
 
 import json
+import numbers
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +33,7 @@ from .problems import (
     chol_spd,
     solve_spd,
 )
-from .rml import RMLInstance, objective, randomized_log_likelihood
+from .rml import RMLInstance, objective
 from .seeding import STREAM_ACQ, STREAM_EMBED, STREAM_GPFIT, STREAM_INIT, labeled_stream
 
 REFIT_EVERY_UNTIL = 30   # full hyperparameter search while the ensemble is small
@@ -52,6 +54,10 @@ class RunAborted(RuntimeError):
         self.records = records
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HDBOConfig:
     """Run configuration.  ``budget_N`` caps total simulator evaluations;
@@ -68,13 +74,23 @@ class HDBOConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first invalid field.  Integer fields
+        take Python or numpy integers but not bools; ``beta`` and
+        ``prox_eta`` take any real number but a bool."""
         for name in ("n_rml", "budget_N", "K", "d_e", "n0", "acq_restarts"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ConfigError(f"{name}: expected a positive integer, got {value!r}")
+        if not _is_integer(self.seed):
+            raise ConfigError(f"seed: expected an integer, got {self.seed!r}")
+        for name in ("beta", "prox_eta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name}: expected a number, got {value!r}")
         if self.beta < 0:
-            raise ConfigError("beta must be non-negative")
+            raise ConfigError("beta: must be non-negative")
         if self.prox_eta <= 0:
-            raise ConfigError("prox_eta must be strictly positive")
+            raise ConfigError("prox_eta: must be strictly positive")
 
     def slots_per_embedding(self, gaussian_prior: bool) -> int:
         per_slot = 2 if gaussian_prior else 1
@@ -155,10 +171,18 @@ class RMLResult:
     embeddings: list = field(default_factory=list)
 
 
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it into
+    place, so ``path`` never holds a partial file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_trace(records, path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict()) + "\n")
+    """Write a trace as JSON lines, one simulation record per line."""
+    atomic_write(path, "".join(json.dumps(rec.to_dict()) + "\n" for rec in records))
 
 
 def read_trace(path) -> list:
@@ -257,7 +281,7 @@ def gp_target(instance: RMLInstance, record: SimulationRecord,
     surface as -inf so callers can drop them.
     """
     if problem.has_gaussian_prior:
-        return randomized_log_likelihood(instance, problem, fx=record.fx)
+        return problem.likelihood.gaussian.logpdf(instance.data_n, mean=record.fx)
     return objective(instance, record.x, problem, fx=record.fx)
 
 

@@ -1,8 +1,8 @@
 """Inverse-problem ingredients.
 
 Defines simulators, Gaussian and box priors, the Gaussian likelihood, and
-the dense SPD algebra (Cholesky-backed Mahalanobis norms and log densities)
-that every other module builds on.
+the dense SPD algebra (Cholesky factors, solves and the one Gaussian log
+density, ``GaussianSpec.logpdf``) that every other module builds on.
 
 Conventions:
   * all SPD solves go through cached lower Cholesky factors, never an
@@ -51,27 +51,6 @@ def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
             raise ValueError(f"{name} is not positive definite (Cholesky failed twice)")
 
 
-def mahalanobis_sq(y: np.ndarray, cov: np.ndarray, chol: np.ndarray | None = None,
-                   name: str = "covariance") -> float:
-    """Squared Mahalanobis norm ``y^T cov^{-1} y`` via triangular solves.
-
-    ``chol`` may supply a cached lower factor of ``cov``; otherwise the
-    matrix is factorized on the fly.
-    """
-    y = np.asarray(y, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"mahalanobis_sq expects a vector, got shape {y.shape}")
-    if cov.shape != (y.size, y.size):
-        raise ValueError(
-            f"dimension mismatch: vector of length {y.size} against {name} "
-            f"of shape {cov.shape}")
-    if chol is None:
-        chol = chol_spd(cov, name=name)
-    w = solve_triangular(chol, y, lower=True, check_finite=False)
-    return float(w @ w)
-
-
 class GaussianSpec:
     """Dense multivariate Gaussian with a cached Cholesky factor.
 
@@ -93,13 +72,25 @@ class GaussianSpec:
         self.cov = cov
         self.chol = chol_spd(cov, name=name)
         self.name = name
+        self._log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return self._log_det
+
+    def logpdf(self, x, mean=None) -> float:
+        """Log density at the point ``x``; ``mean`` recenters the density
+        while keeping this covariance and its factor."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dim,):
+            raise ValueError(
+                f"point of shape {x.shape} against {self.name} of dimension {self.dim}")
+        r = x - (self.mean if mean is None else mean)
+        w = solve_triangular(self.chol, r, lower=True, check_finite=False)
+        return -0.5 * (self.dim * LOG_2PI + self._log_det + float(w @ w))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
@@ -147,8 +138,9 @@ class SimulatorHandle:
 
     The counter increments by exactly one per evaluation and is never reset;
     increments are lock-protected so concurrent callers stay consistent.
-    Calls made inside the :meth:`analysis` context are tallied separately
-    and do not count against an optimization budget.
+    Calls made inside the :meth:`analysis` context, by the thread that
+    entered it, are tallied separately and do not count against an
+    optimization budget.
     """
 
     def __init__(self, fn, input_dim: int, output_dim: int, name: str = "simulator"):
@@ -160,7 +152,7 @@ class SimulatorHandle:
         self.name = name
         self.eval_counter = 0
         self.analysis_counter = 0
-        self._analysis_depth = 0
+        self._local = threading.local()   # per-thread analysis depth
         self._lock = threading.Lock()
 
     def __call__(self, x) -> np.ndarray:
@@ -172,8 +164,9 @@ class SimulatorHandle:
             out = np.asarray(self._fn(x), dtype=float).reshape(self.output_dim)
         except Exception as exc:
             raise SimulatorError(f"{self.name} failed at input {x!r}: {exc}", x) from exc
+        in_analysis = getattr(self._local, "depth", 0) > 0
         with self._lock:
-            if self._analysis_depth > 0:
+            if in_analysis:
                 self.analysis_counter += 1
             else:
                 self.eval_counter += 1
@@ -181,14 +174,13 @@ class SimulatorHandle:
 
     @contextmanager
     def analysis(self):
-        """Route evaluations to the analysis counter (budget-exempt)."""
-        with self._lock:
-            self._analysis_depth += 1
+        """Route this thread's evaluations to the analysis counter
+        (budget-exempt)."""
+        self._local.depth = getattr(self._local, "depth", 0) + 1
         try:
             yield self
         finally:
-            with self._lock:
-                self._analysis_depth -= 1
+            self._local.depth -= 1
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,6 @@ class LikelihoodSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.atleast_1d(np.asarray(self.data, dtype=float)))
-        # centering the spec on the data lets log_likelihood reuse the cached factor
         object.__setattr__(self, "gaussian",
                            GaussianSpec(self.data, self.obs_cov, name="obs_cov"))
         object.__setattr__(self, "obs_cov", self.gaussian.cov)
@@ -245,15 +236,6 @@ class ProblemSpec:
         return isinstance(self.prior, GaussianSpec)
 
 
-def log_gaussian_density(x, spec: GaussianSpec) -> float:
-    """Full log density of ``x`` under the Gaussian ``spec``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != spec.dim:
-        raise ValueError(f"point of length {x.size} against Gaussian of dimension {spec.dim}")
-    maha = mahalanobis_sq(x - spec.mean, spec.cov, chol=spec.chol, name=spec.name)
-    return -0.5 * (spec.dim * LOG_2PI + spec.log_det() + maha)
-
-
 def log_likelihood(x, problem: ProblemSpec, fx=None) -> float:
     """Gaussian log likelihood of the observed data at ``x``.
 
@@ -263,10 +245,8 @@ def log_likelihood(x, problem: ProblemSpec, fx=None) -> float:
     """
     if fx is None:
         fx = problem.simulator(np.asarray(x, dtype=float))
-    fx = np.atleast_1d(np.asarray(fx, dtype=float))
     lik = problem.likelihood
-    maha = mahalanobis_sq(lik.data - fx, lik.obs_cov, chol=lik.gaussian.chol, name="obs_cov")
-    return -0.5 * (lik.dim * LOG_2PI + lik.gaussian.log_det() + maha)
+    return lik.gaussian.logpdf(lik.data, mean=fx)
 
 
 def log_prior(x, prior) -> float:
@@ -275,7 +255,7 @@ def log_prior(x, prior) -> float:
     if isinstance(prior, BoxPrior):
         return 0.0 if prior.contains(x) else NEG_INF
     if isinstance(prior, GaussianSpec):
-        return log_gaussian_density(x, prior)
+        return prior.logpdf(x)
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 

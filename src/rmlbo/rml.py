@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import (
-    NEG_INF,
-    GaussianSpec,
-    ProblemSpec,
-    chol_spd,
-    mahalanobis_sq,
-    solve_spd,
-)
+from .problems import NEG_INF, GaussianSpec, ProblemSpec, chol_spd, solve_spd
 
 
 @dataclass(frozen=True)
@@ -75,18 +68,6 @@ def draw_randomizations(problem: ProblemSpec, n_rml: int,
     return instances
 
 
-def randomized_log_likelihood(instance: RMLInstance, problem: ProblemSpec, fx=None) -> float:
-    """Log likelihood of the instance's perturbed data given a cached
-    forward value ``fx``."""
-    if fx is None:
-        raise ValueError("forward value required (pass fx or use objective())")
-    fx = np.atleast_1d(np.asarray(fx, dtype=float))
-    lik = problem.likelihood
-    maha = mahalanobis_sq(instance.data_n - fx, lik.obs_cov,
-                          chol=lik.gaussian.chol, name="obs_cov")
-    return -0.5 * (lik.dim * np.log(2.0 * np.pi) + lik.gaussian.log_det() + maha)
-
-
 def objective(instance: RMLInstance, x, problem: ProblemSpec, fx=None) -> float:
     """The randomized objective O_n at ``x``.
 
@@ -99,21 +80,14 @@ def objective(instance: RMLInstance, x, problem: ProblemSpec, fx=None) -> float:
     if problem.has_gaussian_prior:
         if instance.prior_mean_n is None:
             raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
-        prior_term = _shifted_prior(problem.prior, instance.prior_mean_n, x)
+        prior_term = problem.prior.logpdf(x, mean=instance.prior_mean_n)
     else:
         if not problem.prior.contains(x):
             return NEG_INF
         prior_term = 0.0
     if fx is None:
         fx = problem.simulator(x)
-    return randomized_log_likelihood(instance, problem, fx=fx) + prior_term
-
-
-def _shifted_prior(prior: GaussianSpec, mean_n: np.ndarray, x: np.ndarray) -> float:
-    # same covariance factor as the prior, recentered on the perturbed mean
-    maha = mahalanobis_sq(np.asarray(x, dtype=float) - mean_n, prior.cov,
-                          chol=prior.chol, name=prior.name)
-    return -0.5 * (prior.dim * np.log(2.0 * np.pi) + prior.log_det() + maha)
+    return problem.likelihood.gaussian.logpdf(instance.data_n, mean=fx) + prior_term
 
 
 def oracle_linear_rml(B: np.ndarray, instance: RMLInstance, problem: ProblemSpec) -> np.ndarray:

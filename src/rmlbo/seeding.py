@@ -15,7 +15,7 @@ STREAM_EMBED = 1       # random embedding matrices
 STREAM_INIT = 2        # initial design points (per embedding)
 STREAM_ACQ = 3         # acquisition maximization (per embedding)
 STREAM_GPFIT = 4       # GP hyperparameter restarts (per embedding)
-STREAM_BASELINE = 5    # baseline optimizers
+# 5 is retired; baselines draw from SeedSequence(method seed) instead
 STREAM_TRIAL = 6       # per-trial seeds in benchmark harnesses
 STREAM_LANDSCAPE = 7   # prior samples for landscape exports
 STREAM_PROBLEM = 8     # synthetic problem generation

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from rmlbo import bench
 from rmlbo.cli import main
+from rmlbo.rml import draw_randomizations
+from rmlbo.seeding import STREAM_RANDOMIZE, labeled_stream
 
 BOWL = {
     "problem": {"name": "quadratic-bowl", "D": 12, "d": 2, "seed": 3},
@@ -79,6 +84,21 @@ class TestRun:
         lines = (out / "trace.jsonl").read_text().strip().splitlines()
         assert len(lines) == 10
         assert "partial trace" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp.*"))
+
+    @pytest.mark.parametrize("method,make", [
+        ("random-design", bench.random_design_method),
+        ("local-search", bench.local_search_method)])
+    def test_baseline_run_matches_its_bench_method(self, tmp_path, method, make):
+        path = write_config(tmp_path, {**BOWL, "method": method})
+        out = tmp_path / "r"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        problem = bench.problem_from_config(BOWL["problem"])
+        instances = draw_randomizations(problem, BOWL["n_rml"],
+                                        labeled_stream(BOWL["seed"], STREAM_RANDOMIZE))
+        expected = make(BOWL["budget_N"]).run(problem, instances, BOWL["seed"])
+        assert report["objective_values"] == expected.values.tolist()
 
     def test_budget_invariant_holds_for_every_method(self, tmp_path):
         for i, method in enumerate(("hdbo-rml", "random-design", "local-search")):

@@ -167,6 +167,15 @@ class TestBudgetAccounting:
         with pytest.raises(ConfigError, match="input dimension"):
             run_hdbo_rml(prob, insts, cfg)
 
+    @pytest.mark.parametrize("field,value", [("K", True), ("budget_N", "lots"),
+                                             ("n0", 2.5), ("beta", "wide")])
+    def test_validate_rejects_wrong_types_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            HDBOConfig(**{field: value}).validate()
+
+    def test_validate_accepts_numpy_integers(self):
+        HDBOConfig(K=np.int64(4), seed=np.uint64(7)).validate()
+
     def test_instances_must_stay_in_draw_order(self):
         prob = bowl_problem()
         insts = drawn(prob, 3)

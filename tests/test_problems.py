@@ -12,10 +12,8 @@ from rmlbo.problems import (
     SimulatorError,
     SimulatorHandle,
     chol_spd,
-    log_gaussian_density,
     log_likelihood,
     log_prior,
-    mahalanobis_sq,
     sample_prior,
 )
 
@@ -35,6 +33,13 @@ def identity_problem(d=1, data=None, obs_sd=1.0):
     prior = GaussianSpec(np.zeros(d), np.eye(d))
     data = np.zeros(d) if data is None else np.asarray(data, float)
     return ProblemSpec(sim, prior, LikelihoodSpec(data, obs_sd ** 2 * np.eye(d)))
+
+
+def mahalanobis_sq(y, cov, name="covariance"):
+    """The Mahalanobis term of ``logpdf``: twice the log-density drop from
+    the mode of a zero-mean Gaussian to ``y``."""
+    spec = GaussianSpec(np.zeros(len(cov)), cov, name=name)
+    return 2.0 * (spec.logpdf(spec.mean) - spec.logpdf(y))
 
 
 class TestMahalanobis:
@@ -94,15 +99,15 @@ class TestCholSpd:
 class TestLogGaussianDensity:
     def test_standard_normal_at_mode(self):
         spec = GaussianSpec(0.0, 1.0)
-        assert log_gaussian_density(0.0, spec) == pytest.approx(-0.5 * np.log(2 * np.pi))
+        assert spec.logpdf(0.0) == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_2d_standard_normal_at_mode(self):
         spec = GaussianSpec([0.0, 0.0], np.eye(2))
-        assert log_gaussian_density([0.0, 0.0], spec) == pytest.approx(-np.log(2 * np.pi))
+        assert spec.logpdf([0.0, 0.0]) == pytest.approx(-np.log(2 * np.pi))
 
     def test_hand_value_and_direct_inverse_oracle(self):
         spec = GaussianSpec([1.0, 0.0], np.diag([4.0, 1.0]))
-        got = log_gaussian_density([3.0, 1.0], spec)
+        got = spec.logpdf([3.0, 1.0])
         assert got == pytest.approx(-3.531025, abs=1e-6)
         assert got == pytest.approx(_log_gaussian_direct([3, 1], [1, 0], np.diag([4.0, 1.0])),
                                     abs=1e-12)
@@ -112,9 +117,18 @@ class TestLogGaussianDensity:
         spec = GaussianSpec(mu, var)
         sd = np.sqrt(var)
         grid = np.linspace(mu - 10 * sd, mu + 10 * sd, 20001)
-        dens = np.exp([log_gaussian_density(x, spec) for x in grid])
+        dens = np.exp([spec.logpdf(x) for x in grid])
         integral = float(np.sum((dens[1:] + dens[:-1]) / 2 * np.diff(grid)))
         assert integral == pytest.approx(1.0, abs=1e-4)
+
+    def test_mean_argument_recenters_with_the_same_covariance(self):
+        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+        spec = GaussianSpec([0.0, 0.0], cov)
+        mean = np.array([0.4, -1.2])
+        x = np.array([1.0, 0.5])
+        assert spec.logpdf(x, mean=mean) == GaussianSpec(mean, cov).logpdf(x)
+        assert spec.logpdf(x, mean=mean) == pytest.approx(
+            _log_gaussian_direct(x, mean, cov), abs=1e-12)
 
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -138,7 +152,7 @@ class TestLogLikelihood:
         data = rng.standard_normal(d)
         prob = identity_problem(d, data=data, obs_sd=0.7)
         x = rng.standard_normal(d)
-        direct = log_gaussian_density(data - x, GaussianSpec(np.zeros(d), 0.49 * np.eye(d)))
+        direct = GaussianSpec(np.zeros(d), 0.49 * np.eye(d)).logpdf(data - x)
         assert log_likelihood(x, prob) == pytest.approx(direct, abs=1e-12)
 
     def test_precomputed_fx_is_bitwise_equal_and_free(self):
@@ -174,7 +188,7 @@ class TestLogPrior:
     def test_gaussian_prior_delegates(self):
         spec = GaussianSpec([0.5], [[2.0]])
         x = np.array([0.1])
-        assert log_prior(x, spec) == log_gaussian_density(x, spec)
+        assert log_prior(x, spec) == spec.logpdf(x)
 
     def test_sentinel_propagates_through_sums(self):
         assert NEG_INF + 123.4 == NEG_INF
@@ -205,6 +219,30 @@ class TestSimulatorHandle:
             sim(np.ones(2))
         assert sim.eval_counter == 1
         assert sim.analysis_counter == 2
+
+    def test_analysis_context_covers_only_its_own_thread(self):
+        import threading
+
+        sim = SimulatorHandle(lambda x: x.copy(), 1, 1)
+        inside, done = threading.Event(), threading.Event()
+
+        def analyst():
+            with sim.analysis():
+                sim(np.array([1.0]))
+                inside.set()
+                done.wait(timeout=10)
+
+        thread = threading.Thread(target=analyst)
+        thread.start()
+        try:
+            assert inside.wait(timeout=10)
+            sim(np.array([2.0]))   # a budget call while the other thread is in analysis
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sim.eval_counter == 1
+        assert sim.analysis_counter == 1
 
     def test_concurrent_counting_is_exact(self):
         import threading
