@@ -10,7 +10,8 @@ Three subcommands, all driven by a JSON config file plus repeatable
                     method_samples.csv and (linear problems) oracle_samples.csv
 
 Exit codes: 0 success, 2 config validation failure, 3 runtime failure (with
-whatever partial trace exists flushed to disk).  Every output is written
+whatever partial trace exists flushed to disk; an aborted ``run`` also
+writes a partial report marked ``"aborted": true``).  Every output is written
 atomically (temp file + rename) and every run is reconstructible from the
 config snapshot and seed stored in its report.
 """
@@ -24,7 +25,14 @@ import time
 import numpy as np
 
 from . import bench
-from .hdbo import ConfigError, HDBOConfig, RunAborted, atomic_write, write_trace
+from .hdbo import (
+    ConfigError,
+    HDBOConfig,
+    RunAborted,
+    _is_integer,
+    atomic_write,
+    write_trace,
+)
 from .rml import draw_randomizations
 from .seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
 
@@ -88,7 +96,7 @@ def load_config(path: str, overrides, seed_flag) -> dict:
 
 def _require_positive_int(cfg: dict, field: str) -> int:
     value = cfg[field]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ConfigError(f"{field}: expected a positive integer, got {value!r}")
     return value
 
@@ -131,7 +139,7 @@ def resolve_config(cfg: dict) -> dict:
     if resolved["checkpoints"] is not None:
         cps = resolved["checkpoints"]
         if (not isinstance(cps, list) or not cps
-                or any(not isinstance(c, int) or c < 1 for c in cps)
+                or any(not _is_integer(c) or c < 1 for c in cps)
                 or any(b <= a for a, b in zip(cps, cps[1:]))):
             raise ConfigError(
                 "checkpoints: expected a strictly increasing list of positive integers")
@@ -189,13 +197,24 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     problem = bench.problem_from_config(resolved["problem"])
     instances = _draw_instances(problem, resolved)
     trace_path = os.path.join(out_dir, "trace.jsonl")
+    report_path = os.path.join(out_dir, "report.json")
     started = time.perf_counter()
     try:
         result = _run_method(problem, instances, resolved)
     except RunAborted as exc:
         write_trace(exc.records, trace_path)
+        _atomic_write_json(report_path, {
+            "config": resolved,
+            "method": resolved["method"],
+            "seed": resolved["seed"],
+            "n_evals": sum(rec.eval_cost for rec in exc.records),
+            "analysis_evals": problem.simulator.analysis_counter,
+            "aborted": True,
+            "error": str(exc),
+        })
         print(f"runtime failure: {exc}", file=sys.stderr)
         print(f"partial trace ({len(exc.records)} records): {trace_path}", file=sys.stderr)
+        print(f"partial report: {report_path}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - started
     mean_ret = bench.mean_return(result, instances, problem)
@@ -214,7 +233,6 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
         "embeddings": [emb.to_dict() for emb in result.embeddings],
         "wall_clock_s": elapsed,
     }
-    report_path = os.path.join(out_dir, "report.json")
     _atomic_write_json(report_path, report)
     print(f"method: {resolved['method']}")
     print(f"mean return: {mean_ret!r}")

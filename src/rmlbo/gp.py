@@ -4,15 +4,25 @@ Covariance between two points is ``o^2 * exp(-||y1 - y2||^2 / (2 l^2))``
 with trainable outputscale ``o`` and lengthscale ``l``.  Inference is exact
 through a Cholesky factor of ``K + noise * I``; hyperparameters maximize
 the log marginal likelihood of standardized targets with analytic
-gradients and multi-start L-BFGS-B.  Simulators are deterministic, so the
-noise term is a jitter floor rather than real observation noise.
+gradients and L-BFGS-B.  Simulators are deterministic, so the noise term is
+a jitter floor rather than real observation noise.
+
+Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
+given ``init`` (the sampler passes each embedding's previous
+hyperparameters, so only its first fit is cold) starts from ``init``,
+clipped into the current bounds, plus one log-uniform restart.  When every
+start fails to factor, the fit falls back to ``init``.
+
+Each evidence gradient takes one LAPACK pass over the factor: ``dpotrf``
+factors, ``dpotrs`` solves for ``alpha`` and ``dpotri`` forms the inverse.
+A fitted model caches the inverse factor, so a prediction is one GEMM.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -21,6 +31,7 @@ TARGET_SD_FLOOR = 1e-8
 DUPLICATE_TOL = 1e-10
 FIT_RESTARTS = 5
 FIT_MAXITER = 100
+FAILED_LML = 1e25   # negative evidence reported for a start that fails to factor
 
 
 @dataclass(frozen=True)
@@ -56,10 +67,12 @@ class KernelParams:
 class GPModel:
     """Fitted surrogate: training pairs, hyperparameters, cached factors.
 
-    ``chol_factor`` is the lower Cholesky of ``K + noise * I`` and ``alpha``
-    solves ``(K + noise * I) alpha = z`` for the standardized targets ``z``.
-    Empty models (n = 0) revert to the prior: mean ``target_mean``, sd equal
-    to the outputscale.
+    ``chol_factor`` is the lower Cholesky of ``K + noise * I + jitter * I``,
+    ``chol_inv`` its inverse, and ``alpha`` solves that system for the
+    standardized targets ``z``.  ``jitter`` is what the factorization ladder
+    added to the diagonal (0 when the plain matrix factored).  Empty models
+    (n = 0) revert to the prior: mean ``target_mean``, sd equal to the
+    outputscale.
     """
 
     inputs: np.ndarray
@@ -69,6 +82,8 @@ class GPModel:
     params: KernelParams
     chol_factor: np.ndarray | None
     alpha: np.ndarray | None
+    chol_inv: np.ndarray | None
+    jitter: float = 0.0
 
     @property
     def n_train(self) -> int:
@@ -93,18 +108,26 @@ def _kernel_matrix(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
     return params.outputscale ** 2 * np.exp(-sqdist / (2.0 * params.lengthscale ** 2))
 
 
+def _cholesky(kn: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``kn`` (zero above the diagonal)."""
+    chol, info = lapack.dpotrf(kn, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info={info}")
+    return chol
+
+
 def _chol_with_ladder(kn: np.ndarray) -> tuple[np.ndarray, float]:
     """Factor ``kn``; escalate diagonal jitter from 1e-8 to 1e-4 before
-    giving up."""
+    giving up.  Returns the factor and the jitter added."""
     try:
-        return np.linalg.cholesky(kn), 0.0
+        return _cholesky(kn), 0.0
     except np.linalg.LinAlgError:
         pass
     base = float(np.mean(np.diag(kn)))
     jitter = 1e-8
     while jitter <= 1e-4:
         try:
-            return np.linalg.cholesky(kn + jitter * base * np.eye(kn.shape[0])), jitter * base
+            return _cholesky(kn + jitter * base * np.eye(kn.shape[0])), jitter * base
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise ValueError("kernel matrix factorization failed even with jitter 1e-4")
@@ -114,8 +137,8 @@ def _lml_terms(sqdist: np.ndarray, z: np.ndarray, params: KernelParams):
     n = z.size
     k_rbf = _kernel_matrix(sqdist, params)
     kn = k_rbf + params.noise_var * np.eye(n)
-    chol = np.linalg.cholesky(kn)
-    alpha = cho_solve((chol, True), z, check_finite=False)
+    chol = _cholesky(kn)
+    alpha, _ = lapack.dpotrs(chol, z, lower=1)
     lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
         - 0.5 * n * math.log(2.0 * math.pi)
     return lml, k_rbf, chol, alpha
@@ -182,17 +205,19 @@ def _standardize(targets: np.ndarray):
 def _assemble(inputs, raw_targets, mean, sd, z, params: KernelParams) -> GPModel:
     kn = _kernel_matrix(_sqdist(inputs, inputs), params) \
         + params.noise_var * np.eye(inputs.shape[0])
-    chol, _ = _chol_with_ladder(kn)
-    alpha = cho_solve((chol, True), z, check_finite=False)
+    chol, jitter = _chol_with_ladder(kn)
+    alpha, _ = lapack.dpotrs(chol, z, lower=1)
+    chol_inv, _ = lapack.dtrtri(chol, lower=1)
     return GPModel(inputs=inputs, raw_targets=raw_targets, target_mean=mean,
-                   target_sd=sd, params=params, chol_factor=chol, alpha=alpha)
+                   target_sd=sd, params=params, chol_factor=chol, alpha=alpha,
+                   chol_inv=chol_inv, jitter=jitter)
 
 
 def empty_model(params: KernelParams, dim: int) -> GPModel:
     """Prior-only model: predicts (0, outputscale) everywhere."""
     return GPModel(inputs=np.zeros((0, dim)), raw_targets=np.zeros(0),
                    target_mean=0.0, target_sd=1.0, params=params,
-                   chol_factor=None, alpha=None)
+                   chol_factor=None, alpha=None, chol_inv=None)
 
 
 def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
@@ -204,9 +229,16 @@ def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
     return _assemble(inputs, targets, mean, sd, z, params)
 
 
-def fit(inputs, targets, rng: np.random.Generator) -> GPModel:
+def fit(inputs, targets, rng: np.random.Generator,
+        init: KernelParams | None = None) -> GPModel:
     """Fit hyperparameters by maximizing the evidence of standardized
-    targets over FIT_RESTARTS log-uniform restarts of L-BFGS-B."""
+    targets with L-BFGS-B.
+
+    Without ``init`` it runs FIT_RESTARTS log-uniform starts.  With
+    ``init`` it starts from ``init`` clipped into this fit's bounds, plus
+    one log-uniform start; if every start fails to factor, the model keeps
+    ``init``.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if inputs.shape[0] < 1:
@@ -223,7 +255,7 @@ def fit(inputs, targets, rng: np.random.Generator) -> GPModel:
         try:
             lml, grad = _grad_from(sqdist, z, p)
         except np.linalg.LinAlgError:
-            return 1e25, np.zeros(3)
+            return FAILED_LML, np.zeros(3)
         return -lml, -grad
 
     bounds = [
@@ -231,29 +263,42 @@ def fit(inputs, targets, rng: np.random.Generator) -> GPModel:
         (math.log(1e-3 * diam), math.log(1e3 * diam)),
         (math.log(NOISE_FLOOR), math.log(1e-1)),
     ]
-    best = None
-    for _ in range(FIT_RESTARTS):
-        theta0 = np.array([
+
+    def random_start():
+        return np.array([
             rng.uniform(math.log(0.1), math.log(10.0)),
             rng.uniform(math.log(0.05 * diam), math.log(2.0 * diam)),
             rng.uniform(math.log(1e-6), math.log(1e-2)),
         ])
+
+    if init is None:
+        starts = [random_start() for _ in range(FIT_RESTARTS)]
+    else:
+        lo, hi = np.array(bounds).T
+        theta_init = [init.log_outputscale, init.log_lengthscale, init.log_noise_var]
+        starts = [np.clip(theta_init, lo, hi), random_start()]
+    best = None
+    for theta0 in starts:
         res = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B",
                        bounds=bounds, options={"maxiter": FIT_MAXITER})
         if best is None or res.fun < best.fun:
             best = res
-    params = KernelParams(*best.x)
+    if best.fun >= FAILED_LML and init is not None:
+        params = init
+    else:
+        params = KernelParams(*best.x)
     return _assemble(inputs, targets, mean, sd, z, params)
 
 
 def _grad_from(sqdist, z, params: KernelParams):
     lml, k_rbf, chol, alpha = _lml_terms(sqdist, z, params)
-    n = z.size
-    k_inv = cho_solve((chol, True), np.eye(n), check_finite=False)
+    k_inv, _ = lapack.dpotri(chol, lower=1)
+    k_inv += np.tril(k_inv, -1).T
     w = np.outer(alpha, alpha) - k_inv
+    wk = w * k_rbf
     grad = np.array([
-        float(np.sum(w * k_rbf)),
-        0.5 * float(np.sum(w * (k_rbf * sqdist))) / params.lengthscale ** 2,
+        float(np.sum(wk)),
+        0.5 * float(np.sum(wk * sqdist)) / params.lengthscale ** 2,
         0.5 * params.noise_var * float(np.trace(w)),
     ])
     return lml, grad
@@ -278,7 +323,7 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
                 f"dimension {model.inputs.shape[1]}")
         k_star = _kernel_matrix(_sqdist(model.inputs, pts), model.params)
         mean_norm = k_star.T @ model.alpha
-        v = solve_triangular(model.chol_factor, k_star, lower=True, check_finite=False)
+        v = model.chol_inv @ k_star
         var_norm = np.clip(o ** 2 - np.sum(v ** 2, axis=0), 0.0, None)
         mean = model.target_mean + model.target_sd * mean_norm
         sd = model.target_sd * np.sqrt(var_norm)

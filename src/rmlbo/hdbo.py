@@ -8,6 +8,10 @@ training point for *every* objective, because the objectives differ only
 in their data/prior-mean perturbations, which are free to apply to a cached
 forward value.  A GP is fitted per step to the active objective's view of
 the shared ensemble and its UCB acquisition proposes the next point.
+Each objective's targets are computed once per record: an activation adds
+only the records simulated since that objective's previous activation.
+Within an embedding only the first fit searches hyperparameters cold; later
+fits start from the previous fit's hyperparameters.
 
 With a Gaussian prior each slot additionally takes a closed-form proximal
 step toward the perturbed prior mean (one extra simulation at the refined
@@ -386,6 +390,10 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
     init_pts = sobol_points(config.n0, emb.y_lower, emb.y_upper, init_rng)
     own: list[SimulationRecord] = []
+    # per objective: training inputs and targets of the finite records so
+    # far, and how many of ``own`` they cover
+    columns = [([], []) for _ in instances]
+    covered = [0] * len(instances)
     params = None
     last_full_fit = -REFIT_PERIOD
     for m in range(1, slots + 1):
@@ -394,16 +402,17 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
         if m <= config.n0:
             y = init_pts[m - 1]
         else:
-            train_y = []
-            train_z = []
-            for rec in own:
+            train_y, train_z = columns[nprime - 1]
+            for rec in own[covered[nprime - 1]:]:
                 z = gp_target(inst, rec, problem)
                 if np.isfinite(z):
                     train_y.append(rec.y)
                     train_z.append(z)
+            covered[nprime - 1] = len(own)
             full = len(train_z) < REFIT_EVERY_UNTIL or (m - last_full_fit) >= REFIT_PERIOD
             if full or params is None:
-                model = gp.fit(np.asarray(train_y), np.asarray(train_z), fit_rng)
+                model = gp.fit(np.asarray(train_y), np.asarray(train_z), fit_rng,
+                               init=params)
                 params = model.params
                 last_full_fit = m
             else:

@@ -3,7 +3,7 @@
 Each test exercises one release criterion end to end at its stated
 tolerance and prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them as they complete).  Criteria 3 and 4 are full-scale seeded
-experiments; everything else is fast.
+experiments, marked ``slow``; everything else is fast.
 """
 
 import json
@@ -71,6 +71,7 @@ def test_criterion_2_oracle_agreement():
             time.perf_counter() - started, 30.0)
 
 
+@pytest.mark.slow
 def test_criterion_3_tight_budget_dominance():
     started = time.perf_counter()
     prob = bench.make_problem("quadratic-bowl", D=100, d=2, seed=0)
@@ -92,6 +93,7 @@ def test_criterion_3_tight_budget_dominance():
             time.perf_counter() - started, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_4_gaussian_prior_path():
     started = time.perf_counter()
     prob = bench.make_problem("quadratic-bowl", D=100, d=2, seed=0, prior="gaussian")

@@ -85,6 +85,14 @@ class TestRun:
         assert len(lines) == 10
         assert "partial trace" in capsys.readouterr().err
         assert not list(out.glob("*.tmp.*"))
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"] is True
+        assert "simulator failed" in report["error"]
+        assert report["method"] == "hdbo-rml"
+        assert report["seed"] == BOWL["seed"]
+        assert report["config"]["problem"]["fail_after"] == 10
+        assert report["n_evals"] == 10
+        assert report["analysis_evals"] == 0
 
     @pytest.mark.parametrize("method,make", [
         ("random-design", bench.random_design_method),
@@ -173,6 +181,12 @@ class TestCompare:
         assert main(["compare", "--config", cmp_cfg, "--out", str(cmp_out)]) == 0
         lines = (cmp_out / "curves.csv").read_text().strip().splitlines()
         assert any(line.startswith("external,") for line in lines)
+
+    def test_bool_checkpoint_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**BOWL, "methods": ["random-design"],
+                                       "checkpoints": [True, 48]})
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "c")]) == 2
+        assert "checkpoints:" in capsys.readouterr().err
 
     def test_missing_trace_file_exits_2(self, tmp_path, capsys):
         cfg = {**BOWL, "methods": [{"name": "x", "trace": str(tmp_path / "no.jsonl")}]}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from rmlbo import gp
 
@@ -93,6 +94,38 @@ class TestLogMarginalLikelihood:
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+    def test_gradient_at_n60_near_noise_floor(self):
+        # the LAPACK gradient against finite differences and against the
+        # dense formula 0.5 tr((alpha alpha^T - K^-1) dK) with np.linalg.inv
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-2, 2, (60, 3))
+        z = rng.standard_normal(60)
+        theta = np.array([0.3, np.log(0.5), np.log(3 * gp.NOISE_FLOOR)])
+        params = gp.KernelParams(*theta)
+        lml, grad = gp.log_marginal_likelihood_grad(X, z, params)
+
+        sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(-1)
+        k_rbf = params.outputscale ** 2 * np.exp(-sq / (2 * params.lengthscale ** 2))
+        kn = k_rbf + params.noise_var * np.eye(60)
+        k_inv = np.linalg.inv(kn)
+        alpha = k_inv @ z
+        w = np.outer(alpha, alpha) - k_inv
+        dense = np.array([np.sum(w * k_rbf),
+                          0.5 * np.sum(w * k_rbf * sq) / params.lengthscale ** 2,
+                          0.5 * params.noise_var * np.trace(w)])
+        np.testing.assert_allclose(grad, dense, rtol=1e-7, atol=1e-9)
+        assert lml == pytest.approx(dense_lml(X, z, params), rel=1e-10)
+
+        eps = 1e-5
+        for i in range(3):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += eps
+            dn[i] -= eps
+            fd = (gp.log_marginal_likelihood(X, z, gp.KernelParams(*up))
+                  - gp.log_marginal_likelihood(X, z, gp.KernelParams(*dn))) / (2 * eps)
+            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
 class TestPredict:
     def test_empty_model_reverts_to_prior(self):
         params = gp.KernelParams.from_natural(1.7, 1.0)
@@ -150,6 +183,32 @@ class TestPredict:
         assert np.max(np.abs(s1 - s2)) < 1e-10
 
 
+    def test_sd_matches_triangular_solve_reference(self):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(-1, 1, (60, 3))
+        z = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+        params = gp.KernelParams.from_natural(1.2, 0.6, 10 * gp.NOISE_FLOOR)
+        model = gp.fit_with_params(X, z, params)
+        q = rng.uniform(-1.2, 1.2, (500, 3))
+        _, sd = gp.predict(model, q)
+        k_star = params.outputscale ** 2 * np.exp(
+            -((model.inputs[:, None, :] - q[None, :, :]) ** 2).sum(-1)
+            / (2 * params.lengthscale ** 2))
+        v = solve_triangular(model.chol_factor, k_star, lower=True)
+        ref = model.target_sd * np.sqrt(np.clip(params.outputscale ** 2
+                                                - np.sum(v ** 2, axis=0), 0.0, None))
+        np.testing.assert_allclose(sd, ref, rtol=1e-10)
+
+    def test_cached_inverse_factor(self):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(-1, 1, (30, 2))
+        model = gp.fit_with_params(X, rng.standard_normal(30),
+                                   gp.KernelParams.from_natural(1.0, 0.7, 1e-6))
+        np.testing.assert_allclose(model.chol_inv @ model.chol_factor, np.eye(30),
+                                   atol=1e-8)
+        assert model.jitter == 0.0
+
+
 class TestFit:
     def test_single_point(self):
         rng = np.random.default_rng(0)
@@ -188,6 +247,64 @@ class TestFit:
             if abs(model.params.log_lengthscale - np.log(0.5)) <= 1.0:
                 hits += 1
         assert hits >= 4
+
+    def test_warm_start_does_not_lose_evidence(self):
+        rng = np.random.default_rng(16)
+        X = rng.uniform(-1, 1, (40, 2))
+        z = np.cos(2 * X[:, 0]) - X[:, 1] ** 2
+        for init in (gp.KernelParams.from_natural(1.0, 0.5, 1e-4),
+                     gp.KernelParams.from_natural(3.0, 2.0, 1e-2)):
+            model = gp.fit(X, z, rng, init=init)
+            zs = (z - model.target_mean) / model.target_sd
+            assert gp.log_marginal_likelihood(X, zs, model.params) >= \
+                gp.log_marginal_likelihood(X, zs, init)
+
+    def test_warm_start_runs_init_plus_one_restart(self, monkeypatch):
+        starts = []
+        real_minimize = gp.minimize
+
+        def spy(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", spy)
+        rng = np.random.default_rng(19)
+        X = rng.uniform(-1, 1, (15, 2))
+        z = rng.standard_normal(15)
+        gp.fit(X, z, rng)
+        assert len(starts) == gp.FIT_RESTARTS
+        starts.clear()
+        init = gp.KernelParams.from_natural(2.0, 0.3, 1e-4)
+        gp.fit(X, z, rng, init=init)
+        assert len(starts) == 2
+        np.testing.assert_array_equal(
+            starts[0], [init.log_outputscale, init.log_lengthscale, init.log_noise_var])
+
+    def test_every_start_failing_keeps_init(self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "_grad_from", failing)
+        # the lengthscale lies beyond this fit's bounds, so the start is
+        # clipped and only the fallback returns init itself
+        rng = np.random.default_rng(17)
+        X = rng.uniform(-1, 1, (10, 2))
+        init = gp.KernelParams.from_natural(1.3, 1e5, 1e-5)
+        model = gp.fit(X, rng.standard_normal(10), rng, init=init)
+        assert model.params == init
+
+    def test_jitter_ladder_is_recorded(self):
+        # near-coincident points, a long lengthscale and no noise make the
+        # plain kernel matrix numerically singular
+        rng = np.random.default_rng(18)
+        X = 1e-4 * rng.uniform(-1, 1, (20, 2))
+        params = gp.KernelParams(0.0, np.log(10.0), np.log(1e-30))
+        model = gp.fit_with_params(X, rng.standard_normal(20), params)
+        assert model.jitter > 0.0
+        kn = gp._kernel_matrix(gp._sqdist(model.inputs, model.inputs), params)
+        kn += (params.noise_var + model.jitter) * np.eye(20)
+        np.testing.assert_allclose(model.chol_factor @ model.chol_factor.T, kn,
+                                   rtol=0, atol=1e-12)
 
     def test_rejects_non_finite_targets(self):
         with pytest.raises(ValueError, match="finite"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from rmlbo import bench, gp
+from rmlbo import bench, gp, hdbo
 from rmlbo.hdbo import (
     ConfigError,
     HDBOConfig,
@@ -274,9 +274,9 @@ class TestDataSharing:
         real_fit = gp.fit
         real_fit_with = gp.fit_with_params
 
-        def spy_fit(inputs, targets, rng):
+        def spy_fit(inputs, targets, rng, **kwargs):
             sizes.append(np.atleast_2d(inputs).shape[0])
-            return real_fit(inputs, targets, rng)
+            return real_fit(inputs, targets, rng, **kwargs)
 
         def spy_fit_with(inputs, targets, params):
             sizes.append(np.atleast_2d(inputs).shape[0])
@@ -300,9 +300,9 @@ class TestDataSharing:
         real_fit = gp.fit
         real_fit_with = gp.fit_with_params
 
-        def spy_fit(inputs, targets, rng):
+        def spy_fit(inputs, targets, rng, **kwargs):
             full_slots.append(np.atleast_2d(inputs).shape[0] + 1)
-            return real_fit(inputs, targets, rng)
+            return real_fit(inputs, targets, rng, **kwargs)
 
         def spy_fit_with(inputs, targets, params):
             factor_slots.append(np.atleast_2d(inputs).shape[0] + 1)
@@ -316,6 +316,50 @@ class TestDataSharing:
         run_hdbo_rml(prob, insts, cfg)
         assert full_slots == list(range(4, 31)) + [35, 40]
         assert factor_slots == [31, 32, 33, 34, 36, 37, 38, 39]
+
+    def test_each_target_computed_once_per_record_and_objective(self, monkeypatch):
+        # within an embedding gp_target sees each (record, objective) pair
+        # once, and every fit still trains on the targets of all earlier
+        # records of its embedding, bit for bit
+        pairs, fitted = [], []
+        real_target = hdbo.gp_target
+        real_fit = gp.fit
+        real_fit_with = gp.fit_with_params
+
+        def spy_target(inst, rec, problem):
+            pairs.append((id(rec), inst.index))
+            return real_target(inst, rec, problem)
+
+        def spy_fit(inputs, targets, rng, **kwargs):
+            fitted.append(np.array(targets))
+            return real_fit(inputs, targets, rng, **kwargs)
+
+        def spy_fit_with(inputs, targets, params):
+            fitted.append(np.array(targets))
+            return real_fit_with(inputs, targets, params)
+
+        monkeypatch.setattr("rmlbo.hdbo.gp_target", spy_target)
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit", spy_fit)
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit_with_params", spy_fit_with)
+        prob = bowl_problem()
+        insts = drawn(prob, 3)
+        cfg = HDBOConfig(n_rml=3, budget_N=80, K=2, d_e=2, n0=3, seed=2)
+        res = run_hdbo_rml(prob, insts, cfg)
+
+        expected, expected_pairs = [], set()
+        for k in range(1, cfg.K + 1):
+            own = [rec for rec in res.records if rec.emb_index == k]
+            for rec in own[cfg.n0:]:
+                inst = insts[rec.objective_index - 1]
+                earlier = own[:rec.iteration - 1]
+                expected_pairs.update((id(r), inst.index) for r in earlier)
+                zs = [real_target(inst, r, prob) for r in earlier]
+                expected.append(np.array([z for z in zs if np.isfinite(z)]))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == expected_pairs
+        assert len(fitted) == len(expected)
+        for got, want in zip(fitted, expected):
+            assert got.tobytes() == want.tobytes()
 
     def test_best_so_far_values_non_decreasing(self):
         prob = bowl_problem()
