@@ -36,9 +36,7 @@ def random_design(problem: ProblemSpec, instances, budget_N: int,
                 iteration=i, objective_index=((i - 1) % n_rml) + 1))
     except SimulatorError as exc:
         raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
-    maximizers, values = select_maximizers(records, instances, problem)
-    return RMLResult(maximizers=maximizers, values=values, records=records,
-                     n_evals=len(records))
+    return select_maximizers(records, instances, problem)
 
 
 class _BudgetExhausted(Exception):
@@ -89,6 +87,4 @@ def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
             pass
         except SimulatorError as exc:
             raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
-    maximizers, values = select_maximizers(records, instances, problem)
-    return RMLResult(maximizers=maximizers, values=values, records=records,
-                     n_evals=len(records))
+    return select_maximizers(records, instances, problem)

@@ -7,10 +7,8 @@ structural claim (data sharing, budget accounting, subspace projections)
 stays testable at desk scale.
 """
 
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +25,6 @@ from .hdbo import (
 )
 from .baselines import per_objective_local_search, random_design
 from .problems import (
-    NEG_INF,
     BoxPrior,
     GaussianSpec,
     LikelihoodSpec,
@@ -275,22 +272,14 @@ def local_search_method(budget_N: int, name: str = "local-search") -> Method:
         p, inst, budget_N, np.random.default_rng(np.random.SeedSequence(s))))
 
 
-def result_from_trace(records, instances, problem: ProblemSpec) -> RMLResult:
-    """Adopt an externally produced trace: run the standard final selection
-    over its candidate points so third-party optimizers compare on equal
-    footing."""
-    maximizers, values = select_maximizers(records, instances, problem)
-    n_evals = sum(rec.eval_cost for rec in records)
-    return RMLResult(maximizers=maximizers, values=values, records=list(records),
-                     n_evals=n_evals)
-
-
 def trace_method(path, name: str) -> Method:
     """Method backed by a JSON-lines trace file (one simulation record per
-    line); every trial replays the same recorded candidates."""
+    line); every trial replays the same recorded candidates.  The trace is
+    adopted through the standard final selection, so third-party
+    optimizers compare on equal footing."""
 
     def runner(problem, instances, seed):
-        return result_from_trace(read_trace(path), instances, problem)
+        return select_maximizers(read_trace(path), instances, problem)
 
     return Method(name, runner)
 
@@ -322,38 +311,28 @@ def default_checkpoints(budget_N: int, count: int = 20) -> list[int]:
     return [int(p) for p in pts if p >= 1]
 
 
-def best_so_far_curve(records, instances, problem: ProblemSpec,
-                      checkpoints) -> tuple[list[int], list[float]]:
+def best_so_far_curve(result: RMLResult, checkpoints) -> tuple[list[int], list[float]]:
     """Negative mean return of the best-so-far selection at each checkpoint,
-    reconstructed from one full trace.  Checkpoints that no complete record
-    fits inside are skipped with a warning."""
+    replayed from the result's candidate-value table (no objective calls).
+    Checkpoints that no complete record fits inside are skipped with a
+    warning."""
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    n_rml = len(instances)
-    total = sum(rec.eval_cost for rec in records)
-    best = np.full(n_rml, NEG_INF)
-    cum = 0
-    j = 0
+    spent = np.cumsum([rec.eval_cost for rec in result.records])
+    total = int(spent[-1])
+    best = np.maximum.accumulate(result.candidate_values, axis=0)
     budgets, values = [], []
     for c in checkpoints:
         if c > total:
             warnings.warn(f"checkpoint {c} exceeds the trace's {total} evaluations; skipped")
             continue
-        while j < len(records) and cum + records[j].eval_cost <= c:
-            rec = records[j]
-            cand_x, cand_f = rec.candidate()
-            for i, inst in enumerate(instances):
-                v = objective(inst, cand_x, problem, fx=cand_f)
-                if v > best[i]:
-                    best[i] = v
-            cum += rec.eval_cost
-            j += 1
-        if cum == 0:
+        n = int(np.searchsorted(spent, c, side="right"))   # records done within c
+        if n == 0:
             warnings.warn(f"checkpoint {c} precedes the first completed evaluation; skipped")
             continue
         budgets.append(int(c))
-        values.append(-float(np.mean(best)))
+        values.append(-float(np.mean(best[n - 1])))
     return budgets, values
 
 
@@ -421,22 +400,13 @@ def trial_seed(seed: int, trial: int) -> int:
     return labeled_seed(seed, STREAM_TRIAL, trial)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RML_SAMPLER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def budget_curve(problem: ProblemSpec, instances, methods, checkpoints,
                  trials: int, seed: int) -> ExperimentReport:
     """Run every method for ``trials`` seeded trials and assemble negative
     mean-return curves at the given budgets.
 
-    Each trial is one full-budget run; checkpoint values are reconstructed
-    from its trace.  Trials may run in parallel (capped by the
-    RML_SAMPLER_THREADS environment variable) without changing any result.
+    Each trial is one full-budget run; checkpoint values are replayed from
+    its candidate-value table.
     """
     checkpoints = [int(c) for c in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -444,25 +414,15 @@ def budget_curve(problem: ProblemSpec, instances, methods, checkpoints,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_start = time.perf_counter()
-    workers = min(_thread_cap(), trials)
     entries = []
     for method in methods:
         m_start = time.perf_counter()
-
-        def one_trial(t: int):
-            return method.run(problem, instances, trial_seed(seed, t))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_trial, range(trials)))
-        else:
-            results = [one_trial(t) for t in range(trials)]
-
+        results = [method.run(problem, instances, trial_seed(seed, t)) for t in range(trials)]
         budgets = None
         curves = []
         finals = []
         for res in results:
-            b, v = best_so_far_curve(res.records, instances, problem, checkpoints)
+            b, v = best_so_far_curve(res, checkpoints)
             if budgets is None:
                 budgets = b
             elif b != budgets:

@@ -165,13 +165,20 @@ class SimulationRecord:
 
 @dataclass
 class RMLResult:
-    """Per-objective maximizers and values, plus the full trace."""
+    """Per-objective maximizers and values, plus the full trace.
+
+    ``candidate_values`` is the table :func:`select_maximizers` scored:
+    entry ``[r, i]`` is objective ``i + 1`` at record ``r``'s candidate
+    point, with NaN stored as -inf, and ``values`` are its column maxima.
+    Budget curves replay the selection from it.  Results not built from a
+    trace (the linear oracle) leave it None.
+    """
 
     maximizers: np.ndarray
     values: np.ndarray
     records: list
     n_evals: int
-
+    candidate_values: np.ndarray | None = None
     embeddings: list = field(default_factory=list)
 
 
@@ -289,29 +296,31 @@ def gp_target(instance: RMLInstance, record: SimulationRecord,
     return objective(instance, record.x, problem, fx=record.fx)
 
 
-def select_maximizers(records, instances, problem: ProblemSpec):
+def select_maximizers(records, instances, problem: ProblemSpec) -> RMLResult:
     """Per-objective argmax over a trace's candidate points.
 
     Candidates are refined points when present, lifted points otherwise;
     objective values come from cached forward values (no simulator calls).
-    Ties break toward the earliest record.
+    Each (record, objective) pair is scored once into the result's
+    ``candidate_values``.  A NaN value never wins, and ties break toward
+    the earliest record.
     """
-    n_rml = len(instances)
     if not records:
         raise ValueError("cannot select maximizers from an empty trace")
-    values = np.full(n_rml, NEG_INF)
-    maximizers = np.zeros((n_rml, problem.input_dim))
-    for rec in records:
+    table = np.empty((len(records), len(instances)))
+    for r, rec in enumerate(records):
         cand_x, cand_f = rec.candidate()
         for i, inst in enumerate(instances):
-            v = objective(inst, cand_x, problem, fx=cand_f)
-            if v > values[i]:
-                values[i] = v
-                maximizers[i] = cand_x
+            table[r, i] = objective(inst, cand_x, problem, fx=cand_f)
+    table[np.isnan(table)] = NEG_INF
+    best = np.argmax(table, axis=0)
+    values = table[best, np.arange(len(instances))]
     if not np.all(np.isfinite(values)):
-        bad = [i + 1 for i in range(n_rml) if not np.isfinite(values[i])]
+        bad = [i + 1 for i in range(len(instances)) if not np.isfinite(values[i])]
         raise ValueError(f"no feasible candidate for objectives {bad}")
-    return maximizers, values
+    maximizers = np.array([records[r].candidate()[0] for r in best], dtype=float)
+    return RMLResult(maximizers=maximizers, values=values, records=list(records),
+                     n_evals=sum(rec.eval_cost for rec in records), candidate_values=table)
 
 
 def _check_instances(instances, problem: ProblemSpec) -> None:
@@ -374,10 +383,9 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     except SimulatorError as exc:
         raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
 
-    maximizers, values = select_maximizers(records, instances, problem)
-    n_evals = sum(rec.eval_cost for rec in records)
-    return RMLResult(maximizers=maximizers, values=values, records=records,
-                     n_evals=n_evals, embeddings=embeddings)
+    result = select_maximizers(records, instances, problem)
+    result.embeddings = embeddings
+    return result
 
 
 def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: int,

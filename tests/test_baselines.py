@@ -134,7 +134,7 @@ class TestTraceInterchangeability:
         insts = drawn(prob, 3)
         for res in (random_design(prob, insts, 30, np.random.default_rng(0)),
                     per_objective_local_search(prob, insts, 30, np.random.default_rng(0))):
-            budgets, values = bench.best_so_far_curve(res.records, insts, prob, [10, 20, 30])
+            budgets, values = bench.best_so_far_curve(res, [10, 20, 30])
             assert budgets == [10, 20, 30]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
             assert values[-1] == pytest.approx(-bench.mean_return(res, insts, prob))

@@ -1,12 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from rmlbo import bench
+from rmlbo import baselines, bench, hdbo
 from rmlbo.hdbo import ConfigError, HDBOConfig, RMLResult
 from rmlbo.problems import BoxPrior, GaussianSpec
-from rmlbo.rml import draw_randomizations
+from rmlbo.rml import draw_randomizations, objective
 from rmlbo.seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
 
 
@@ -131,6 +132,34 @@ class TestMeanReturn:
             bench.mean_return(res, insts, prob)
 
 
+def _looped_curve(records, instances, problem, checkpoints):
+    """Reference: the record-by-record best-so-far replay that scores every
+    (record, objective) pair again, as budget curves once did."""
+    total = sum(rec.eval_cost for rec in records)
+    best = np.full(len(instances), -np.inf)
+    cum = 0
+    j = 0
+    budgets, values = [], []
+    for c in checkpoints:
+        if c > total:
+            warnings.warn(f"checkpoint {c} exceeds the trace's {total} evaluations; skipped")
+            continue
+        while j < len(records) and cum + records[j].eval_cost <= c:
+            cand_x, cand_f = records[j].candidate()
+            for i, inst in enumerate(instances):
+                v = objective(inst, cand_x, problem, fx=cand_f)
+                if v > best[i]:
+                    best[i] = v
+            cum += records[j].eval_cost
+            j += 1
+        if cum == 0:
+            warnings.warn(f"checkpoint {c} precedes the first completed evaluation; skipped")
+            continue
+        budgets.append(int(c))
+        values.append(-float(np.mean(best)))
+    return budgets, values
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
@@ -162,7 +191,7 @@ class TestBudgetCurve:
         singles = []
         for t in range(trials):
             res = method.run(prob, insts, bench.trial_seed(3, t))
-            _, vals = bench.best_so_far_curve(res.records, insts, prob, [10, 25])
+            _, vals = bench.best_so_far_curve(res, [10, 25])
             singles.append(vals)
         assert np.max(np.abs(np.mean(singles, axis=0)
                              - report.methods[0].avg_curve)) < 1e-12
@@ -183,7 +212,7 @@ class TestBudgetCurve:
         prob, insts = small_setup
         res = bench.random_design_method(10).run(prob, insts, 0)
         with pytest.warns(UserWarning, match="exceeds the trace"):
-            budgets, _ = bench.best_so_far_curve(res.records, insts, prob, [5, 10, 50])
+            budgets, _ = bench.best_so_far_curve(res, [5, 10, 50])
         assert budgets == [5, 10]
 
     def test_checkpoint_before_first_record_warns(self, small_setup):
@@ -193,17 +222,54 @@ class TestBudgetCurve:
         cfg = HDBOConfig(n_rml=2, budget_N=24, K=2, d_e=2, n0=2, seed=0)
         res = bench.hdbo_method(cfg).run(gau, ginsts, 1)
         with pytest.warns(UserWarning, match="precedes the first"):
-            budgets, _ = bench.best_so_far_curve(res.records, ginsts, gau, [1, 4])
+            budgets, _ = bench.best_so_far_curve(res, [1, 4])
         assert budgets == [4]
 
-    def test_thread_cap_does_not_change_results(self, small_setup, monkeypatch):
+    def test_table_curve_matches_looped_reference(self, small_setup):
         prob, insts = small_setup
-        methods = [bench.random_design_method(20)]
-        serial = bench.budget_curve(prob, insts, methods, [20], trials=4, seed=2)
-        monkeypatch.setenv("RML_SAMPLER_THREADS", "4")
-        threaded = bench.budget_curve(prob, insts, methods, [20], trials=4, seed=2)
-        assert np.array_equal(serial.methods[0].trial_curves,
-                              threaded.methods[0].trial_curves)
+        box = bench.random_design_method(30).run(prob, insts, 2)
+        gau = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0, prior="gaussian")
+        ginsts = drawn(gau, 2)
+        cfg = HDBOConfig(n_rml=2, budget_N=24, K=2, d_e=2, n0=2, seed=0)
+        gres = bench.hdbo_method(cfg).run(gau, ginsts, 1)
+        assert {rec.eval_cost for rec in gres.records} == {2}
+        for res, problem, instances, checkpoints in (
+                (box, prob, insts, [0, 1, 5, 17, 30, 31]),
+                (gres, gau, ginsts, [1, 2, 3, 9, 24, 26])):
+            with pytest.warns(UserWarning) as caught:
+                got = bench.best_so_far_curve(res, checkpoints)
+            with pytest.warns(UserWarning) as expected:
+                want = _looped_curve(res.records, instances, problem, checkpoints)
+            assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
+            assert any("precedes the first" in str(w.message) for w in caught)
+            assert any("exceeds the trace" in str(w.message) for w in caught)
+            assert got[0] == want[0]
+            assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
+
+    def test_one_trial_scores_each_pair_once(self, small_setup, monkeypatch):
+        prob, insts = small_setup
+        calls = {"select": 0, "curve": 0}
+        phase = ["select"]
+
+        def counting(*args, **kwargs):
+            calls[phase[0]] += 1
+            return objective(*args, **kwargs)
+
+        for module in (hdbo, bench, baselines):
+            monkeypatch.setattr(module, "objective", counting)
+        real_curve = bench.best_so_far_curve
+
+        def curve(*args, **kwargs):
+            phase[0] = "curve"
+            try:
+                return real_curve(*args, **kwargs)
+            finally:
+                phase[0] = "select"
+
+        monkeypatch.setattr(bench, "best_so_far_curve", curve)
+        bench.budget_curve(prob, insts, [bench.random_design_method(30)], [10, 30],
+                           trials=1, seed=4)
+        assert calls == {"select": 30 * len(insts), "curve": 0}
 
     def test_strictly_increasing_checkpoints_enforced(self, small_setup):
         prob, insts = small_setup
@@ -214,13 +280,13 @@ class TestBudgetCurve:
 
 class TestExternalTraces:
     def test_trace_round_trip_reproduces_selection(self, small_setup, tmp_path):
-        from rmlbo.hdbo import write_trace
+        from rmlbo.hdbo import select_maximizers, write_trace
 
         prob, insts = small_setup
         res = bench.random_design_method(25).run(prob, insts, 3)
         path = tmp_path / "external.jsonl"
         write_trace(res.records, path)
-        adopted = bench.result_from_trace(bench.read_trace(path), insts, prob)
+        adopted = select_maximizers(bench.read_trace(path), insts, prob)
         assert np.allclose(adopted.values, res.values)
         assert np.allclose(adopted.maximizers, res.maximizers)
         assert adopted.n_evals == res.n_evals

@@ -378,14 +378,36 @@ class TestDataSharing:
 
 class TestSelectMaximizers:
     def test_tie_breaks_toward_earliest_record(self):
+        # distinct points sharing one forward value score equally under a
+        # box prior, so only the tie rule decides which point is selected
         prob = bowl_problem(D=6, d=2)
         insts = drawn(prob, 2)
-        x = np.zeros(6)
-        fx = prob.simulator(x)
-        recs = [SimulationRecord(-1, None, x.copy(), fx.copy(), None, None, i + 1, 1)
+        fx = prob.simulator(np.zeros(6))
+        recs = [SimulationRecord(-1, None, np.full(6, 0.1 * i), fx.copy(), None, None,
+                                 i + 1, 1)
                 for i in range(3)]
-        maximizers, values = select_maximizers(recs, insts, prob)
-        assert np.allclose(maximizers[0], recs[0].x)
+        result = select_maximizers(recs, insts, prob)
+        assert np.all(result.candidate_values == result.candidate_values[0])
+        assert np.array_equal(result.maximizers, np.stack([recs[0].x, recs[0].x]))
+
+    def test_nan_value_never_wins(self):
+        # a non-finite simulator output scores NaN; selection and the
+        # best-so-far curve both pass over it
+        prob = bowl_problem(D=6, d=2)
+        insts = drawn(prob, 2)
+        x = np.full(6, 0.05)
+        fx = prob.simulator(x)
+        nan_fx = np.full_like(fx, np.nan)
+        recs = [SimulationRecord(-1, None, np.zeros(6), nan_fx, None, None, 1, 1),
+                SimulationRecord(-1, None, x, fx, None, None, 2, 2),
+                SimulationRecord(-1, None, np.full(6, -0.05), nan_fx, None, None, 3, 1)]
+        result = select_maximizers(recs, insts, prob)
+        assert np.array_equal(result.maximizers, np.stack([x, x]))
+        assert list(result.values) == [objective(inst, x, prob, fx=fx) for inst in insts]
+        budgets, curve = bench.best_so_far_curve(result, [1, 2, 3])
+        assert budgets == [1, 2, 3]
+        assert curve == [np.inf, -float(np.mean(result.values)),
+                         -float(np.mean(result.values))]
 
     def test_empty_trace_rejected(self):
         prob = bowl_problem(D=6, d=2)
