@@ -16,6 +16,12 @@ start fails to factor, the fit falls back to ``init``.
 Each evidence gradient takes one LAPACK pass over the factor: ``dpotrf``
 factors, ``dpotrs`` solves for ``alpha`` and ``dpotri`` forms the inverse.
 A fitted model caches the inverse factor, so a prediction is one GEMM.
+These paths run tens of thousands of times per run on small matrices, so
+they build their arrays in place: the kernel in one new array, the noise
+added on the diagonal, the inverse symmetrized by adding its transpose.
+Each gives the same bits as the plain expression (``o^2 exp(-d / 2 l^2)``,
+``K + noise * np.eye(n)``, ``K + np.tril(K, -1).T``), which the tests keep
+as their reference.
 """
 
 import math
@@ -105,7 +111,12 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
-    return params.outputscale ** 2 * np.exp(-sqdist / (2.0 * params.lengthscale ** 2))
+    """Kernel values for squared distances, built in one new array
+    (``sqdist`` is left untouched)."""
+    k = np.divide(sqdist, -2.0 * params.lengthscale ** 2)
+    np.exp(k, out=k)
+    np.multiply(k, params.outputscale ** 2, out=k)
+    return k
 
 
 def _cholesky(kn: np.ndarray) -> np.ndarray:
@@ -136,7 +147,8 @@ def _chol_with_ladder(kn: np.ndarray) -> tuple[np.ndarray, float]:
 def _lml_terms(sqdist: np.ndarray, z: np.ndarray, params: KernelParams):
     n = z.size
     k_rbf = _kernel_matrix(sqdist, params)
-    kn = k_rbf + params.noise_var * np.eye(n)
+    kn = k_rbf.copy()
+    kn.flat[::n + 1] += params.noise_var
     chol = _cholesky(kn)
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
     lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
@@ -174,13 +186,15 @@ def _dedup_average(inputs: np.ndarray, targets: np.ndarray):
     n = inputs.shape[0]
     if n < 2:
         return inputs, targets
-    d = _sqdist(inputs, inputs)
+    d = _sqdist(inputs, inputs) <= DUPLICATE_TOL ** 2
+    if np.count_nonzero(d) == n:   # only the diagonal: no duplicates
+        return inputs, targets
     assigned = np.full(n, -1, dtype=int)
     groups = []
     for i in range(n):
         if assigned[i] >= 0:
             continue
-        members = np.where((assigned < 0) & (d[i] <= DUPLICATE_TOL ** 2))[0]
+        members = np.where((assigned < 0) & d[i])[0]
         assigned[members] = len(groups)
         groups.append(members)
     if len(groups) == n:
@@ -203,8 +217,8 @@ def _standardize(targets: np.ndarray):
 
 
 def _assemble(inputs, raw_targets, mean, sd, z, params: KernelParams) -> GPModel:
-    kn = _kernel_matrix(_sqdist(inputs, inputs), params) \
-        + params.noise_var * np.eye(inputs.shape[0])
+    kn = _kernel_matrix(_sqdist(inputs, inputs), params)
+    kn.flat[::inputs.shape[0] + 1] += params.noise_var
     chol, jitter = _chol_with_ladder(kn)
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
     chol_inv, _ = lapack.dtrtri(chol, lower=1)
@@ -293,7 +307,10 @@ def fit(inputs, targets, rng: np.random.Generator,
 def _grad_from(sqdist, z, params: KernelParams):
     lml, k_rbf, chol, alpha = _lml_terms(sqdist, z, params)
     k_inv, _ = lapack.dpotri(chol, lower=1)
-    k_inv += np.tril(k_inv, -1).T
+    # dpotri fills the lower triangle and leaves the upper one zero, so
+    # adding the transpose symmetrizes; halving the doubled diagonal is exact
+    k_inv = k_inv + k_inv.T
+    k_inv.flat[::z.size + 1] *= 0.5
     w = np.outer(alpha, alpha) - k_inv
     wk = w * k_rbf
     grad = np.array([
@@ -324,7 +341,9 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
         k_star = _kernel_matrix(_sqdist(model.inputs, pts), model.params)
         mean_norm = k_star.T @ model.alpha
         v = model.chol_inv @ k_star
-        var_norm = np.clip(o ** 2 - np.sum(v ** 2, axis=0), 0.0, None)
+        np.square(v, out=v)
+        var_norm = o ** 2 - np.sum(v, axis=0)
+        np.maximum(var_norm, 0.0, out=var_norm)
         mean = model.target_mean + model.target_sd * mean_norm
         sd = model.target_sd * np.sqrt(var_norm)
     if single:

@@ -197,12 +197,19 @@ def write_trace(records, path) -> None:
 
 
 def read_trace(path) -> list:
+    """Read a JSON-lines trace.  A record whose ``fx`` or ``f_refined`` is
+    not finite raises ValueError naming its line."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                records.append(SimulationRecord.from_dict(json.loads(line)))
+                rec = SimulationRecord.from_dict(json.loads(line))
+                for name in ("fx", "f_refined"):
+                    value = getattr(rec, name)
+                    if value is not None and not np.isfinite(value).all():
+                        raise ValueError(f"{path}:{lineno}: {name} is not finite")
+                records.append(rec)
     return records
 
 
@@ -234,24 +241,30 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     vals = np.atleast_1d(gp.ucb(model, probes, beta))
     order = np.argsort(-vals)
     take = min(restarts, probes.shape[0])
-    ys = probes[order[:take]].copy()
-    fys = vals[order[:take]].astype(float).copy()
+    ys = probes[order[:take]]
+    fys = vals[order[:take]].astype(float)
     width = upper - lower
+    floor = 1e-12 * width
     steps = np.broadcast_to(0.25 * width, (take, d)).copy()
     rows = np.arange(take)
+    # candidate 2j moves coordinate j up by its step, 2j + 1 down; the other
+    # coordinates add a zero, and a move never crosses the far bound, so
+    # clipping every coordinate equals clipping the moved one
+    eye = np.eye(d)
+    moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
     for _ in range(ACQ_SWEEPS):
-        cands = np.repeat(ys[:, None, :], 2 * d, axis=1)
-        for j in range(d):
-            cands[:, 2 * j, j] = np.minimum(ys[:, j] + steps[:, j], upper[j])
-            cands[:, 2 * j + 1, j] = np.maximum(ys[:, j] - steps[:, j], lower[j])
+        cands = ys[:, None, :] + moves * steps[:, None, :]
+        np.minimum(cands, upper, out=cands)
+        np.maximum(cands, lower, out=cands)
         cv = np.atleast_1d(gp.ucb(model, cands.reshape(-1, d), beta)).reshape(take, 2 * d)
         pick = np.argmax(cv, axis=1)
         pick_val = cv[rows, pick]
         improved = pick_val > fys
-        ys[improved] = cands[rows, pick][improved]
-        fys[improved] = pick_val[improved]
+        if improved.any():
+            ys[improved] = cands[rows, pick][improved]
+            fys[improved] = pick_val[improved]
         steps[~improved] *= 0.5
-        if np.all(steps < 1e-12 * width):
+        if (steps < floor).all():
             break
     # refinement only ever improves on a start's probe value, so the argmax
     # over starts covers the probe champion as well

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack
 
 NEG_INF = float("-inf")
 
@@ -89,7 +89,11 @@ class GaussianSpec:
             raise ValueError(
                 f"point of shape {x.shape} against {self.name} of dimension {self.dim}")
         r = x - (self.mean if mean is None else mean)
-        w = solve_triangular(self.chol, r, lower=True, check_finite=False)
+        # solve L w = r as L^T's transposed system: the Fortran-ordered view
+        # of this C-ordered factor, exactly what solve_triangular runs
+        w, info = lapack.dtrtrs(self.chol.T, r, lower=0, trans=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
         return -0.5 * (self.dim * LOG_2PI + self._log_det + float(w @ w))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -121,7 +125,7 @@ class BoxPrior:
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool((x >= self.lower).all() and (x <= self.upper).all())
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -138,6 +142,8 @@ class SimulatorHandle:
 
     The counter increments by exactly one per evaluation and is never reset;
     increments are lock-protected so concurrent callers stay consistent.
+    A call whose function raises or returns a non-finite value raises
+    :class:`SimulatorError` and is not counted.
     Calls made inside the :meth:`analysis` context, by the thread that
     entered it, are tallied separately and do not count against an
     optimization budget.
@@ -164,6 +170,9 @@ class SimulatorHandle:
             out = np.asarray(self._fn(x), dtype=float).reshape(self.output_dim)
         except Exception as exc:
             raise SimulatorError(f"{self.name} failed at input {x!r}: {exc}", x) from exc
+        if not np.isfinite(out).all():
+            raise SimulatorError(f"{self.name} returned a non-finite output {out!r} "
+                                 f"at input {x!r}", x)
         in_analysis = getattr(self._local, "depth", 0) > 0
         with self._lock:
             if in_analysis:

@@ -182,6 +182,22 @@ class TestCompare:
         lines = (cmp_out / "curves.csv").read_text().strip().splitlines()
         assert any(line.startswith("external,") for line in lines)
 
+    def test_external_trace_with_nan_fx_fails_without_inf_row(self, tmp_path, capsys):
+        run_cfg = write_config(tmp_path, BOWL, "run.json")
+        out = tmp_path / "donor"
+        assert main(["run", "--config", run_cfg, "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        rows[0]["fx"][0] = float("nan")
+        trace = tmp_path / "nan.jsonl"
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        methods = [{"name": "ext", "trace": str(trace)}]
+        cmp_cfg = write_config(tmp_path, {**BOWL, "methods": methods, "trials": 1}, "cmp.json")
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--config", cmp_cfg, "--out", str(cmp_out)]) != 0
+        assert "nan.jsonl:1: fx is not finite" in capsys.readouterr().err
+        curves = cmp_out / "curves.csv"
+        assert not curves.exists() or "inf" not in curves.read_text()
+
     def test_bool_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BOWL, "methods": ["random-design"],
                                        "checkpoints": [True, 48]})

@@ -1,8 +1,76 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
+from scipy.spatial.distance import cdist
 
 from rmlbo import gp
+
+
+# Reference formulations of the GP's hot paths: fresh arrays, np.eye on the
+# diagonal, np.tril to symmetrize and np.clip on the variance.  The module
+# builds the same arithmetic in place, so results must agree bit for bit.
+
+def ref_kernel_matrix(sqdist, params):
+    return params.outputscale ** 2 * np.exp(-sqdist / (2.0 * params.lengthscale ** 2))
+
+
+def ref_lml_grad(inputs, z, params):
+    sqdist = cdist(inputs, inputs, metric="sqeuclidean")
+    n = z.size
+    k_rbf = ref_kernel_matrix(sqdist, params)
+    kn = k_rbf + params.noise_var * np.eye(n)
+    chol, info = lapack.dpotrf(kn, lower=1)
+    assert info == 0
+    alpha, _ = lapack.dpotrs(chol, z, lower=1)
+    lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
+        - 0.5 * n * np.log(2.0 * np.pi)
+    k_inv, _ = lapack.dpotri(chol, lower=1)
+    k_inv += np.tril(k_inv, -1).T
+    w = np.outer(alpha, alpha) - k_inv
+    wk = w * k_rbf
+    grad = np.array([
+        float(np.sum(wk)),
+        0.5 * float(np.sum(wk * sqdist)) / params.lengthscale ** 2,
+        0.5 * params.noise_var * float(np.trace(w)),
+    ])
+    return lml, grad
+
+
+def ref_factors(inputs, z, params):
+    kn = ref_kernel_matrix(cdist(inputs, inputs, metric="sqeuclidean"), params) \
+        + params.noise_var * np.eye(inputs.shape[0])
+    chol, _ = lapack.dpotrf(kn, lower=1)
+    alpha, _ = lapack.dpotrs(chol, z, lower=1)
+    chol_inv, _ = lapack.dtrtri(chol, lower=1)
+    return chol, alpha, chol_inv
+
+
+def ref_predict(model, pts):
+    o = model.params.outputscale
+    k_star = ref_kernel_matrix(cdist(model.inputs, pts, metric="sqeuclidean"), model.params)
+    mean_norm = k_star.T @ model.alpha
+    v = model.chol_inv @ k_star
+    var_norm = np.clip(o ** 2 - np.sum(v ** 2, axis=0), 0.0, None)
+    return (model.target_mean + model.target_sd * mean_norm,
+            model.target_sd * np.sqrt(var_norm))
+
+
+def ref_dedup_groups(inputs):
+    """The greedy grouping: each unassigned row takes every unassigned row
+    within DUPLICATE_TOL of it."""
+    d = cdist(inputs, inputs, metric="sqeuclidean")
+    assigned = np.full(len(inputs), -1)
+    groups = []
+    for i in range(len(inputs)):
+        if assigned[i] < 0:
+            members = np.where((assigned < 0) & (d[i] <= gp.DUPLICATE_TOL ** 2))[0]
+            assigned[members] = len(groups)
+            groups.append(members)
+    return groups
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
 def dense_lml(X, z, params):
@@ -125,6 +193,28 @@ class TestLogMarginalLikelihood:
                   - gp.log_marginal_likelihood(X, z, gp.KernelParams(*dn))) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 30, 100])
+    def test_gradient_bits_match_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        X = rng.uniform(-1.5, 1.5, (n, 3))
+        z = rng.standard_normal(n)
+        for theta in ([0.3, np.log(0.5), np.log(3 * gp.NOISE_FLOOR)],
+                      [-1.2, np.log(2.0), np.log(1e-2)]):
+            params = gp.KernelParams(*theta)
+            lml, grad = gp.log_marginal_likelihood_grad(X, z, params)
+            ref_lml, ref_grad = ref_lml_grad(X, z, params)
+            assert bits(lml, grad) == bits(ref_lml, ref_grad)
+
+    def test_fitted_factors_match_reference_bits(self):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(-1, 1, (40, 3))
+        z = rng.standard_normal(40)
+        params = gp.KernelParams.from_natural(1.4, 0.8, 1e-5)
+        model = gp.fit_with_params(X, z, params)
+        zs = (z - model.target_mean) / model.target_sd
+        assert bits(model.chol_factor, model.alpha, model.chol_inv) == \
+            bits(*ref_factors(X, zs, params))
+
 
 class TestPredict:
     def test_empty_model_reverts_to_prior(self):
@@ -199,6 +289,43 @@ class TestPredict:
                                                 - np.sum(v ** 2, axis=0), 0.0, None))
         np.testing.assert_allclose(sd, ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 25, 95])
+    def test_predict_and_ucb_bits_match_reference(self, n):
+        rng = np.random.default_rng(200 + n)
+        X = rng.uniform(-1, 1, (n, 3))
+        z = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+        model = gp.fit(X, z, rng)
+        # training points take the variance to (or below) the zero clamp;
+        # the far point sees only the prior
+        q = np.vstack([rng.uniform(-1.2, 1.2, (300, 3)), X[:5], [[50.0, 0.0, 0.0]]])
+        mean, sd = gp.predict(model, q)
+        ref_mean, ref_sd = ref_predict(model, q)
+        assert bits(mean, sd) == bits(ref_mean, ref_sd)
+        for beta in (0.0, 2.0):
+            assert bits(gp.ucb(model, q, beta)) == bits(ref_mean + beta * ref_sd)
+        one = gp.predict(model, q[0])
+        assert isinstance(one[0], float)
+        assert bits(*one) == bits(*ref_predict(model, q[:1]))
+
+    def test_zero_variance_clamp_matches_reference_bits(self):
+        # with no noise the raw variance at training points dips below zero
+        rng = np.random.default_rng(18)
+        X = rng.uniform(-1, 1, (20, 2))
+        params = gp.KernelParams(0.0, np.log(1.0), np.log(1e-30))
+        model = gp.fit_with_params(X, rng.standard_normal(20), params)
+        v = model.chol_inv @ ref_kernel_matrix(
+            cdist(model.inputs, X, metric="sqeuclidean"), params)
+        assert np.any(params.outputscale ** 2 - np.sum(v ** 2, axis=0) < 0)
+        assert bits(*gp.predict(model, X)) == bits(*ref_predict(model, X))
+
+    def test_ucb_keeps_its_input_checks(self):
+        model = gp.fit_with_params([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0],
+                                   gp.KernelParams.from_natural(1.0, 1.0))
+        with pytest.raises(ValueError, match="query dimension"):
+            gp.ucb(model, np.zeros((4, 2)), 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            gp.ucb(model, np.zeros((4, 3)), -0.5)
+
     def test_cached_inverse_factor(self):
         rng = np.random.default_rng(15)
         X = rng.uniform(-1, 1, (30, 2))
@@ -232,6 +359,40 @@ class TestFit:
                                    gp.KernelParams.from_natural(1.0, 1.0, 1e-6))
         assert model.n_train == 2
         assert 2.0 in model.raw_targets
+
+    def test_no_duplicates_returns_the_same_arrays(self):
+        rng = np.random.default_rng(24)
+        X = rng.uniform(-1, 1, (30, 2))
+        z = rng.standard_normal(30)
+        out_x, out_z = gp._dedup_average(X, z)
+        assert out_x is X and out_z is z
+        assert len(ref_dedup_groups(X)) == 30
+
+    @pytest.mark.parametrize("case", ["exact", "at_tol", "chain"])
+    def test_duplicate_groups_match_greedy_loop(self, case):
+        tol = gp.DUPLICATE_TOL
+        rng = np.random.default_rng(25)
+        X = rng.uniform(-1, 1, (8, 2))
+        if case == "exact":
+            X[5] = X[1]
+            X[7] = X[1]
+            X[6] = X[3]
+        elif case == "at_tol":
+            # squared distance tol * tol, exactly the merge threshold
+            X[0] = [0.0, 0.0]
+            X[4] = [tol, 0.0]
+        else:
+            # a ~ b and b ~ c, but a and c are 1.8 tol apart
+            X[2] = [0.5, 0.5]
+            X[3] = [0.5 + 0.9 * tol, 0.5]
+            X[6] = [0.5 + 1.8 * tol, 0.5]
+        z = rng.standard_normal(8)
+        groups = ref_dedup_groups(X)
+        assert len(groups) < 8
+        out_x, out_z = gp._dedup_average(X, z)
+        assert bits(out_x, out_z) == bits(
+            np.stack([X[g].mean(axis=0) for g in groups]),
+            [z[g].mean() for g in groups])
 
     def test_recovers_known_lengthscale(self):
         # draws from a GP with l = 0.5: recovered log-lengthscale within

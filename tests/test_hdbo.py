@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -27,6 +29,54 @@ def bowl_problem(D=20, d=2, seed=1, prior="uniform", noise_sd=None):
 
 def drawn(problem, n_rml, seed=11):
     return draw_randomizations(problem, n_rml, labeled_stream(seed, STREAM_RANDOMIZE))
+
+
+def ref_acquisition_maximize(model, domain, beta, rng, restarts=10):
+    """The per-coordinate formulation of the acquisition sweep, kept as the
+    reference; returns the point and the number of sweeps run."""
+    lower = np.asarray(domain[0], dtype=float)
+    upper = np.asarray(domain[1], dtype=float)
+    d = lower.size
+    probes = hdbo.sobol_points(hdbo.ACQ_PROBES, lower, upper, rng)
+    vals = np.atleast_1d(gp.ucb(model, probes, beta))
+    order = np.argsort(-vals)
+    take = min(restarts, probes.shape[0])
+    ys = probes[order[:take]].copy()
+    fys = vals[order[:take]].astype(float).copy()
+    width = upper - lower
+    steps = np.broadcast_to(0.25 * width, (take, d)).copy()
+    rows = np.arange(take)
+    sweeps = 0
+    for _ in range(hdbo.ACQ_SWEEPS):
+        sweeps += 1
+        cands = np.repeat(ys[:, None, :], 2 * d, axis=1)
+        for j in range(d):
+            cands[:, 2 * j, j] = np.minimum(ys[:, j] + steps[:, j], upper[j])
+            cands[:, 2 * j + 1, j] = np.maximum(ys[:, j] - steps[:, j], lower[j])
+        cv = np.atleast_1d(gp.ucb(model, cands.reshape(-1, d), beta)).reshape(take, 2 * d)
+        pick = np.argmax(cv, axis=1)
+        pick_val = cv[rows, pick]
+        improved = pick_val > fys
+        ys[improved] = cands[rows, pick][improved]
+        fys[improved] = pick_val[improved]
+        steps[~improved] *= 0.5
+        if np.all(steps < 1e-12 * width):
+            break
+    return ys[int(np.argmax(fys))].copy(), sweeps
+
+
+def acquisition_model(n, seed, lower, upper):
+    if n == 0:
+        return gp.empty_model(gp.KernelParams.from_natural(1.3, 0.7), dim=lower.size)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(lower, upper, (n, lower.size))
+    z = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 - 0.5 * X[:, 2]
+    return gp.fit(X, z, rng)
+
+
+# asymmetric boxes: offset, unequal widths, one wholly positive
+ACQ_BOXES = [(np.array([-1.3, 0.2, -0.05]), np.array([2.7, 0.9, 3.1])),
+             (np.array([0.1, 0.25, 1.0]), np.array([0.6, 3.0, 1.7]))]
 
 
 class TestAcquisitionMaximize:
@@ -62,6 +112,41 @@ class TestAcquisitionMaximize:
         for seed in range(5):
             y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(seed))
             assert np.all(y >= lo) and np.all(y <= hi)
+
+    @pytest.mark.parametrize("n", [0, 1, 25, 95])
+    def test_bits_match_per_coordinate_reference(self, n):
+        for b, (lo, hi) in enumerate(ACQ_BOXES):
+            model = acquisition_model(n, 30 + n + b, lo, hi)
+            for restarts in (1, 10):
+                for beta in (0.0, 2.0):
+                    seed = 1000 * n + 100 * b + 10 * restarts + int(beta)
+                    y = acquisition_maximize(model, (lo, hi), beta,
+                                             np.random.default_rng(seed), restarts=restarts)
+                    ref, _ = ref_acquisition_maximize(model, (lo, hi), beta,
+                                                      np.random.default_rng(seed), restarts)
+                    assert y.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_one_ucb_call_for_the_probes_and_one_per_sweep(self, n, monkeypatch):
+        lo, hi = ACQ_BOXES[0]
+        model = acquisition_model(n, 40, lo, hi)
+        _, sweeps = ref_acquisition_maximize(model, (lo, hi), 2.0,
+                                             np.random.default_rng(9), restarts=4)
+        sizes = []
+        real_ucb = gp.ucb
+
+        def spy(model, y, beta):
+            sizes.append(np.atleast_2d(y).shape[0])
+            return real_ucb(model, y, beta)
+
+        monkeypatch.setattr(gp, "ucb", spy)
+        acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(9), restarts=4)
+        assert len(sizes) == 1 + sweeps
+        assert sizes == [hdbo.ACQ_PROBES] + [4 * 2 * lo.size] * sweeps
+        if n == 0:
+            # a flat UCB never improves: steps halve from 0.25 of the width
+            # until all are below 1e-12 of it, which takes 38 sweeps
+            assert sweeps == 38
 
 
 class TestLocalPriorRefine:
@@ -244,6 +329,17 @@ class TestRunTrace:
         assert len(back) == len(res.records)
         for a, b in zip(res.records, back):
             assert a.to_dict() == b.to_dict()
+
+    def test_read_rejects_non_finite_forward_values_naming_the_line(self, uniform_run,
+                                                                    gaussian_run, tmp_path):
+        for (_, _, _, res), field, bad in ((uniform_run, "fx", float("nan")),
+                                           (gaussian_run, "f_refined", float("inf"))):
+            rows = [rec.to_dict() for rec in res.records[:5]]
+            rows[2][field][0] = bad
+            path = tmp_path / f"{field}.jsonl"
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            with pytest.raises(ValueError, match=f"{field}.jsonl:3: {field} is not finite"):
+                read_trace(path)
 
 
 class TestGaussianPath:
@@ -447,3 +543,22 @@ class TestAbort:
         with pytest.raises(RunAborted) as err:
             run_hdbo_rml(prob, insts, cfg)
         assert len(err.value.records) == 17
+
+    def test_non_finite_simulator_output_aborts_the_run(self):
+        prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
+        inner = prob.simulator._fn
+        calls = {"n": 0}
+
+        def nan_after_12(x):
+            calls["n"] += 1
+            out = inner(x)
+            return out * np.nan if calls["n"] > 12 else out
+
+        prob.simulator._fn = nan_after_12
+        insts = drawn(prob, 2)
+        cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
+        with pytest.raises(RunAborted, match="non-finite") as err:
+            run_hdbo_rml(prob, insts, cfg)
+        assert len(err.value.records) == 12
+        assert all(np.isfinite(rec.fx).all() for rec in err.value.records)
+        assert prob.simulator.eval_counter == 12

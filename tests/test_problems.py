@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from rmlbo.problems import (
     NEG_INF,
@@ -130,6 +131,24 @@ class TestLogGaussianDensity:
         assert spec.logpdf(x, mean=mean) == pytest.approx(
             _log_gaussian_direct(x, mean, cov), abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_bits_match_solve_triangular_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        spec = GaussianSpec(rng.standard_normal(dim), a @ a.T + 0.5 * np.eye(dim))
+
+        def reference(x, mean):
+            w = solve_triangular(spec.chol, x - mean, lower=True, check_finite=False)
+            return -0.5 * (dim * np.log(2.0 * np.pi) + spec.log_det() + float(w @ w))
+
+        for _ in range(200):
+            x = rng.standard_normal(dim) * rng.uniform(0.1, 30.0)
+            mean = rng.standard_normal(dim)
+            assert np.float64(spec.logpdf(x)).tobytes() == \
+                np.float64(reference(x, spec.mean)).tobytes()
+            assert np.float64(spec.logpdf(x, mean=mean)).tobytes() == \
+                np.float64(reference(x, mean)).tobytes()
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianSpec([0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]))
@@ -190,6 +209,17 @@ class TestLogPrior:
         x = np.array([0.1])
         assert log_prior(x, spec) == spec.logpdf(x)
 
+    def test_contains_matches_reference_on_boundaries_and_nan(self):
+        prior = BoxPrior([-1.0, 0.0, 2.5], [1.0, 0.5, 3.0])
+        points = [prior.lower, prior.upper, [1.0, 0.0, 2.75], [-1.0, 0.5, 3.0],
+                  [np.nextafter(1.0, 2.0), 0.2, 2.6], [0.0, np.nextafter(0.0, -1.0), 2.6],
+                  [np.nan, 0.2, 2.6], [0.0, 0.2, np.nan], [np.nan] * 3, [0.0, 0.2, 2.6]]
+        points = [np.asarray(p, dtype=float) for p in points]
+        got = [prior.contains(p) for p in points]
+        ref = [bool(np.all(p >= prior.lower) and np.all(p <= prior.upper)) for p in points]
+        assert got == ref == [True, True, True, True, False, False, False, False, False, True]
+        assert all(type(g) is bool for g in got)
+
     def test_sentinel_propagates_through_sums(self):
         assert NEG_INF + 123.4 == NEG_INF
 
@@ -210,6 +240,18 @@ class TestSimulatorHandle:
         b = sim(x)
         assert a.tobytes() == b.tobytes()
         assert sim.eval_counter == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_raises_and_is_not_counted(self, bad):
+        sim = SimulatorHandle(lambda x: np.array([x[0], bad if x[1] > 0 else 0.0]), 2, 2)
+        sim(np.zeros(2))
+        with pytest.raises(SimulatorError, match="non-finite") as err:
+            sim(np.array([0.5, 1.0]))
+        np.testing.assert_array_equal(err.value.x, [0.5, 1.0])
+        with sim.analysis(), pytest.raises(SimulatorError, match="non-finite"):
+            sim(np.array([0.5, 1.0]))
+        assert sim.eval_counter == 1
+        assert sim.analysis_counter == 0
 
     def test_analysis_calls_tracked_separately(self):
         sim = SimulatorHandle(lambda x: x.copy(), 2, 2)
