@@ -7,6 +7,16 @@ the log marginal likelihood of standardized targets with analytic
 gradients and L-BFGS-B.  Simulators are deterministic, so the noise term is
 a jitter floor rather than real observation noise.
 
+The fitter searches ``theta = (log o, log l, log(noise / o^2))``.  The
+noise is boxed relative to the signal variance, between NOISE_FLOOR and
+1e-1, so ``cond(K + noise * I) <= 1 + n / NOISE_FLOOR`` at any outputscale.
+An absolute floor would let exact (noise-free) targets drive the outputscale
+to its upper bound and the ratio to 1e-14, where the evidence carries
+roundoff of a few hundredths of a nat between nearby points and L-BFGS-B
+spends most of its evaluations in line searches that cannot succeed.  The evidence gradient
+is computed in the natural ``(log o, log l, log noise)`` coordinates and
+mapped by the chain rule.
+
 Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
 given ``init`` (the sampler passes each embedding's previous
 hyperparameters, so only its first fit is cold) starts from ``init``,
@@ -51,9 +61,11 @@ class KernelParams:
     @classmethod
     def from_natural(cls, outputscale: float, lengthscale: float,
                      noise_var: float = NOISE_FLOOR) -> "KernelParams":
+        """Parameters from natural values; the noise is clamped at
+        ``NOISE_FLOOR * outputscale**2``, the floor :func:`fit` searches above."""
         if outputscale <= 0 or lengthscale <= 0:
             raise ValueError("outputscale and lengthscale must be strictly positive")
-        noise_var = max(float(noise_var), NOISE_FLOOR)
+        noise_var = max(float(noise_var), NOISE_FLOOR * outputscale ** 2)
         return cls(math.log(outputscale), math.log(lengthscale), math.log(noise_var))
 
     @property
@@ -76,9 +88,12 @@ class GPModel:
     ``chol_factor`` is the lower Cholesky of ``K + noise * I + jitter * I``,
     ``chol_inv`` its inverse, and ``alpha`` solves that system for the
     standardized targets ``z``.  ``jitter`` is what the factorization ladder
-    added to the diagonal (0 when the plain matrix factored).  Empty models
-    (n = 0) revert to the prior: mean ``target_mean``, sd equal to the
-    outputscale.
+    added to the diagonal (0 when the plain matrix factored).  ``nfev`` and
+    ``failed_starts`` describe the hyperparameter search of :func:`fit`:
+    evidence evaluations over all starts, and starts that ended without
+    success or failed to factor (both 0 for :func:`fit_with_params`).
+    Empty models (n = 0) revert to the prior: mean ``target_mean``, sd equal
+    to the outputscale.
     """
 
     inputs: np.ndarray
@@ -90,6 +105,8 @@ class GPModel:
     alpha: np.ndarray | None
     chol_inv: np.ndarray | None
     jitter: float = 0.0
+    nfev: int = 0
+    failed_starts: int = 0
 
     @property
     def n_train(self) -> int:
@@ -175,7 +192,8 @@ def log_marginal_likelihood(inputs, targets, params: KernelParams) -> float:
 def log_marginal_likelihood_grad(inputs, targets,
                                  params: KernelParams) -> tuple[float, np.ndarray]:
     """Evidence and its gradient in (log outputscale, log lengthscale,
-    log noise) order; the same gradient the fitter consumes."""
+    log noise) order.  :func:`fit` searches ``log(noise / outputscale**2)``
+    in place of ``log noise`` and maps this gradient by the chain rule."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     z = np.atleast_1d(np.asarray(targets, dtype=float))
     return _grad_from(_sqdist(inputs, inputs), z, params)
@@ -248,10 +266,13 @@ def fit(inputs, targets, rng: np.random.Generator,
     """Fit hyperparameters by maximizing the evidence of standardized
     targets with L-BFGS-B.
 
-    Without ``init`` it runs FIT_RESTARTS log-uniform starts.  With
-    ``init`` it starts from ``init`` clipped into this fit's bounds, plus
-    one log-uniform start; if every start fails to factor, the model keeps
-    ``init``.
+    The search runs over ``(log o, log l, log(noise / o^2))``, the noise
+    ratio boxed to ``[NOISE_FLOOR, 1e-1]``.  Without ``init`` it runs
+    FIT_RESTARTS log-uniform starts.  With ``init`` it starts from ``init``
+    mapped to those coordinates and clipped into this fit's bounds, plus one
+    log-uniform start; if every start fails to factor, the model keeps
+    ``init``.  The model records the search's ``nfev`` and
+    ``failed_starts``.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -264,12 +285,16 @@ def fit(inputs, targets, rng: np.random.Generator,
     diam = _input_diameter(inputs)
     sqdist = _sqdist(inputs, inputs)
 
+    def params_at(theta):
+        return KernelParams(theta[0], theta[1], theta[2] + 2.0 * theta[0])
+
     def neg_lml(theta):
-        p = KernelParams(*theta)
         try:
-            lml, grad = _grad_from(sqdist, z, p)
+            lml, grad = _grad_from(sqdist, z, params_at(theta))
         except np.linalg.LinAlgError:
             return FAILED_LML, np.zeros(3)
+        # log noise = theta[2] + 2 theta[0], so d/dtheta[0] gains 2 d/dlog noise
+        grad[0] += 2.0 * grad[2]
         return -lml, -grad
 
     bounds = [
@@ -289,19 +314,25 @@ def fit(inputs, targets, rng: np.random.Generator,
         starts = [random_start() for _ in range(FIT_RESTARTS)]
     else:
         lo, hi = np.array(bounds).T
-        theta_init = [init.log_outputscale, init.log_lengthscale, init.log_noise_var]
+        theta_init = [init.log_outputscale, init.log_lengthscale,
+                      init.log_noise_var - 2.0 * init.log_outputscale]
         starts = [np.clip(theta_init, lo, hi), random_start()]
     best = None
+    nfev = failed = 0
     for theta0 in starts:
         res = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B",
                        bounds=bounds, options={"maxiter": FIT_MAXITER})
+        nfev += int(res.nfev)
+        failed += int(not res.success or not res.fun < FAILED_LML)
         if best is None or res.fun < best.fun:
             best = res
     if best.fun >= FAILED_LML and init is not None:
         params = init
     else:
-        params = KernelParams(*best.x)
-    return _assemble(inputs, targets, mean, sd, z, params)
+        params = params_at(best.x)
+    model = _assemble(inputs, targets, mean, sd, z, params)
+    model.nfev, model.failed_starts = nfev, failed
+    return model
 
 
 def _grad_from(sqdist, z, params: KernelParams):

@@ -82,6 +82,27 @@ def dense_lml(X, z, params):
     return float(-0.5 * z @ np.linalg.inv(K) @ z - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi))
 
 
+def fit_objective(monkeypatch, X, z):
+    """The function ``gp.fit`` hands to L-BFGS-B for these data, and the
+    standardized targets it was built on."""
+    objectives = []
+    real_minimize = gp.minimize
+
+    def spy(fun, x0, **kwargs):
+        objectives.append(fun)
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gp, "minimize", spy)
+    model = gp.fit(X, z, np.random.default_rng(0))
+    return objectives[0], (z - model.target_mean) / model.target_sd
+
+
+def natural(theta):
+    """Kernel parameters at a point of the fit's search coordinates
+    (log o, log l, log(noise / o^2))."""
+    return gp.KernelParams(theta[0], theta[1], theta[2] + 2.0 * theta[0])
+
+
 class TestKernel:
     def test_zero_distance_gives_outputscale_squared(self):
         p = gp.KernelParams.from_natural(1.5, 1.0)
@@ -104,6 +125,13 @@ class TestKernel:
     def test_noise_floor_applies(self):
         p = gp.KernelParams.from_natural(1.0, 1.0, 0.0)
         assert p.noise_var == pytest.approx(gp.NOISE_FLOOR)
+
+    def test_noise_floor_scales_with_outputscale(self):
+        for o in (0.01, 3.0, 1e3):
+            p = gp.KernelParams.from_natural(o, 1.0, 0.0)
+            assert p.noise_var == pytest.approx(gp.NOISE_FLOOR * o ** 2)
+        assert gp.KernelParams.from_natural(1e3, 1.0, 1e-4).noise_var == pytest.approx(1e-2)
+        assert gp.KernelParams.from_natural(0.1, 1.0, 1e-4).noise_var == pytest.approx(1e-4)
 
     def test_kernel_matrix_factorizes_with_small_jitter(self):
         rng = np.random.default_rng(0)
@@ -192,6 +220,42 @@ class TestLogMarginalLikelihood:
             fd = (gp.log_marginal_likelihood(X, z, gp.KernelParams(*up))
                   - gp.log_marginal_likelihood(X, z, gp.KernelParams(*dn))) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+    def test_fit_coordinate_gradient_matches_finite_differences(self, monkeypatch):
+        # what L-BFGS-B sees: the negative evidence and its gradient in
+        # (log o, log l, log(noise / o^2)), against central differences of
+        # the evidence itself at the mapped parameters
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-2, 2, (12, 2))
+        neg_lml, zs = fit_objective(monkeypatch, X, rng.standard_normal(12))
+        eps = 1e-6
+        for _ in range(10):
+            theta = np.array([rng.uniform(-1, 1), rng.uniform(-1.5, 0.5),
+                              rng.uniform(np.log(1e-6), np.log(1e-2))])
+            value, grad = neg_lml(theta)
+            assert -value == gp.log_marginal_likelihood(X, zs, natural(theta))
+            for i in range(3):
+                up, dn = theta.copy(), theta.copy()
+                up[i] += eps
+                dn[i] -= eps
+                fd = (gp.log_marginal_likelihood(X, zs, natural(up))
+                      - gp.log_marginal_likelihood(X, zs, natural(dn))) / (2 * eps)
+                assert -grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    def test_fit_coordinate_gradient_at_n60_near_noise_floor(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-2, 2, (60, 3))
+        neg_lml, zs = fit_objective(monkeypatch, X, rng.standard_normal(60))
+        theta = np.array([0.3, np.log(0.5), np.log(3 * gp.NOISE_FLOOR)])
+        _, grad = neg_lml(theta)
+        eps = 1e-5
+        for i in range(3):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += eps
+            dn[i] -= eps
+            fd = (gp.log_marginal_likelihood(X, zs, natural(up))
+                  - gp.log_marginal_likelihood(X, zs, natural(dn))) / (2 * eps)
+            assert -grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 30, 100])
     def test_gradient_bits_match_reference(self, n):
@@ -438,8 +502,65 @@ class TestFit:
         init = gp.KernelParams.from_natural(2.0, 0.3, 1e-4)
         gp.fit(X, z, rng, init=init)
         assert len(starts) == 2
+        # the fit searches log(noise / outputscale^2) as its third coordinate
         np.testing.assert_array_equal(
-            starts[0], [init.log_outputscale, init.log_lengthscale, init.log_noise_var])
+            starts[0], [init.log_outputscale, init.log_lengthscale,
+                        init.log_noise_var - 2.0 * init.log_outputscale])
+
+    def test_noise_free_quadratic_fits_keep_the_relative_floor(self):
+        # exact quadratic targets, as the linear-gaussian problem produces:
+        # the evidence pushes the noise to its floor, which must stay
+        # relative to the outputscale, and few L-BFGS-B starts may fail
+        failed = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((3, 3))
+            b = rng.standard_normal(3)
+            Y = rng.uniform(-1, 1, (40, 3))
+            z = -0.5 * np.sum((Y @ A.T - b) ** 2, axis=1)
+            cold = gp.fit(Y, z, rng)
+            warm = gp.fit(Y, z, rng, init=cold.params)
+            for model in (cold, warm):
+                ratio = model.params.noise_var / model.params.outputscale ** 2
+                assert ratio >= gp.NOISE_FLOOR * (1 - 1e-12)
+                failed += model.failed_starts
+        assert failed <= 20
+
+    def test_fit_reports_evaluations_and_failed_starts(self, monkeypatch):
+        results = []
+        real_minimize = gp.minimize
+
+        def spy(fun, x0, **kwargs):
+            res = real_minimize(fun, x0, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(gp, "minimize", spy)
+        rng = np.random.default_rng(26)
+        X = rng.uniform(-1, 1, (25, 2))
+        z = np.sin(3 * X[:, 0]) + X[:, 1]
+        model = gp.fit(X, z, rng)
+        assert len(results) == gp.FIT_RESTARTS
+        assert model.nfev == sum(r.nfev for r in results) > 0
+        assert model.failed_starts == sum(
+            not r.success or not r.fun < gp.FAILED_LML for r in results)
+        fixed = gp.fit_with_params(X, z, model.params)
+        assert (fixed.nfev, fixed.failed_starts) == (0, 0)
+
+        # a start stopped by the iteration limit ends without success
+        monkeypatch.setattr(gp, "FIT_MAXITER", 1)
+        results.clear()
+        assert gp.fit(X, z, rng).failed_starts == gp.FIT_RESTARTS
+        assert not any(r.success for r in results)
+
+        def failing(*args):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "_grad_from", failing)
+        results.clear()
+        model = gp.fit(X, z, rng, init=model.params)
+        assert model.failed_starts == len(results) == 2
+        assert model.nfev == sum(r.nfev for r in results)
 
     def test_every_start_failing_keeps_init(self, monkeypatch):
         def failing(*args):
