@@ -20,6 +20,7 @@ from .hdbo import (
     SimulationRecord,
     read_trace,
     run_hdbo_rml,
+    require_integer,
     select_maximizers,
     with_seed,
 )
@@ -48,8 +49,6 @@ class SyntheticRidgeSimulator(SimulatorHandle):
         if gram_err > 1e-10:
             raise ValueError(f"active matrix is not semi-orthogonal (error {gram_err:.2e})")
         self.active_matrix = A
-        self.link = link
-        self.link_name = link_name
         super().__init__(lambda x: link(A.T @ x), A.shape[0], output_dim,
                          name=f"ridge[{link_name}]")
 
@@ -158,7 +157,6 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
         clean = simulator(x_true)
     data = clean + sd * rng.standard_normal(m)
     likelihood = LikelihoodSpec(data, sd ** 2 * np.eye(m))
-    simulator.x_true = x_true
 
     if fail_after is not None:
         simulator = _failing_wrapper(simulator, int(fail_after))
@@ -181,7 +179,6 @@ def _failing_wrapper(inner: SimulatorHandle, fail_after: int) -> SimulatorHandle
     sim.active_matrix = getattr(inner, "active_matrix", None)
     if hasattr(inner, "matrix"):
         sim.matrix = inner.matrix
-    sim.x_true = getattr(inner, "x_true", None)
     return sim
 
 
@@ -191,7 +188,8 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     Catalog fields: name (required), D, d, m, seed, prior ("uniform" or
     "gaussian"), noise_sd, fail_after.  ``prior`` may instead be an explicit
     object (kind + dense row-major arrays) and ``likelihood`` an explicit
-    {data, obs_cov} pair; both override the generated ingredients.
+    {data, obs_cov} pair; both override the generated ingredients.  D, d, m
+    (positive), seed and fail_after (non-negative) are integers or null.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("problem: expected an object")
@@ -201,12 +199,17 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     for key in cfg:
         if key not in known:
             raise ConfigError(f"problem.{key}: unknown field")
+    for key, minimum in (("D", 1), ("d", 1), ("m", 1), ("seed", 0), ("fail_after", 0)):
+        if cfg.get(key) is not None:
+            require_integer(f"problem.{key}", cfg[key], minimum)
     prior_cfg = cfg.get("prior")
-    prior_kind = prior_cfg if isinstance(prior_cfg, (str, type(None))) else \
-        ("gaussian" if prior_cfg.get("kind") == "gaussian" else "uniform")
+    if not isinstance(prior_cfg, (str, dict, type(None))):
+        raise ConfigError(f"problem.prior: expected a kind or an object, got {prior_cfg!r}")
+    prior_kind = ("gaussian" if prior_cfg.get("kind") == "gaussian" else "uniform") \
+        if isinstance(prior_cfg, dict) else prior_cfg
     try:
         problem = make_problem(cfg["name"], D=cfg.get("D"), d=cfg.get("d"),
-                               seed=int(cfg.get("seed", 0)), prior=prior_kind,
+                               seed=cfg.get("seed") or 0, prior=prior_kind,
                                noise_sd=cfg.get("noise_sd"), m=cfg.get("m"),
                                fail_after=cfg.get("fail_after"))
     except ValueError as exc:
@@ -215,10 +218,12 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         try:
             problem = ProblemSpec(problem.simulator, prior_from_dict(prior_cfg),
                                   problem.likelihood)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"problem.prior: {exc}") from exc
     if "likelihood" in cfg:
         lik = cfg["likelihood"]
+        if not isinstance(lik, dict):
+            raise ConfigError(f"problem.likelihood: expected an object, got {lik!r}")
         try:
             problem = ProblemSpec(
                 problem.simulator, problem.prior,
@@ -258,17 +263,17 @@ class Method:
         return self.runner(problem, instances, seed)
 
 
-def hdbo_method(config: HDBOConfig, name: str = "hdbo-rml") -> Method:
-    return Method(name, lambda p, inst, s: run_hdbo_rml(p, inst, with_seed(config, s)))
+def hdbo_method(config: HDBOConfig) -> Method:
+    return Method("hdbo-rml", lambda p, inst, s: run_hdbo_rml(p, inst, with_seed(config, s)))
 
 
-def random_design_method(budget_N: int, name: str = "random-design") -> Method:
-    return Method(name, lambda p, inst, s: random_design(
+def random_design_method(budget_N: int) -> Method:
+    return Method("random-design", lambda p, inst, s: random_design(
         p, inst, budget_N, np.random.default_rng(np.random.SeedSequence(s))))
 
 
-def local_search_method(budget_N: int, name: str = "local-search") -> Method:
-    return Method(name, lambda p, inst, s: per_objective_local_search(
+def local_search_method(budget_N: int) -> Method:
+    return Method("local-search", lambda p, inst, s: per_objective_local_search(
         p, inst, budget_N, np.random.default_rng(np.random.SeedSequence(s))))
 
 
@@ -305,9 +310,9 @@ def oracle_rml_result(problem: ProblemSpec, instances) -> RMLResult:
     return RMLResult(maximizers=maximizers, values=values, records=records, n_evals=0)
 
 
-def default_checkpoints(budget_N: int, count: int = 20) -> list[int]:
-    """``count`` evenly spaced budgets ending at ``budget_N``."""
-    pts = np.unique(np.linspace(budget_N / count, budget_N, count).astype(int))
+def default_checkpoints(budget_N: int) -> list[int]:
+    """20 evenly spaced budgets ending at ``budget_N``."""
+    pts = np.unique(np.linspace(budget_N / 20, budget_N, 20).astype(int))
     return [int(p) for p in pts if p >= 1]
 
 
@@ -474,8 +479,6 @@ def prior_landscape(problem: ProblemSpec, n_samples: int, rng: np.random.Generat
     """Fresh prior samples projected into the active subspace with
     log-posterior colors (offline analysis mode)."""
     A = getattr(problem.simulator, "active_matrix", None)
-    if A is None:
-        raise ValueError("active subspace matrix unavailable for this problem")
     xs = np.stack([sample_prior(problem.prior, rng) for _ in range(n_samples)])
     coords, logpost = project_active(xs, A, problem)
     return xs, coords, logpost

@@ -17,6 +17,7 @@ config snapshot and seed stored in its report.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .hdbo import (
     RunAborted,
     _is_integer,
     atomic_write,
+    require_integer,
     write_trace,
 )
 from .rml import draw_randomizations
@@ -43,7 +45,8 @@ METHOD_NAMES = ("hdbo-rml", "random-design", "local-search", "oracle-rml")
 _DEFAULTS = {
     "method": "hdbo-rml",
     "methods": ["hdbo-rml", "random-design", "local-search"],
-    **{name: value for name, value in HDBOConfig().to_dict().items() if name != "n_rml"},
+    **{name: value for name, value in dataclasses.asdict(HDBOConfig()).items()
+       if name != "n_rml"},
     "d_e": None,          # defaults to active dimension + 1 (capped at D)
     "trials": 5,
     "checkpoints": None,  # defaults to 20 evenly spaced budgets
@@ -94,13 +97,6 @@ def load_config(path: str, overrides, seed_flag) -> dict:
     return cfg
 
 
-def _require_positive_int(cfg: dict, field: str) -> int:
-    value = cfg[field]
-    if not _is_integer(value) or value < 1:
-        raise ConfigError(f"{field}: expected a positive integer, got {value!r}")
-    return value
-
-
 def resolve_config(cfg: dict) -> dict:
     """Validate and fill defaults; raises ConfigError naming the field."""
     known = set(_DEFAULTS) | {"problem", "n_rml"}
@@ -119,7 +115,7 @@ def resolve_config(cfg: dict) -> dict:
     d_e = HDBOConfig.d_e if resolved["d_e"] is None else resolved["d_e"]
     _hdbo_config(resolved, d_e).validate()
     for field in ("trials", "prior_samples"):
-        _require_positive_int(resolved, field)
+        require_integer(field, resolved[field])
     if resolved["method"] not in METHOD_NAMES:
         raise ConfigError(
             f"method: unknown method {resolved['method']!r}; choose from {METHOD_NAMES}")

@@ -26,10 +26,6 @@ class Embedding:
     y_upper: np.ndarray
 
     @property
-    def input_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def embed_dim(self) -> int:
         return self.matrix.shape[1]
 
@@ -45,15 +41,9 @@ class Embedding:
             "y_upper": self.y_upper.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Embedding":
-        return cls(matrix=np.asarray(d["matrix"], dtype=float), index=int(d["index"]),
-                   y_lower=np.asarray(d["y_lower"], dtype=float),
-                   y_upper=np.asarray(d["y_upper"], dtype=float))
-
 
 def sample_embedding(input_dim: int, embed_dim: int, rng: np.random.Generator,
-                     index: int = 0, y_scale: float | None = None) -> Embedding:
+                     index: int = 0) -> Embedding:
     """Draw an embedding whose rows are independent uniform points on the
     unit hypersphere (normalized standard normals, redrawn if degenerate)."""
     if not 1 <= embed_dim <= input_dim:
@@ -66,8 +56,7 @@ def sample_embedding(input_dim: int, embed_dim: int, rng: np.random.Generator,
             if norm >= 1e-12:
                 break
         rows[i] = v / norm
-    scale = math.sqrt(embed_dim) if y_scale is None else float(y_scale)
-    half = np.full(embed_dim, scale)
+    half = np.full(embed_dim, math.sqrt(embed_dim))
     return Embedding(matrix=rows, index=index, y_lower=-half, y_upper=half)
 
 

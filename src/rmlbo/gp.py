@@ -7,6 +7,10 @@ the log marginal likelihood of standardized targets with analytic
 gradients and L-BFGS-B.  Simulators are deterministic, so the noise term is
 a jitter floor rather than real observation noise.
 
+Both fits, :func:`fit` and :func:`fit_with_params`, train on one checked,
+deduplicated and standardized training set.  Both evidence functions raise
+ValueError on a count mismatch or a kernel matrix that fails to factor.
+
 The fitter searches ``theta = (log o, log l, log(noise / o^2))``.  The
 noise is boxed relative to the signal variance, between NOISE_FLOOR and
 1e-1, so ``cond(K + noise * I) <= 1 + n / NOISE_FLOOR`` at any outputscale.
@@ -178,15 +182,7 @@ def log_marginal_likelihood(inputs, targets, params: KernelParams) -> float:
 
     Targets are used as supplied; :func:`fit` standardizes before calling.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    z = np.atleast_1d(np.asarray(targets, dtype=float))
-    if inputs.shape[0] != z.size:
-        raise ValueError("inputs and targets disagree on the number of points")
-    try:
-        lml, _, _, _ = _lml_terms(_sqdist(inputs, inputs), z, params)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"kernel matrix factorization failed: {exc}") from exc
-    return lml
+    return log_marginal_likelihood_grad(inputs, targets, params)[0]
 
 
 def log_marginal_likelihood_grad(inputs, targets,
@@ -196,7 +192,12 @@ def log_marginal_likelihood_grad(inputs, targets,
     in place of ``log noise`` and maps this gradient by the chain rule."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     z = np.atleast_1d(np.asarray(targets, dtype=float))
-    return _grad_from(_sqdist(inputs, inputs), z, params)
+    if inputs.shape[0] != z.size:
+        raise ValueError("inputs and targets disagree on the number of points")
+    try:
+        return _grad_from(_sqdist(inputs, inputs), z, params)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"kernel matrix factorization failed: {exc}") from exc
 
 
 def _dedup_average(inputs: np.ndarray, targets: np.ndarray):
@@ -234,6 +235,19 @@ def _standardize(targets: np.ndarray):
     return (targets - mean) / sd, mean, sd
 
 
+def _training_set(inputs, targets):
+    """Checked, deduplicated inputs and raw targets, plus the standardized
+    targets with their mean and sd: what both fits train on."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if inputs.shape[0] < 1 or targets.size < 1:
+        raise ValueError("fit requires at least one training point")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("fit requires finite targets")
+    inputs, targets = _dedup_average(inputs, targets)
+    return (inputs, targets, *_standardize(targets))
+
+
 def _assemble(inputs, raw_targets, mean, sd, z, params: KernelParams) -> GPModel:
     kn = _kernel_matrix(_sqdist(inputs, inputs), params)
     kn.flat[::inputs.shape[0] + 1] += params.noise_var
@@ -253,11 +267,8 @@ def empty_model(params: KernelParams, dim: int) -> GPModel:
 
 
 def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
-    """Standardize targets and cache factors at fixed hyperparameters."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    inputs, targets = _dedup_average(inputs, targets)
-    z, mean, sd = _standardize(targets)
+    """Cache factors at fixed hyperparameters on :func:`fit`'s training set."""
+    inputs, targets, z, mean, sd = _training_set(inputs, targets)
     return _assemble(inputs, targets, mean, sd, z, params)
 
 
@@ -274,14 +285,7 @@ def fit(inputs, targets, rng: np.random.Generator,
     ``init``.  The model records the search's ``nfev`` and
     ``failed_starts``.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if inputs.shape[0] < 1:
-        raise ValueError("fit requires at least one training point")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("fit requires finite targets")
-    inputs, targets = _dedup_average(inputs, targets)
-    z, mean, sd = _standardize(targets)
+    inputs, targets, z, mean, sd = _training_set(inputs, targets)
     diam = _input_diameter(inputs)
     sqdist = _sqdist(inputs, inputs)
 

@@ -62,6 +62,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+_AT_LEAST = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+def require_integer(name: str, value, minimum: int = 1) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is a Python or numpy
+    integer (not a bool) of at least ``minimum`` (0 or 1)."""
+    if not _is_integer(value) or value < minimum:
+        raise ConfigError(f"{name}: expected {_AT_LEAST[minimum]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HDBOConfig:
     """Run configuration.  ``budget_N`` caps total simulator evaluations;
@@ -79,14 +89,12 @@ class HDBOConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the first invalid field.  Integer fields
-        take Python or numpy integers but not bools; ``beta`` and
-        ``prox_eta`` take any real number but a bool."""
+        take Python or numpy integers but not bools, positive except ``seed``
+        (non-negative); ``beta`` and ``prox_eta`` take any real number but a
+        bool."""
         for name in ("n_rml", "budget_N", "K", "d_e", "n0", "acq_restarts"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ConfigError(f"{name}: expected a positive integer, got {value!r}")
-        if not _is_integer(self.seed):
-            raise ConfigError(f"seed: expected an integer, got {self.seed!r}")
+            require_integer(name, getattr(self, name))
+        require_integer("seed", self.seed, minimum=0)
         for name in ("beta", "prox_eta"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -99,18 +107,6 @@ class HDBOConfig:
     def slots_per_embedding(self, gaussian_prior: bool) -> int:
         per_slot = 2 if gaussian_prior else 1
         return self.budget_N // (per_slot * self.K)
-
-    def total_evaluations(self, gaussian_prior: bool) -> int:
-        per_slot = 2 if gaussian_prior else 1
-        return per_slot * self.K * self.slots_per_embedding(gaussian_prior)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rml": self.n_rml, "budget_N": self.budget_N, "K": self.K,
-            "d_e": self.d_e, "n0": self.n0, "beta": self.beta,
-            "acq_restarts": self.acq_restarts, "prox_eta": self.prox_eta,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -297,16 +293,12 @@ def local_prior_refine(x0, instance: RMLInstance, prior: GaussianSpec,
 
 def gp_target(instance: RMLInstance, record: SimulationRecord,
               problem: ProblemSpec) -> float:
-    """Training target for one ensemble record under one objective.
-
-    The surrogate models the randomized log likelihood of the lifted point;
-    for box priors this equals the full randomized objective at the
-    (always feasible, clipped) evaluation point, and infeasible values
-    surface as -inf so callers can drop them.
+    """Training target for one ensemble record under one objective: the
+    randomized log likelihood of the lifted point.  With a box prior that is
+    the full objective, since :func:`lift` clips into the box, where the
+    prior term is 0; callers drop values that are not finite.
     """
-    if problem.has_gaussian_prior:
-        return problem.likelihood.gaussian.logpdf(instance.data_n, mean=record.fx)
-    return objective(instance, record.x, problem, fx=record.fx)
+    return problem.likelihood.gaussian.logpdf(instance.data_n, mean=record.fx)
 
 
 def select_maximizers(records, instances, problem: ProblemSpec) -> RMLResult:

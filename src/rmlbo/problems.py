@@ -100,9 +100,6 @@ class GaussianSpec:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
         return self.mean + self.chol @ rng.standard_normal(self.dim)
 
-    def to_dict(self) -> dict:
-        return {"kind": "gaussian", "mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
 
 @dataclass(frozen=True)
 class BoxPrior:
@@ -132,9 +129,6 @@ class BoxPrior:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
-
-    def to_dict(self) -> dict:
-        return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 class SimulatorHandle:
@@ -209,9 +203,6 @@ class LikelihoodSpec:
     @property
     def dim(self) -> int:
         return self.data.size
-
-    def to_dict(self) -> dict:
-        return {"data": self.data.tolist(), "obs_cov": self.obs_cov.tolist()}
 
 
 @dataclass

@@ -37,13 +37,6 @@ class RMLInstance:
             "prior_mean_n": None if self.prior_mean_n is None else self.prior_mean_n.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RMLInstance":
-        mean = d.get("prior_mean_n")
-        return cls(index=int(d["index"]),
-                   data_n=np.asarray(d["data_n"], dtype=float),
-                   prior_mean_n=None if mean is None else np.asarray(mean, dtype=float))
-
 
 def draw_randomizations(problem: ProblemSpec, n_rml: int,
                         rng: np.random.Generator) -> list[RMLInstance]:
@@ -90,29 +83,33 @@ def objective(instance: RMLInstance, x, problem: ProblemSpec, fx=None) -> float:
     return problem.likelihood.gaussian.logpdf(instance.data_n, mean=fx) + prior_term
 
 
+def _solve_normal(B, problem: ProblemSpec, data: np.ndarray, mean: np.ndarray):
+    """Maximizer of the linear-Gaussian log posterior with data ``data`` and
+    prior mean ``mean``, and the lower Cholesky factor of its normal matrix.
+
+    Solves ``(B^T S^-1 B + P^-1) x = B^T S^-1 data + P^-1 mean``.  A normal
+    matrix that fails to factor raises ValueError (from :func:`chol_spd`).
+    """
+    B = np.asarray(B, dtype=float)
+    prior: GaussianSpec = problem.prior
+    lik_chol = problem.likelihood.gaussian.chol
+    Pinv = solve_spd(prior.chol, np.eye(prior.dim))
+    chol = chol_spd(B.T @ solve_spd(lik_chol, B) + Pinv, name="normal matrix")
+    rhs = B.T @ solve_spd(lik_chol, data) + Pinv @ mean
+    return solve_spd(chol, rhs), chol
+
+
 def oracle_linear_rml(B: np.ndarray, instance: RMLInstance, problem: ProblemSpec) -> np.ndarray:
     """Closed-form maximizer of O_n when the simulator is ``x -> B x`` and
-    the prior is Gaussian.
-
-    Solves ``(B^T S^-1 B + P^-1) x = B^T S^-1 d_n + P^-1 mu_n`` through the
-    Cholesky factor of the (SPD) normal matrix.
-    """
+    the prior is Gaussian: the posterior mean of the problem whose data and
+    prior mean are the instance's perturbed ones (Oliver, He & Reynolds
+    1996), from the one normal system :func:`linear_gaussian_posterior`
+    solves."""
     if not problem.has_gaussian_prior:
         raise ValueError("linear RML oracle requires a Gaussian prior")
     if instance.prior_mean_n is None:
         raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
-    B = np.asarray(B, dtype=float)
-    prior: GaussianSpec = problem.prior
-    lik = problem.likelihood
-    Sinv_B = solve_spd(lik.gaussian.chol, B)
-    Pinv = solve_spd(prior.chol, np.eye(prior.dim))
-    normal = B.T @ Sinv_B + Pinv
-    rhs = B.T @ solve_spd(lik.gaussian.chol, instance.data_n) + Pinv @ instance.prior_mean_n
-    try:
-        chol = chol_spd(normal, name="RML normal matrix")
-    except ValueError as exc:
-        raise RuntimeError(f"internal error: {exc}") from exc
-    return solve_spd(chol, rhs)
+    return _solve_normal(B, problem, instance.data_n, instance.prior_mean_n)[0]
 
 
 def linear_gaussian_posterior(B: np.ndarray,
@@ -121,12 +118,5 @@ def linear_gaussian_posterior(B: np.ndarray,
     Gaussian prior (conjugate update; used by exactness checks)."""
     if not problem.has_gaussian_prior:
         raise ValueError("analytic posterior requires a Gaussian prior")
-    B = np.asarray(B, dtype=float)
-    prior: GaussianSpec = problem.prior
-    lik = problem.likelihood
-    Pinv = solve_spd(prior.chol, np.eye(prior.dim))
-    normal = B.T @ solve_spd(lik.gaussian.chol, B) + Pinv
-    chol = chol_spd(normal, name="posterior precision")
-    cov = solve_spd(chol, np.eye(prior.dim))
-    mean = solve_spd(chol, B.T @ solve_spd(lik.gaussian.chol, lik.data) + Pinv @ prior.mean)
-    return mean, cov
+    mean, chol = _solve_normal(B, problem, problem.likelihood.data, problem.prior.mean)
+    return mean, solve_spd(chol, np.eye(problem.input_dim))

@@ -262,6 +262,28 @@ class TestConfigPlumbing:
         assert report["config"]["problem"]["D"] == 10
         assert all(len(row) == 10 for row in report["maximizers"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("prior", [1, 2]), ("prior", 5), ("prior", {"kind": "box"}), ("likelihood", "x"),
+        ("D", 12.7), ("D", "12"), ("D", True), ("D", 0), ("d", -1), ("d", 2.0),
+        ("m", 4.5), ("m", 0), ("seed", True), ("seed", 3.9), ("seed", -1),
+        ("fail_after", -1), ("fail_after", 2.5)])
+    def test_bad_problem_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        base = LINEAR if field == "m" else BOWL
+        cfg = {**base, "problem": {**base["problem"], field: value}}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"problem.{field}" in capsys.readouterr().err
+
+    def test_null_problem_fields_keep_their_defaults(self, tmp_path):
+        nulls = {"seed": None, "fail_after": None, "m": None}
+        outs = []
+        for i, problem in enumerate(({**BOWL["problem"], **nulls},
+                                     {**BOWL["problem"], "seed": 0})):
+            path = write_config(tmp_path, {**BOWL, "problem": problem}, f"c{i}.json")
+            outs.append(tmp_path / f"n{i}")
+            assert main(["run", "--config", path, "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, BOWL)
         out = tmp_path / "s"

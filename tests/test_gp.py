@@ -279,6 +279,21 @@ class TestLogMarginalLikelihood:
         assert bits(model.chol_factor, model.alpha, model.chol_inv) == \
             bits(*ref_factors(X, zs, params))
 
+    def test_count_mismatch_raises_the_same_error_for_both(self):
+        params = gp.KernelParams.from_natural(1.0, 0.5, 1e-3)
+        X, z = [[0.0], [1.0], [2.0]], [0.1, -0.2]
+        for evidence in (gp.log_marginal_likelihood, gp.log_marginal_likelihood_grad):
+            with pytest.raises(ValueError, match="disagree on the number of points"):
+                evidence(X, z, params)
+
+    def test_failed_factorization_raises_the_same_error_for_both(self):
+        # duplicate points with a vanishing noise leave K singular
+        params = gp.KernelParams(0.0, 0.0, np.log(1e-300))
+        X, z = [[0.5], [0.5]], [0.1, -0.2]
+        for evidence in (gp.log_marginal_likelihood, gp.log_marginal_likelihood_grad):
+            with pytest.raises(ValueError, match="kernel matrix factorization failed"):
+                evidence(X, z, params)
+
 
 class TestPredict:
     def test_empty_model_reverts_to_prior(self):
@@ -591,6 +606,21 @@ class TestFit:
     def test_rejects_non_finite_targets(self):
         with pytest.raises(ValueError, match="finite"):
             gp.fit([[0.0], [1.0]], [1.0, -np.inf], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("inputs, targets, message", [
+        (np.zeros((0, 2)), np.zeros(0), "at least one training point"),
+        ([[0.0], [1.0]], [1.0, np.nan], "finite targets"),
+        ([[0.0], [1.0]], [1.0, -np.inf], "finite targets"),
+        ([[0.0], [1.0]], [np.inf, 1.0], "finite targets"),
+    ])
+    def test_fit_with_params_rejects_what_fit_rejects(self, inputs, targets, message):
+        # both fits prepare one training set, so a target the hyperparameter
+        # search refuses cannot reach a fixed-parameter model either
+        params = gp.KernelParams.from_natural(1.0, 0.5, 1e-3)
+        with pytest.raises(ValueError, match=message):
+            gp.fit(inputs, targets, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            gp.fit_with_params(inputs, targets, params)
 
 
 class TestUCB:

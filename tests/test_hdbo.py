@@ -253,7 +253,7 @@ class TestBudgetAccounting:
             run_hdbo_rml(prob, insts, cfg)
 
     @pytest.mark.parametrize("field,value", [("K", True), ("budget_N", "lots"),
-                                             ("n0", 2.5), ("beta", "wide")])
+                                             ("n0", 2.5), ("beta", "wide"), ("seed", -1)])
     def test_validate_rejects_wrong_types_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             HDBOConfig(**{field: value}).validate()
@@ -329,6 +329,17 @@ class TestRunTrace:
         assert len(back) == len(res.records)
         for a, b in zip(res.records, back):
             assert a.to_dict() == b.to_dict()
+
+    def test_box_prior_target_equals_the_objective_bits(self, uniform_run):
+        # gp_target is the likelihood term alone; the objective's box check
+        # passes on every lifted point, clipped or not, and adds 0
+        prob, insts, _, res = uniform_run
+        assert any(np.any(np.abs(rec.x) == 1.0) for rec in res.records)
+        for rec in res.records:
+            for inst in insts:
+                got = hdbo.gp_target(inst, rec, prob)
+                want = objective(inst, rec.x, prob, fx=rec.fx)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_read_rejects_non_finite_forward_values_naming_the_line(self, uniform_run,
                                                                     gaussian_run, tmp_path):

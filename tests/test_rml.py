@@ -11,6 +11,8 @@ from rmlbo.problems import (
     LikelihoodSpec,
     ProblemSpec,
     SimulatorHandle,
+    chol_spd,
+    solve_spd,
 )
 from rmlbo.rml import (
     RMLInstance,
@@ -84,9 +86,12 @@ class TestDrawRandomizations:
         rng = np.random.default_rng(3)
         prob, _ = linear_problem(rng)
         inst = draw_randomizations(prob, 1, rng)[0]
-        back = RMLInstance.from_dict(json.loads(json.dumps(inst.to_dict())))
-        assert np.array_equal(back.data_n, inst.data_n)
-        assert np.array_equal(back.prior_mean_n, inst.prior_mean_n)
+        # to_dict is the report's instances format: it survives JSON and holds
+        # the object's fields exactly
+        back = json.loads(json.dumps(inst.to_dict()))
+        assert back["index"] == inst.index
+        assert np.asarray(back["data_n"]).tobytes() == inst.data_n.tobytes()
+        assert np.asarray(back["prior_mean_n"]).tobytes() == inst.prior_mean_n.tobytes()
 
 
 class TestObjective:
@@ -122,6 +127,28 @@ class TestObjective:
         before = prob.simulator.eval_counter
         assert objective(inst, x, prob, fx=B @ x) == direct
         assert prob.simulator.eval_counter == before
+
+
+# The oracle and the analytic posterior as each was written before they
+# shared one normal-system solve; the module must agree bit for bit.
+
+def ref_oracle(B, inst, prob):
+    prior, lik = prob.prior, prob.likelihood
+    Sinv_B = solve_spd(lik.gaussian.chol, B)
+    Pinv = solve_spd(prior.chol, np.eye(prior.dim))
+    normal = B.T @ Sinv_B + Pinv
+    rhs = B.T @ solve_spd(lik.gaussian.chol, inst.data_n) + Pinv @ inst.prior_mean_n
+    return solve_spd(chol_spd(normal), rhs)
+
+
+def ref_posterior(B, prob):
+    prior, lik = prob.prior, prob.likelihood
+    Pinv = solve_spd(prior.chol, np.eye(prior.dim))
+    normal = B.T @ solve_spd(lik.gaussian.chol, B) + Pinv
+    chol = chol_spd(normal)
+    cov = solve_spd(chol, np.eye(prior.dim))
+    mean = solve_spd(chol, B.T @ solve_spd(lik.gaussian.chol, lik.data) + Pinv @ prior.mean)
+    return mean, cov
 
 
 class TestLinearOracle:
@@ -184,3 +211,28 @@ class TestPosteriorExactness:
         sample_cov = np.cov(xs.T)
         se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / (n - 1))
         assert np.all(np.abs(sample_cov - cov) <= 3 * se_cov)
+
+    @pytest.mark.parametrize("D, m", [(1, 1), (5, 4), (8, 5), (12, 3)])
+    def test_oracle_and_posterior_match_reference_bits(self, D, m):
+        rng = np.random.default_rng(40 + D)
+        prob, B = linear_problem(rng, D=D, m=m)
+        for inst in draw_randomizations(prob, 10, rng):
+            assert oracle_linear_rml(B, inst, prob).tobytes() == \
+                ref_oracle(B, inst, prob).tobytes()
+        mean, cov = linear_gaussian_posterior(B, prob)
+        ref_mean, ref_cov = ref_posterior(B, prob)
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert cov.tobytes() == ref_cov.tobytes()
+
+    def test_failed_normal_factor_raises_value_error_for_both(self, monkeypatch):
+        def failing(mat, name="matrix"):
+            raise ValueError(f"{name} is not positive definite (Cholesky failed twice)")
+
+        monkeypatch.setattr("rmlbo.rml.chol_spd", failing)
+        rng = np.random.default_rng(24)
+        prob, B = linear_problem(rng)
+        inst = draw_randomizations(prob, 1, rng)[0]
+        with pytest.raises(ValueError, match="normal matrix"):
+            oracle_linear_rml(B, inst, prob)
+        with pytest.raises(ValueError, match="normal matrix"):
+            linear_gaussian_posterior(B, prob)
