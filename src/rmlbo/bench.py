@@ -7,6 +7,7 @@ structural claim (data sharing, budget accounting, subspace projections)
 stays testable at desk scale.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -188,8 +189,10 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     Catalog fields: name (required), D, d, m, seed, prior ("uniform" or
     "gaussian"), noise_sd, fail_after.  ``prior`` may instead be an explicit
     object (kind + dense row-major arrays) and ``likelihood`` an explicit
-    {data, obs_cov} pair; both override the generated ingredients.  D, d, m
-    (positive), seed and fail_after (non-negative) are integers or null.
+    {data, obs_cov} pair; both override the generated ingredients.  name is
+    a string; D, d, m (positive), seed and fail_after (non-negative) are
+    integers or null; noise_sd is a positive finite number (not a bool) or
+    null.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("problem: expected an object")
@@ -199,9 +202,17 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     for key in cfg:
         if key not in known:
             raise ConfigError(f"problem.{key}: unknown field")
+    if not isinstance(cfg["name"], str):
+        raise ConfigError(f"problem.name: expected a catalog name, got {cfg['name']!r}")
     for key, minimum in (("D", 1), ("d", 1), ("m", 1), ("seed", 0), ("fail_after", 0)):
         if cfg.get(key) is not None:
             require_integer(f"problem.{key}", cfg[key], minimum)
+    noise_sd = cfg.get("noise_sd")
+    if noise_sd is not None and (isinstance(noise_sd, bool)
+                                 or not isinstance(noise_sd, (int, float))
+                                 or not 0 < noise_sd < math.inf):
+        raise ConfigError(f"problem.noise_sd: expected a positive number or null, "
+                          f"got {noise_sd!r}")
     prior_cfg = cfg.get("prior")
     if not isinstance(prior_cfg, (str, dict, type(None))):
         raise ConfigError(f"problem.prior: expected a kind or an object, got {prior_cfg!r}")
@@ -210,7 +221,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     try:
         problem = make_problem(cfg["name"], D=cfg.get("D"), d=cfg.get("d"),
                                seed=cfg.get("seed") or 0, prior=prior_kind,
-                               noise_sd=cfg.get("noise_sd"), m=cfg.get("m"),
+                               noise_sd=noise_sd, m=cfg.get("m"),
                                fail_after=cfg.get("fail_after"))
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc

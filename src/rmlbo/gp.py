@@ -11,21 +11,36 @@ Both fits, :func:`fit` and :func:`fit_with_params`, train on one checked,
 deduplicated and standardized training set.  Both evidence functions raise
 ValueError on a count mismatch or a kernel matrix that fails to factor.
 
-The fitter searches ``theta = (log o, log l, log(noise / o^2))``.  The
-noise is boxed relative to the signal variance, between NOISE_FLOOR and
-1e-1, so ``cond(K + noise * I) <= 1 + n / NOISE_FLOOR`` at any outputscale.
-An absolute floor would let exact (noise-free) targets drive the outputscale
+The fitter concentrates the outputscale out of the evidence (the
+"concentrated likelihood" of kriging: Jones, Schonlau & Welch, J. Global
+Optim. 1998; Rasmussen & Williams 2006, sec. 5.4).  With the noise written
+as a ratio ``r = noise / o^2``, ``K + noise * I = o^2 A`` where
+``A = K_l + r * I`` and ``K_l`` is the kernel at unit outputscale.  The
+evidence ``-q / (2 o^2) - log|A| / 2 - n log o - (n / 2) log 2 pi``, with
+``q = z^T A^-1 z``, is strictly concave in ``log o`` and peaks at
+``o^2 = q / n``; clamped into OUTPUTSCALE_BOUNDS, that value is the exact
+maximizer over ``o``.  L-BFGS-B therefore searches only
+``theta = (log l, log r)`` and ``o`` follows in closed form.  By the envelope
+theorem, which also holds at the clamp (where ``o`` is constant), the
+gradient in ``theta`` is the evidence's partial derivative at fixed ``o``:
+with ``a = A^-1 z`` and ``M = a a^T / o^2 - A^-1``, ``d/dlog l =
+sum(M * K_l * D) / (2 l^2)`` over squared distances ``D`` and ``d/dlog r =
+r tr(M) / 2``.
+
+The ratio is boxed between NOISE_FLOOR and 1e-1, so
+``cond(K + noise * I) <= 1 + n / NOISE_FLOOR`` at any outputscale.  An
+absolute floor would let exact (noise-free) targets drive the outputscale
 to its upper bound and the ratio to 1e-14, where the evidence carries
 roundoff of a few hundredths of a nat between nearby points and L-BFGS-B
-spends most of its evaluations in line searches that cannot succeed.  The evidence gradient
-is computed in the natural ``(log o, log l, log noise)`` coordinates and
-mapped by the chain rule.
+spends most of its evaluations in line searches that cannot succeed.
 
 Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
 given ``init`` (the sampler passes each embedding's previous
 hyperparameters, so only its first fit is cold) starts from ``init``,
 clipped into the current bounds, plus one log-uniform restart.  When every
-start fails to factor, the fit falls back to ``init``.
+start fails to factor there is no ``q`` for the closed form: a warm fit
+falls back to ``init``, a cold one to ``o = 1`` (the scale of the
+standardized targets) at the best start's ``(l, r)``.
 
 Each evidence gradient takes one LAPACK pass over the factor: ``dpotrf``
 factors, ``dpotrs`` solves for ``alpha`` and ``dpotri`` forms the inverse.
@@ -51,6 +66,7 @@ TARGET_SD_FLOOR = 1e-8
 DUPLICATE_TOL = 1e-10
 FIT_RESTARTS = 5
 FIT_MAXITER = 100
+OUTPUTSCALE_BOUNDS = (1e-3, 1e3)
 FAILED_LML = 1e25   # negative evidence reported for a start that fails to factor
 
 
@@ -165,16 +181,24 @@ def _chol_with_ladder(kn: np.ndarray) -> tuple[np.ndarray, float]:
     raise ValueError("kernel matrix factorization failed even with jitter 1e-4")
 
 
-def _lml_terms(sqdist: np.ndarray, z: np.ndarray, params: KernelParams):
-    n = z.size
+def _factor(sqdist: np.ndarray, z: np.ndarray, params: KernelParams):
+    """Kernel matrix, lower factor of ``K + noise * I`` and ``alpha``."""
     k_rbf = _kernel_matrix(sqdist, params)
     kn = k_rbf.copy()
-    kn.flat[::n + 1] += params.noise_var
+    kn.flat[::z.size + 1] += params.noise_var
     chol = _cholesky(kn)
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
-    lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
-        - 0.5 * n * math.log(2.0 * math.pi)
-    return lml, k_rbf, chol, alpha
+    return k_rbf, chol, alpha
+
+
+def _inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of the matrix whose lower factor is ``chol``."""
+    inv, _ = lapack.dpotri(chol, lower=1)
+    # dpotri fills the lower triangle and leaves the upper one zero, so
+    # adding the transpose symmetrizes; halving the doubled diagonal is exact
+    inv = inv + inv.T
+    inv.flat[::chol.shape[0] + 1] *= 0.5
+    return inv
 
 
 def log_marginal_likelihood(inputs, targets, params: KernelParams) -> float:
@@ -188,8 +212,10 @@ def log_marginal_likelihood(inputs, targets, params: KernelParams) -> float:
 def log_marginal_likelihood_grad(inputs, targets,
                                  params: KernelParams) -> tuple[float, np.ndarray]:
     """Evidence and its gradient in (log outputscale, log lengthscale,
-    log noise) order.  :func:`fit` searches ``log(noise / outputscale**2)``
-    in place of ``log noise`` and maps this gradient by the chain rule."""
+    log noise) order.  :func:`fit` does not call it: it maximizes the
+    evidence over the outputscale in closed form and searches the other
+    two coordinates (see the module docstring).  This three-parameter form
+    is the reference the concentrated evidence is tested against."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     z = np.atleast_1d(np.asarray(targets, dtype=float))
     if inputs.shape[0] != z.size:
@@ -277,39 +303,34 @@ def fit(inputs, targets, rng: np.random.Generator,
     """Fit hyperparameters by maximizing the evidence of standardized
     targets with L-BFGS-B.
 
-    The search runs over ``(log o, log l, log(noise / o^2))``, the noise
-    ratio boxed to ``[NOISE_FLOOR, 1e-1]``.  Without ``init`` it runs
-    FIT_RESTARTS log-uniform starts.  With ``init`` it starts from ``init``
-    mapped to those coordinates and clipped into this fit's bounds, plus one
-    log-uniform start; if every start fails to factor, the model keeps
-    ``init``.  The model records the search's ``nfev`` and
+    The outputscale is concentrated out (see the module docstring): the
+    search runs over ``(log l, log(noise / o^2))``, the noise ratio boxed to
+    ``[NOISE_FLOOR, 1e-1]``, and ``o`` takes its closed-form maximizer.
+    Without ``init`` it runs FIT_RESTARTS log-uniform starts.  With ``init``
+    it starts from ``init`` mapped to those coordinates and clipped into
+    this fit's bounds, plus one log-uniform start.  If every start fails to
+    factor, the model keeps ``init``, or without one takes ``o = 1`` at the
+    best start.  The model records the search's ``nfev`` and
     ``failed_starts``.
     """
     inputs, targets, z, mean, sd = _training_set(inputs, targets)
     diam = _input_diameter(inputs)
     sqdist = _sqdist(inputs, inputs)
 
-    def params_at(theta):
-        return KernelParams(theta[0], theta[1], theta[2] + 2.0 * theta[0])
-
     def neg_lml(theta):
         try:
-            lml, grad = _grad_from(sqdist, z, params_at(theta))
+            lml, grad, _ = _concentrated(sqdist, z, theta)
         except np.linalg.LinAlgError:
-            return FAILED_LML, np.zeros(3)
-        # log noise = theta[2] + 2 theta[0], so d/dtheta[0] gains 2 d/dlog noise
-        grad[0] += 2.0 * grad[2]
+            return FAILED_LML, np.zeros(2)
         return -lml, -grad
 
     bounds = [
-        (math.log(1e-3), math.log(1e3)),
         (math.log(1e-3 * diam), math.log(1e3 * diam)),
         (math.log(NOISE_FLOOR), math.log(1e-1)),
     ]
 
     def random_start():
         return np.array([
-            rng.uniform(math.log(0.1), math.log(10.0)),
             rng.uniform(math.log(0.05 * diam), math.log(2.0 * diam)),
             rng.uniform(math.log(1e-6), math.log(1e-2)),
         ])
@@ -318,8 +339,7 @@ def fit(inputs, targets, rng: np.random.Generator,
         starts = [random_start() for _ in range(FIT_RESTARTS)]
     else:
         lo, hi = np.array(bounds).T
-        theta_init = [init.log_outputscale, init.log_lengthscale,
-                      init.log_noise_var - 2.0 * init.log_outputscale]
+        theta_init = [init.log_lengthscale, init.log_noise_var - 2.0 * init.log_outputscale]
         starts = [np.clip(theta_init, lo, hi), random_start()]
     best = None
     nfev = failed = 0
@@ -330,23 +350,48 @@ def fit(inputs, targets, rng: np.random.Generator,
         failed += int(not res.success or not res.fun < FAILED_LML)
         if best is None or res.fun < best.fun:
             best = res
-    if best.fun >= FAILED_LML and init is not None:
+    log_l, log_ratio = best.x
+    if best.fun < FAILED_LML:
+        log_o = _concentrated(sqdist, z, best.x)[2]
+        params = KernelParams(log_o, log_l, log_ratio + 2.0 * log_o)
+    elif init is not None:
         params = init
     else:
-        params = params_at(best.x)
+        # no start factored, so no q for the closed form: o = 1, the scale
+        # of the standardized targets
+        params = KernelParams(0.0, log_l, log_ratio)
     model = _assemble(inputs, targets, mean, sd, z, params)
     model.nfev, model.failed_starts = nfev, failed
     return model
 
 
+def _concentrated(sqdist, z, theta):
+    """Evidence maximized over the outputscale at ``theta = (log l,
+    log(noise / o^2))``, its gradient in ``theta`` and the maximizing
+    ``log o``, clamped into OUTPUTSCALE_BOUNDS."""
+    unit = KernelParams(0.0, theta[0], theta[1])   # factors A = K_l + r I
+    k_unit, chol, alpha = _factor(sqdist, z, unit)
+    n = z.size
+    q = float(z @ alpha)
+    lo, hi = OUTPUTSCALE_BOUNDS
+    o2 = min(max(q / n, lo ** 2), hi ** 2)
+    lml = -0.5 * q / o2 - float(np.sum(np.log(np.diag(chol)))) \
+        - 0.5 * n * math.log(2.0 * math.pi * o2)
+    w = np.outer(alpha, alpha)
+    w /= o2
+    w -= _inverse(chol)
+    grad = np.array([
+        0.5 * float(np.sum(w * k_unit * sqdist)) / unit.lengthscale ** 2,
+        0.5 * unit.noise_var * float(np.trace(w)),
+    ])
+    return lml, grad, 0.5 * math.log(o2)
+
+
 def _grad_from(sqdist, z, params: KernelParams):
-    lml, k_rbf, chol, alpha = _lml_terms(sqdist, z, params)
-    k_inv, _ = lapack.dpotri(chol, lower=1)
-    # dpotri fills the lower triangle and leaves the upper one zero, so
-    # adding the transpose symmetrizes; halving the doubled diagonal is exact
-    k_inv = k_inv + k_inv.T
-    k_inv.flat[::z.size + 1] *= 0.5
-    w = np.outer(alpha, alpha) - k_inv
+    k_rbf, chol, alpha = _factor(sqdist, z, params)
+    lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
+        - 0.5 * z.size * math.log(2.0 * math.pi)
+    w = np.outer(alpha, alpha) - _inverse(chol)
     wk = w * k_rbf
     grad = np.array([
         float(np.sum(wk)),

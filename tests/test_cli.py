@@ -266,13 +266,26 @@ class TestConfigPlumbing:
         ("prior", [1, 2]), ("prior", 5), ("prior", {"kind": "box"}), ("likelihood", "x"),
         ("D", 12.7), ("D", "12"), ("D", True), ("D", 0), ("d", -1), ("d", 2.0),
         ("m", 4.5), ("m", 0), ("seed", True), ("seed", 3.9), ("seed", -1),
-        ("fail_after", -1), ("fail_after", 2.5)])
+        ("fail_after", -1), ("fail_after", 2.5),
+        ("name", ["x"]), ("name", 5), ("name", None),
+        ("noise_sd", [1]), ("noise_sd", True), ("noise_sd", "0.1"),
+        ("noise_sd", 0), ("noise_sd", -0.5), ("noise_sd", {"sd": 1})])
     def test_bad_problem_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         base = LINEAR if field == "m" else BOWL
         cfg = {**base, "problem": {**base["problem"], field: value}}
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert f"problem.{field}" in capsys.readouterr().err
+
+    def test_numeric_noise_sd_is_accepted(self, tmp_path):
+        # a JSON integer is a number too: 1 and 1.0 give the same run
+        outs = []
+        for i, sd in enumerate((1, 1.0)):
+            cfg = {**LINEAR, "problem": {**LINEAR["problem"], "noise_sd": sd}}
+            path = write_config(tmp_path, cfg, f"c{i}.json")
+            outs.append(tmp_path / f"n{i}")
+            assert main(["run", "--config", path, "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
 
     def test_null_problem_fields_keep_their_defaults(self, tmp_path):
         nulls = {"seed": None, "fail_after": None, "m": None}

@@ -97,10 +97,76 @@ def fit_objective(monkeypatch, X, z):
     return objectives[0], (z - model.target_mean) / model.target_sd
 
 
-def natural(theta):
+def natural(theta, log_o):
     """Kernel parameters at a point of the fit's search coordinates
-    (log o, log l, log(noise / o^2))."""
-    return gp.KernelParams(theta[0], theta[1], theta[2] + 2.0 * theta[0])
+    (log l, log(noise / o^2)) with outputscale ``exp(log_o)``."""
+    return gp.KernelParams(log_o, theta[0], theta[1] + 2.0 * log_o)
+
+
+LOG_O_GRID = np.linspace(np.log(gp.OUTPUTSCALE_BOUNDS[0]),
+                         np.log(gp.OUTPUTSCALE_BOUNDS[1]), 4001)
+
+
+def ref_concentrated_lml(X, z, theta):
+    """The three-parameter evidence at (log l, log r) = ``theta`` and the
+    closed-form outputscale ``o^2 = z^T A^-1 z / n``, clamped into its box,
+    with ``A = K_l + r I`` formed densely and solved by np.linalg.solve."""
+    n = len(z)
+    a = ref_kernel_matrix(cdist(X, X, metric="sqeuclidean"), gp.KernelParams(0.0, *theta)) \
+        + np.exp(theta[1]) * np.eye(n)
+    lo, hi = gp.OUTPUTSCALE_BOUNDS
+    log_o = 0.5 * np.log(np.clip(z @ np.linalg.solve(a, z) / n, lo ** 2, hi ** 2))
+    return gp.log_marginal_likelihood(X, z, natural(theta, log_o))
+
+
+def grid_max_lml(X, z, theta):
+    """Largest three-parameter evidence over LOG_O_GRID at (log l, log r) =
+    ``theta``.  The grid includes both bounds; between grid points the
+    evidence, concave in log o with curvature -2 q / o^2 (-2n at the
+    interior peak), stays within ``n h^2 / 4`` of its maximum."""
+    return max(gp.log_marginal_likelihood(X, z, natural(theta, a)) for a in LOG_O_GRID)
+
+
+def ref_fit_3d(X, z, rng):
+    """The search the concentrated fit replaced, kept as its reference:
+    L-BFGS-B over (log o, log l, log(noise / o^2)) from FIT_RESTARTS
+    log-uniform starts, the gradient mapped from the natural coordinates
+    by the chain rule.  Returns the parameters, the standardized targets
+    and the evidence evaluations."""
+    X = np.asarray(X, dtype=float)
+    zs = (z - np.mean(z)) / max(np.std(z), gp.TARGET_SD_FLOOR)
+    sqdist = cdist(X, X, metric="sqeuclidean")
+    diam = gp._input_diameter(X)
+
+    def params_at(theta):
+        return gp.KernelParams(theta[0], theta[1], theta[2] + 2.0 * theta[0])
+
+    def neg_lml(theta):
+        try:
+            lml, grad = gp._grad_from(sqdist, zs, params_at(theta))
+        except np.linalg.LinAlgError:
+            return gp.FAILED_LML, np.zeros(3)
+        grad[0] += 2.0 * grad[2]
+        return -lml, -grad
+
+    bounds = [(np.log(1e-3), np.log(1e3)),
+              (np.log(1e-3 * diam), np.log(1e3 * diam)),
+              (np.log(gp.NOISE_FLOOR), np.log(1e-1))]
+    best, nfev = None, 0
+    for _ in range(gp.FIT_RESTARTS):
+        theta0 = np.array([rng.uniform(np.log(0.1), np.log(10.0)),
+                           rng.uniform(np.log(0.05 * diam), np.log(2.0 * diam)),
+                           rng.uniform(np.log(1e-6), np.log(1e-2))])
+        res = gp.minimize(neg_lml, theta0, jac=True, method="L-BFGS-B",
+                          bounds=bounds, options={"maxiter": gp.FIT_MAXITER})
+        nfev += int(res.nfev)
+        if best is None or res.fun < best.fun:
+            best = res
+    return params_at(best.x), zs, nfev
+
+
+def failing(*args):
+    raise np.linalg.LinAlgError("not positive definite")
 
 
 class TestKernel:
@@ -222,40 +288,89 @@ class TestLogMarginalLikelihood:
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_fit_coordinate_gradient_matches_finite_differences(self, monkeypatch):
-        # what L-BFGS-B sees: the negative evidence and its gradient in
-        # (log o, log l, log(noise / o^2)), against central differences of
-        # the evidence itself at the mapped parameters
+        # what L-BFGS-B sees: the negative concentrated evidence and its
+        # gradient in (log l, log(noise / o^2)), against the three-parameter
+        # evidence at the closed-form outputscale and its central differences
         rng = np.random.default_rng(9)
         X = rng.uniform(-2, 2, (12, 2))
         neg_lml, zs = fit_objective(monkeypatch, X, rng.standard_normal(12))
         eps = 1e-6
         for _ in range(10):
-            theta = np.array([rng.uniform(-1, 1), rng.uniform(-1.5, 0.5),
+            theta = np.array([rng.uniform(-1.5, 0.5),
                               rng.uniform(np.log(1e-6), np.log(1e-2))])
             value, grad = neg_lml(theta)
-            assert -value == gp.log_marginal_likelihood(X, zs, natural(theta))
-            for i in range(3):
+            assert grad.shape == (2,)
+            # A is factored where the reference factors o^2 A, so the two
+            # agree to roundoff rather than bit for bit
+            assert -value == pytest.approx(ref_concentrated_lml(X, zs, theta), rel=1e-10)
+            for i in range(2):
                 up, dn = theta.copy(), theta.copy()
                 up[i] += eps
                 dn[i] -= eps
-                fd = (gp.log_marginal_likelihood(X, zs, natural(up))
-                      - gp.log_marginal_likelihood(X, zs, natural(dn))) / (2 * eps)
+                fd = (ref_concentrated_lml(X, zs, up)
+                      - ref_concentrated_lml(X, zs, dn)) / (2 * eps)
                 assert -grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_fit_coordinate_gradient_at_n60_near_noise_floor(self, monkeypatch):
         rng = np.random.default_rng(21)
         X = rng.uniform(-2, 2, (60, 3))
         neg_lml, zs = fit_objective(monkeypatch, X, rng.standard_normal(60))
-        theta = np.array([0.3, np.log(0.5), np.log(3 * gp.NOISE_FLOOR)])
+        theta = np.array([np.log(0.5), np.log(3 * gp.NOISE_FLOOR)])
         _, grad = neg_lml(theta)
         eps = 1e-5
-        for i in range(3):
+        for i in range(2):
             up, dn = theta.copy(), theta.copy()
             up[i] += eps
             dn[i] -= eps
-            fd = (gp.log_marginal_likelihood(X, zs, natural(up))
-                  - gp.log_marginal_likelihood(X, zs, natural(dn))) / (2 * eps)
+            fd = (ref_concentrated_lml(X, zs, up)
+                  - ref_concentrated_lml(X, zs, dn)) / (2 * eps)
             assert -grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["interior", "upper_clamp", "lower_clamp"])
+    def test_concentrated_evidence_is_the_max_over_outputscale(self, case):
+        # the closed-form outputscale against a dense log-o grid of the
+        # three-parameter evidence over the whole outputscale box
+        rng = np.random.default_rng(27)
+        Y = rng.uniform(-1, 1, (15, 2))
+        if case == "interior":
+            z = rng.standard_normal(15)
+            theta = np.array([np.log(0.4), np.log(1e-3)])
+        elif case == "upper_clamp":
+            # rough targets under a long lengthscale at the noise floor:
+            # their parts along A's smallest eigenvalues (near 1e-8) put
+            # z^T A^-1 z / n far above 1e6
+            z = rng.standard_normal(15)
+            theta = np.array([np.log(3.0), np.log(gp.NOISE_FLOOR)])
+        else:
+            # targets far below unit scale put z^T A^-1 z / n below 1e-6
+            z = 1e-5 * rng.standard_normal(15)
+            theta = np.array([np.log(0.4), np.log(1e-3)])
+        lml, grad, log_o = gp._concentrated(cdist(Y, Y, metric="sqeuclidean"), z, theta)
+        lo, hi = np.log(gp.OUTPUTSCALE_BOUNDS)
+        grid = grid_max_lml(Y, z, theta)
+        at_o = gp.log_marginal_likelihood(Y, z, natural(theta, log_o))
+        if case == "interior":
+            assert lo + 1.0 < log_o < hi - 1.0
+            h = LOG_O_GRID[1] - LOG_O_GRID[0]
+            assert grid - 1e-9 <= lml <= grid + 15 * h ** 2 / 4
+            assert lml == pytest.approx(at_o, rel=1e-10)
+        else:
+            # the grid's maximum sits on the clamped bound itself; in the
+            # upper case A is nearly singular, so factoring A and o^2 A
+            # agree only to about 1e-10 relative
+            assert log_o == (hi if case == "upper_clamp" else lo)
+            assert lml == pytest.approx(grid, rel=1e-9)
+            assert lml == pytest.approx(at_o, rel=1e-9)
+        # the envelope theorem holds at the clamp too: the gradient is the
+        # derivative of the concentrated evidence (wide steps for the
+        # ill-conditioned case, whose evidence carries roundoff)
+        eps = 1e-3 if case == "upper_clamp" else 1e-6
+        for i in range(2):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += eps
+            dn[i] -= eps
+            fd = (ref_concentrated_lml(Y, z, up) - ref_concentrated_lml(Y, z, dn)) / (2 * eps)
+            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2, 30, 100])
     def test_gradient_bits_match_reference(self, n):
@@ -517,9 +632,10 @@ class TestFit:
         init = gp.KernelParams.from_natural(2.0, 0.3, 1e-4)
         gp.fit(X, z, rng, init=init)
         assert len(starts) == 2
-        # the fit searches log(noise / outputscale^2) as its third coordinate
+        # the fit searches (log lengthscale, log(noise / outputscale^2));
+        # the outputscale is concentrated out
         np.testing.assert_array_equal(
-            starts[0], [init.log_outputscale, init.log_lengthscale,
+            starts[0], [init.log_lengthscale,
                         init.log_noise_var - 2.0 * init.log_outputscale])
 
     def test_noise_free_quadratic_fits_keep_the_relative_floor(self):
@@ -568,20 +684,14 @@ class TestFit:
         assert gp.fit(X, z, rng).failed_starts == gp.FIT_RESTARTS
         assert not any(r.success for r in results)
 
-        def failing(*args):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(gp, "_grad_from", failing)
+        monkeypatch.setattr(gp, "_concentrated", failing)
         results.clear()
         model = gp.fit(X, z, rng, init=model.params)
         assert model.failed_starts == len(results) == 2
         assert model.nfev == sum(r.nfev for r in results)
 
     def test_every_start_failing_keeps_init(self, monkeypatch):
-        def failing(*args):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(gp, "_grad_from", failing)
+        monkeypatch.setattr(gp, "_concentrated", failing)
         # the lengthscale lies beyond this fit's bounds, so the start is
         # clipped and only the fallback returns init itself
         rng = np.random.default_rng(17)
@@ -589,6 +699,76 @@ class TestFit:
         init = gp.KernelParams.from_natural(1.3, 1e5, 1e-5)
         model = gp.fit(X, rng.standard_normal(10), rng, init=init)
         assert model.params == init
+
+    def test_every_start_failing_cold_fit_takes_unit_outputscale(self, monkeypatch):
+        # with no factor there is no z^T A^-1 z for the closed form: a cold
+        # fit keeps the best start's (l, r) at o = 1, the scale of the
+        # standardized targets
+        starts = []
+        real_minimize = gp.minimize
+
+        def spy(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", spy)
+        monkeypatch.setattr(gp, "_concentrated", failing)
+        rng = np.random.default_rng(28)
+        X = rng.uniform(-1, 1, (10, 2))
+        model = gp.fit(X, rng.standard_normal(10), rng)
+        assert model.failed_starts == len(starts) == gp.FIT_RESTARTS
+        # every start reads FAILED_LML, so the first one is the best
+        assert model.params == gp.KernelParams(0.0, starts[0][0], starts[0][1])
+        assert model.params.outputscale == 1.0
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_zero_targets_put_the_outputscale_at_its_lower_bound(self, n):
+        # constant targets (and any single target) standardize to z = 0,
+        # so z^T A^-1 z = 0 and the closed form clamps at the lower bound
+        rng = np.random.default_rng(29)
+        model = gp.fit(rng.uniform(-1, 1, (n, 2)), np.full(n, 2.5), rng)
+        p = model.params
+        assert np.all(np.isfinite([p.log_outputscale, p.log_lengthscale, p.log_noise_var]))
+        assert p.outputscale == pytest.approx(gp.OUTPUTSCALE_BOUNDS[0], rel=1e-12)
+        assert model.failed_starts == 0
+
+    def test_matches_the_three_parameter_search(self):
+        # 20 fixed problems of n = 10 to 60 points in 3 dimensions, of the
+        # kinds of targets the sampler fits: GP draws, exact quadratics (the
+        # linear-gaussian problem), smooth functions and quadratics of
+        # clipped coordinates (a box prior's lifted points).  The
+        # concentrated fit reaches at least the evidence of the 3-D search
+        # it replaced, up to 1e-6 nats, in 18 of them (either search can
+        # settle in a different local optimum), with fewer evaluations.
+        # Rough targets such as white noise are not covered: there the
+        # first L-BFGS-B step, taken at unit curvature, can stop the
+        # concentrated search in a corner of the box
+        kept = nfev_new = nfev_ref = 0
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            n = (10, 25, 40, 60)[seed // 5]
+            Y = rng.uniform(-1, 1, (n, 3))
+            kind = seed % 4
+            if kind == 0:
+                d2 = cdist(Y, Y, metric="sqeuclidean")
+                K = np.exp(-d2 / (2 * 0.6 ** 2)) + 1e-6 * np.eye(n)
+                z = np.linalg.cholesky(K) @ rng.standard_normal(n)
+            elif kind == 1:
+                A = rng.standard_normal((3, 3))
+                z = -0.5 * np.sum((Y @ A.T - rng.standard_normal(3)) ** 2, axis=1)
+            elif kind == 2:
+                z = np.sin(3 * Y[:, 0]) + Y[:, 1] * Y[:, 2]
+            else:
+                W = rng.standard_normal((3, 5))
+                z = -np.sum((np.clip(Y @ W, -1, 1) - rng.uniform(-0.5, 0.5, 5)) ** 2, axis=1)
+            model = gp.fit(Y, z, np.random.default_rng(seed))
+            ref_params, zs, ref_nfev = ref_fit_3d(Y, z, np.random.default_rng(seed))
+            new = gp.log_marginal_likelihood(Y, zs, model.params)
+            kept += new >= gp.log_marginal_likelihood(Y, zs, ref_params) - 1e-6
+            nfev_new += model.nfev
+            nfev_ref += ref_nfev
+        assert kept >= 18
+        assert nfev_new < nfev_ref
 
     def test_jitter_ladder_is_recorded(self):
         # near-coincident points, a long lengthscale and no noise make the
