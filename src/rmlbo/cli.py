@@ -127,7 +127,10 @@ def resolve_config(cfg: dict) -> dict:
             if "trace" not in entry or "name" not in entry:
                 raise ConfigError(
                     "methods: a trace entry needs both 'name' and 'trace' fields")
-            if not os.path.exists(entry["trace"]):
+            if not (isinstance(entry["name"], str) and isinstance(entry["trace"], str)):
+                raise ConfigError(f"methods: a trace entry's name and trace must be strings, "
+                                  f"got {entry!r}")
+            if not os.path.isfile(entry["trace"]):
                 raise ConfigError(f"methods: trace file not found: {entry['trace']}")
         elif entry not in METHOD_NAMES:
             raise ConfigError(

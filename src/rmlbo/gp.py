@@ -8,8 +8,9 @@ gradients and L-BFGS-B.  Simulators are deterministic, so the noise term is
 a jitter floor rather than real observation noise.
 
 Both fits, :func:`fit` and :func:`fit_with_params`, train on one checked,
-deduplicated and standardized training set.  Both evidence functions raise
-ValueError on a count mismatch or a kernel matrix that fails to factor.
+deduplicated and standardized training set and its one squared-distance
+matrix.  Both evidence functions raise ValueError on a count mismatch; they
+and both fits raise one ValueError for a kernel matrix that fails to factor.
 
 The fitter concentrates the outputscale out of the evidence (the
 "concentrated likelihood" of kriging: Jones, Schonlau & Welch, J. Global
@@ -32,7 +33,10 @@ The ratio is boxed between NOISE_FLOOR and 1e-1, so
 absolute floor would let exact (noise-free) targets drive the outputscale
 to its upper bound and the ratio to 1e-14, where the evidence carries
 roundoff of a few hundredths of a nat between nearby points and L-BFGS-B
-spends most of its evaluations in line searches that cannot succeed.
+spends most of its evaluations in line searches that cannot succeed.  The
+bound also satisfies Higham's condition for Cholesky to complete,
+``20 n^1.5 cond u < 1`` (2002, ch. 10), up to ~460 points, so no jitter
+fallback stands behind the factorization.
 
 Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
 given ``init`` (the sampler passes each embedding's previous
@@ -105,13 +109,12 @@ class KernelParams:
 class GPModel:
     """Fitted surrogate: training pairs, hyperparameters, cached factors.
 
-    ``chol_factor`` is the lower Cholesky of ``K + noise * I + jitter * I``,
-    ``chol_inv`` its inverse, and ``alpha`` solves that system for the
-    standardized targets ``z``.  ``jitter`` is what the factorization ladder
-    added to the diagonal (0 when the plain matrix factored).  ``nfev`` and
-    ``failed_starts`` describe the hyperparameter search of :func:`fit`:
-    evidence evaluations over all starts, and starts that ended without
-    success or failed to factor (both 0 for :func:`fit_with_params`).
+    ``chol_factor`` is the lower Cholesky of ``K + noise * I``, ``chol_inv``
+    its inverse, and ``alpha`` solves that system for the standardized
+    targets ``z``.  ``nfev`` and ``failed_starts`` describe the
+    hyperparameter search of :func:`fit`: evidence evaluations over all
+    starts, and starts that ended without success or failed to factor (both
+    0 for :func:`fit_with_params`).
     Empty models (n = 0) revert to the prior: mean ``target_mean``, sd equal
     to the outputscale.
     """
@@ -124,7 +127,6 @@ class GPModel:
     chol_factor: np.ndarray | None
     alpha: np.ndarray | None
     chol_inv: np.ndarray | None
-    jitter: float = 0.0
     nfev: int = 0
     failed_starts: int = 0
 
@@ -162,23 +164,6 @@ def _cholesky(kn: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info={info}")
     return chol
-
-
-def _chol_with_ladder(kn: np.ndarray) -> tuple[np.ndarray, float]:
-    """Factor ``kn``; escalate diagonal jitter from 1e-8 to 1e-4 before
-    giving up.  Returns the factor and the jitter added."""
-    try:
-        return _cholesky(kn), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    base = float(np.mean(np.diag(kn)))
-    jitter = 1e-8
-    while jitter <= 1e-4:
-        try:
-            return _cholesky(kn + jitter * base * np.eye(kn.shape[0])), jitter * base
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise ValueError("kernel matrix factorization failed even with jitter 1e-4")
 
 
 def _factor(sqdist: np.ndarray, z: np.ndarray, params: KernelParams):
@@ -227,13 +212,13 @@ def log_marginal_likelihood_grad(inputs, targets,
 
 
 def _dedup_average(inputs: np.ndarray, targets: np.ndarray):
-    """Average targets of rows closer than DUPLICATE_TOL (Euclidean)."""
+    """Average targets of rows closer than DUPLICATE_TOL (Euclidean); also
+    return the squared distances of the rows returned, recomputed only on a merge."""
     n = inputs.shape[0]
-    if n < 2:
-        return inputs, targets
-    d = _sqdist(inputs, inputs) <= DUPLICATE_TOL ** 2
+    sqdist = _sqdist(inputs, inputs)
+    d = sqdist <= DUPLICATE_TOL ** 2
     if np.count_nonzero(d) == n:   # only the diagonal: no duplicates
-        return inputs, targets
+        return inputs, targets, sqdist
     assigned = np.full(n, -1, dtype=int)
     groups = []
     for i in range(n):
@@ -242,11 +227,9 @@ def _dedup_average(inputs: np.ndarray, targets: np.ndarray):
         members = np.where((assigned < 0) & d[i])[0]
         assigned[members] = len(groups)
         groups.append(members)
-    if len(groups) == n:
-        return inputs, targets
     out_x = np.stack([inputs[g].mean(axis=0) for g in groups])
     out_z = np.array([targets[g].mean() for g in groups])
-    return out_x, out_z
+    return out_x, out_z, _sqdist(out_x, out_x)
 
 
 def _input_diameter(inputs: np.ndarray) -> float:
@@ -262,27 +245,28 @@ def _standardize(targets: np.ndarray):
 
 
 def _training_set(inputs, targets):
-    """Checked, deduplicated inputs and raw targets, plus the standardized
-    targets with their mean and sd: what both fits train on."""
+    """Checked, deduplicated inputs and raw targets, their squared-distance
+    matrix, and the standardized targets with their mean and sd: what both
+    fits train on."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if inputs.shape[0] < 1 or targets.size < 1:
         raise ValueError("fit requires at least one training point")
     if not np.all(np.isfinite(targets)):
         raise ValueError("fit requires finite targets")
-    inputs, targets = _dedup_average(inputs, targets)
-    return (inputs, targets, *_standardize(targets))
+    inputs, targets, sqdist = _dedup_average(inputs, targets)
+    return (inputs, targets, sqdist, *_standardize(targets))
 
 
-def _assemble(inputs, raw_targets, mean, sd, z, params: KernelParams) -> GPModel:
-    kn = _kernel_matrix(_sqdist(inputs, inputs), params)
-    kn.flat[::inputs.shape[0] + 1] += params.noise_var
-    chol, jitter = _chol_with_ladder(kn)
-    alpha, _ = lapack.dpotrs(chol, z, lower=1)
+def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) -> GPModel:
+    try:
+        _, chol, alpha = _factor(sqdist, z, params)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"kernel matrix factorization failed: {exc}") from exc
     chol_inv, _ = lapack.dtrtri(chol, lower=1)
     return GPModel(inputs=inputs, raw_targets=raw_targets, target_mean=mean,
                    target_sd=sd, params=params, chol_factor=chol, alpha=alpha,
-                   chol_inv=chol_inv, jitter=jitter)
+                   chol_inv=chol_inv)
 
 
 def empty_model(params: KernelParams, dim: int) -> GPModel:
@@ -294,8 +278,7 @@ def empty_model(params: KernelParams, dim: int) -> GPModel:
 
 def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
     """Cache factors at fixed hyperparameters on :func:`fit`'s training set."""
-    inputs, targets, z, mean, sd = _training_set(inputs, targets)
-    return _assemble(inputs, targets, mean, sd, z, params)
+    return _assemble(*_training_set(inputs, targets), params)
 
 
 def fit(inputs, targets, rng: np.random.Generator,
@@ -313,9 +296,8 @@ def fit(inputs, targets, rng: np.random.Generator,
     best start.  The model records the search's ``nfev`` and
     ``failed_starts``.
     """
-    inputs, targets, z, mean, sd = _training_set(inputs, targets)
+    inputs, targets, sqdist, z, mean, sd = _training_set(inputs, targets)
     diam = _input_diameter(inputs)
-    sqdist = _sqdist(inputs, inputs)
 
     def neg_lml(theta):
         try:
@@ -360,7 +342,7 @@ def fit(inputs, targets, rng: np.random.Generator,
         # no start factored, so no q for the closed form: o = 1, the scale
         # of the standardized targets
         params = KernelParams(0.0, log_l, log_ratio)
-    model = _assemble(inputs, targets, mean, sd, z, params)
+    model = _assemble(inputs, targets, sqdist, z, mean, sd, params)
     model.nfev, model.failed_starts = nfev, failed
     return model
 

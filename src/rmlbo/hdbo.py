@@ -8,8 +8,9 @@ training point for *every* objective, because the objectives differ only
 in their data/prior-mean perturbations, which are free to apply to a cached
 forward value.  A GP is fitted per step to the active objective's view of
 the shared ensemble and its UCB acquisition proposes the next point.
-Each objective's targets are computed once per record: an activation adds
-only the records simulated since that objective's previous activation.
+Each objective keeps a column of targets over its embedding's shared inputs,
+computed once per record: an activation adds only the records simulated
+since that objective's previous activation.
 Within an embedding only the first fit searches hyperparameters cold; later
 fits start from the previous fit's hyperparameters.
 
@@ -20,6 +21,7 @@ only; with a box prior selection scans the lifted points.
 """
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, replace
@@ -90,15 +92,16 @@ class HDBOConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first invalid field.  Integer fields
         take Python or numpy integers but not bools, positive except ``seed``
-        (non-negative); ``beta`` and ``prox_eta`` take any real number but a
-        bool."""
+        (non-negative); ``beta`` and ``prox_eta`` take any finite real
+        number but a bool."""
         for name in ("n_rml", "budget_N", "K", "d_e", "n0", "acq_restarts"):
             require_integer(name, getattr(self, name))
         require_integer("seed", self.seed, minimum=0)
         for name in ("beta", "prox_eta"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name}: expected a number, got {value!r}")
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name}: expected a finite number, got {value!r}")
         if self.beta < 0:
             raise ConfigError("beta: must be non-negative")
         if self.prox_eta <= 0:
@@ -283,11 +286,7 @@ def local_prior_refine(x0, instance: RMLInstance, prior: GaussianSpec,
     if eta <= 0:
         raise ValueError("eta must be strictly positive")
     x0 = np.asarray(x0, dtype=float)
-    shifted = prior.cov + eta * np.eye(prior.dim)
-    try:
-        chol = chol_spd(shifted, name="proximal system")
-    except ValueError as exc:
-        raise RuntimeError(f"internal error: {exc}") from exc
+    chol = chol_spd(prior.cov + eta * np.eye(prior.dim), name="proximal system")
     return solve_spd(chol, eta * instance.prior_mean_n + prior.cov @ x0)
 
 
@@ -397,16 +396,17 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
                    gaussian: bool, records: list) -> None:
     """Sequential pass over one embedding's slots, appending to the shared
     trace.  Streams are pre-split per embedding, so embeddings could run
-    concurrently without changing any draw."""
+    concurrently without changing any draw.  Every slot's GP trains on all
+    earlier records of the embedding whose target under the active
+    objective is finite (a finite simulator output can overflow it)."""
     init_rng = labeled_stream(config.seed, STREAM_INIT, k)
     acq_rng = labeled_stream(config.seed, STREAM_ACQ, k)
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
     init_pts = sobol_points(config.n0, emb.y_lower, emb.y_upper, init_rng)
     own: list[SimulationRecord] = []
-    # per objective: training inputs and targets of the finite records so
-    # far, and how many of ``own`` they cover
-    columns = [([], []) for _ in instances]
-    covered = [0] * len(instances)
+    ys: list[np.ndarray] = []   # the inputs of ``own``, shared by every objective
+    # per objective: the targets of ``own[:len(column)]``, in record order
+    columns = [[] for _ in instances]
     params = None
     last_full_fit = -REFIT_PERIOD
     for m in range(1, slots + 1):
@@ -415,21 +415,19 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
         if m <= config.n0:
             y = init_pts[m - 1]
         else:
-            train_y, train_z = columns[nprime - 1]
-            for rec in own[covered[nprime - 1]:]:
-                z = gp_target(inst, rec, problem)
-                if np.isfinite(z):
-                    train_y.append(rec.y)
-                    train_z.append(z)
-            covered[nprime - 1] = len(own)
-            full = len(train_z) < REFIT_EVERY_UNTIL or (m - last_full_fit) >= REFIT_PERIOD
+            column = columns[nprime - 1]
+            column.extend(gp_target(inst, rec, problem) for rec in own[len(column):])
+            train_z = np.asarray(column)
+            finite = np.isfinite(train_z)
+            train_y = np.asarray(ys)[finite]
+            train_z = train_z[finite]
+            full = train_z.size < REFIT_EVERY_UNTIL or (m - last_full_fit) >= REFIT_PERIOD
             if full or params is None:
-                model = gp.fit(np.asarray(train_y), np.asarray(train_z), fit_rng,
-                               init=params)
+                model = gp.fit(train_y, train_z, fit_rng, init=params)
                 params = model.params
                 last_full_fit = m
             else:
-                model = gp.fit_with_params(np.asarray(train_y), np.asarray(train_z), params)
+                model = gp.fit_with_params(train_y, train_z, params)
             y = acquisition_maximize(model, (emb.y_lower, emb.y_upper), config.beta,
                                      acq_rng, restarts=config.acq_restarts)
         x = lift(emb, y, problem.prior)
@@ -442,6 +440,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
                                fx=fx, refined_z=refined_z, f_refined=f_refined,
                                iteration=m, objective_index=nprime)
         own.append(rec)
+        ys.append(rec.y)
         records.append(rec)
 
 

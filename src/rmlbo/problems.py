@@ -54,8 +54,9 @@ def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 class GaussianSpec:
     """Dense multivariate Gaussian with a cached Cholesky factor.
 
-    ``covariance`` must be symmetric within 1e-12 relative tolerance and
-    positive definite (one round of diagonal jitter is tolerated).
+    The mean and ``covariance`` must be finite, and ``covariance`` symmetric
+    within 1e-12 relative tolerance and positive definite (one round of
+    diagonal jitter is tolerated).
     """
 
     def __init__(self, mean, covariance, name: str = "covariance"):
@@ -66,6 +67,8 @@ class GaussianSpec:
         if cov.shape != (self.mean.size, self.mean.size):
             raise ValueError(
                 f"{name} shape {cov.shape} does not match mean of length {self.mean.size}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(cov).all()):
+            raise ValueError(f"{name}: the mean and the covariance must be finite")
         scale = max(float(np.max(np.abs(cov))), 1e-300)
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
             raise ValueError(f"{name} is not symmetric within 1e-12 relative tolerance")
@@ -103,7 +106,7 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class BoxPrior:
-    """Uniform prior on an axis-aligned box [lower_i, upper_i]."""
+    """Uniform prior on a finite axis-aligned box [lower_i, upper_i]."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -113,6 +116,8 @@ class BoxPrior:
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
         if self.lower.shape != self.upper.shape:
             raise ValueError("box bounds must have matching shapes")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("box prior requires finite bounds")
         if not np.all(self.lower < self.upper):
             raise ValueError("box prior requires lower < upper in every coordinate")
 

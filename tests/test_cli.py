@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rmlbo import bench
@@ -65,6 +66,13 @@ class TestRun:
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["beta=NaN", "beta=Infinity", "prox_eta=NaN"])
+    def test_non_finite_number_exits_2_naming_field(self, tmp_path, capsys, override):
+        path = write_config(tmp_path, BOWL)
+        code = main(["run", "--config", path, "--set", override, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{override.split('=')[0]}:" in capsys.readouterr().err
 
     def test_invalid_budget_type_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BOWL, "budget_N": "lots"})
@@ -204,11 +212,21 @@ class TestCompare:
         assert main(["compare", "--config", path, "--out", str(tmp_path / "c")]) == 2
         assert "checkpoints:" in capsys.readouterr().err
 
-    def test_missing_trace_file_exits_2(self, tmp_path, capsys):
-        cfg = {**BOWL, "methods": [{"name": "x", "trace": str(tmp_path / "no.jsonl")}]}
-        path = write_config(tmp_path, cfg)
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "x", "trace": "no.jsonl"}, "trace file not found"),
+        ({"name": "x", "trace": "."}, "trace file not found"),
+        ({"name": "x", "trace": 0}, "must be strings"),
+        ({"name": 5, "trace": "t.jsonl"}, "must be strings")],
+        ids=["missing", "directory", "trace-not-a-string", "name-not-a-string"])
+    def test_missing_trace_file_exits_2(self, tmp_path, capsys, entry, message):
+        # paths are relative to tmp_path, where t.jsonl exists and . is a directory
+        (tmp_path / "t.jsonl").write_text("")
+        entry = {key: str(tmp_path / value) if key == "trace" and isinstance(value, str)
+                 else value for key, value in entry.items()}
+        path = write_config(tmp_path, {**BOWL, "methods": [entry]})
         assert main(["compare", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert "trace file not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "methods:" in err and message in err
 
 
 class TestExportLandscape:
@@ -269,7 +287,15 @@ class TestConfigPlumbing:
         ("fail_after", -1), ("fail_after", 2.5),
         ("name", ["x"]), ("name", 5), ("name", None),
         ("noise_sd", [1]), ("noise_sd", True), ("noise_sd", "0.1"),
-        ("noise_sd", 0), ("noise_sd", -0.5), ("noise_sd", {"sd": 1})])
+        ("noise_sd", 0), ("noise_sd", -0.5), ("noise_sd", {"sd": 1}),
+        ("likelihood", {"data": [float("nan"), 0, 0], "obs_cov": np.eye(3).tolist()}),
+        ("likelihood", {"data": [0, 0, 0], "obs_cov": np.diag([1, 1, np.inf]).tolist()}),
+        ("prior", {"kind": "box", "lower": [-float("inf")] + [-1] * 11, "upper": [1] * 12}),
+        ("prior", {"kind": "box", "lower": [-1] * 12, "upper": [1] * 11 + [float("nan")]}),
+        ("prior", {"kind": "gaussian", "mean": [float("nan")] + [0] * 11,
+                   "cov": np.eye(12).tolist()}),
+        ("prior", {"kind": "gaussian", "mean": [0] * 12,
+                   "cov": np.diag([np.inf] * 12).tolist()})])
     def test_bad_problem_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         base = LINEAR if field == "m" else BOWL
         cfg = {**base, "problem": {**base["problem"], field: value}}

@@ -408,6 +408,13 @@ class TestLogMarginalLikelihood:
         for evidence in (gp.log_marginal_likelihood, gp.log_marginal_likelihood_grad):
             with pytest.raises(ValueError, match="kernel matrix factorization failed"):
                 evidence(X, z, params)
+        # near-coincident points, a long lengthscale and no noise, below the
+        # floor from_natural applies: a fixed-parameter fit raises it too
+        rng = np.random.default_rng(18)
+        X = 1e-4 * rng.uniform(-1, 1, (20, 2))
+        params = gp.KernelParams(0.0, np.log(10.0), np.log(1e-30))
+        with pytest.raises(ValueError, match="kernel matrix factorization failed"):
+            gp.fit_with_params(X, rng.standard_normal(20), params)
 
 
 class TestPredict:
@@ -527,7 +534,6 @@ class TestPredict:
                                    gp.KernelParams.from_natural(1.0, 0.7, 1e-6))
         np.testing.assert_allclose(model.chol_inv @ model.chol_factor, np.eye(30),
                                    atol=1e-8)
-        assert model.jitter == 0.0
 
 
 class TestFit:
@@ -558,8 +564,9 @@ class TestFit:
         rng = np.random.default_rng(24)
         X = rng.uniform(-1, 1, (30, 2))
         z = rng.standard_normal(30)
-        out_x, out_z = gp._dedup_average(X, z)
+        out_x, out_z, sqdist = gp._dedup_average(X, z)
         assert out_x is X and out_z is z
+        assert bits(sqdist) == bits(cdist(X, X, metric="sqeuclidean"))
         assert len(ref_dedup_groups(X)) == 30
 
     @pytest.mark.parametrize("case", ["exact", "at_tol", "chain"])
@@ -583,10 +590,29 @@ class TestFit:
         z = rng.standard_normal(8)
         groups = ref_dedup_groups(X)
         assert len(groups) < 8
-        out_x, out_z = gp._dedup_average(X, z)
+        out_x, out_z, sqdist = gp._dedup_average(X, z)
         assert bits(out_x, out_z) == bits(
             np.stack([X[g].mean(axis=0) for g in groups]),
             [z[g].mean() for g in groups])
+        assert bits(sqdist) == bits(cdist(out_x, out_x, metric="sqeuclidean"))
+
+    def test_one_distance_matrix_per_fit(self, monkeypatch):
+        # the duplicate check's matrix serves the search and the factors
+        rng = np.random.default_rng(26)
+        X = rng.uniform(-1, 1, (12, 2))
+        z = rng.standard_normal(12)
+        calls = []
+        real_sqdist = gp._sqdist
+
+        def spy_sqdist(a, b):
+            calls.append(a.shape[0] == b.shape[0] == 12)
+            return real_sqdist(a, b)
+
+        monkeypatch.setattr(gp, "_sqdist", spy_sqdist)
+        model = gp.fit(X, z, rng)
+        assert calls == [True]
+        gp.fit_with_params(X, z, model.params)
+        assert calls == [True, True]
 
     def test_recovers_known_lengthscale(self):
         # draws from a GP with l = 0.5: recovered log-lengthscale within
@@ -769,19 +795,6 @@ class TestFit:
             nfev_ref += ref_nfev
         assert kept >= 18
         assert nfev_new < nfev_ref
-
-    def test_jitter_ladder_is_recorded(self):
-        # near-coincident points, a long lengthscale and no noise make the
-        # plain kernel matrix numerically singular
-        rng = np.random.default_rng(18)
-        X = 1e-4 * rng.uniform(-1, 1, (20, 2))
-        params = gp.KernelParams(0.0, np.log(10.0), np.log(1e-30))
-        model = gp.fit_with_params(X, rng.standard_normal(20), params)
-        assert model.jitter > 0.0
-        kn = gp._kernel_matrix(gp._sqdist(model.inputs, model.inputs), params)
-        kn += (params.noise_var + model.jitter) * np.eye(20)
-        np.testing.assert_allclose(model.chol_factor @ model.chol_factor.T, kn,
-                                   rtol=0, atol=1e-12)
 
     def test_rejects_non_finite_targets(self):
         with pytest.raises(ValueError, match="finite"):

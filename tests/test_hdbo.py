@@ -252,8 +252,10 @@ class TestBudgetAccounting:
         with pytest.raises(ConfigError, match="input dimension"):
             run_hdbo_rml(prob, insts, cfg)
 
-    @pytest.mark.parametrize("field,value", [("K", True), ("budget_N", "lots"),
-                                             ("n0", 2.5), ("beta", "wide"), ("seed", -1)])
+    @pytest.mark.parametrize("field,value", [
+        ("K", True), ("budget_N", "lots"), ("n0", 2.5), ("beta", "wide"), ("seed", -1),
+        ("beta", float("nan")), ("beta", float("inf")),
+        ("prox_eta", float("nan")), ("prox_eta", float("inf"))])
     def test_validate_rejects_wrong_types_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             HDBOConfig(**{field: value}).validate()
@@ -467,6 +469,50 @@ class TestDataSharing:
         assert len(fitted) == len(expected)
         for got, want in zip(fitted, expected):
             assert got.tobytes() == want.tobytes()
+
+    def test_records_whose_target_overflows_are_left_out_of_the_fit(self, monkeypatch):
+        # a finite forward value of 1e200 overflows the likelihood to -inf;
+        # such a record stays in the trace but out of that objective's fits,
+        # and every fit still trains on all other earlier records of its
+        # embedding, inputs and targets bit for bit
+        fitted = []
+        real_fit = gp.fit
+        real_fit_with = gp.fit_with_params
+
+        def spy_fit(inputs, targets, rng, **kwargs):
+            fitted.append((np.array(inputs), np.array(targets)))
+            return real_fit(inputs, targets, rng, **kwargs)
+
+        def spy_fit_with(inputs, targets, params):
+            fitted.append((np.array(inputs), np.array(targets)))
+            return real_fit_with(inputs, targets, params)
+
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit", spy_fit)
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit_with_params", spy_fit_with)
+        prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
+        inner = prob.simulator._fn
+        prob.simulator._fn = lambda x: np.full(3, 1e200) if x[0] > 0.3 else inner(x)
+        insts = drawn(prob, 2)
+        cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            res = run_hdbo_rml(prob, insts, cfg)
+            expected, dropped = [], 0
+            for k in range(1, cfg.K + 1):
+                own = [rec for rec in res.records if rec.emb_index == k]
+                for rec in own[cfg.n0:]:
+                    inst = insts[rec.objective_index - 1]
+                    earlier = own[:rec.iteration - 1]
+                    zs = [hdbo.gp_target(inst, r, prob) for r in earlier]
+                    keep = [i for i, z in enumerate(zs) if np.isfinite(z)]
+                    dropped += len(earlier) - len(keep)
+                    expected.append((np.array([earlier[i].y for i in keep]),
+                                     np.array([zs[i] for i in keep])))
+        assert sum(bool(rec.fx[0] == 1e200) for rec in res.records) == 32
+        assert dropped > 0
+        assert len(fitted) == len(expected)
+        for (got_y, got_z), (want_y, want_z) in zip(fitted, expected):
+            assert got_y.tobytes() == want_y.tobytes()
+            assert got_z.tobytes() == want_z.tobytes()
 
     def test_best_so_far_values_non_decreasing(self):
         prob = bowl_problem()
