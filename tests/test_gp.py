@@ -408,13 +408,6 @@ class TestLogMarginalLikelihood:
         for evidence in (gp.log_marginal_likelihood, gp.log_marginal_likelihood_grad):
             with pytest.raises(ValueError, match="kernel matrix factorization failed"):
                 evidence(X, z, params)
-        # near-coincident points, a long lengthscale and no noise, below the
-        # floor from_natural applies: a fixed-parameter fit raises it too
-        rng = np.random.default_rng(18)
-        X = 1e-4 * rng.uniform(-1, 1, (20, 2))
-        params = gp.KernelParams(0.0, np.log(10.0), np.log(1e-30))
-        with pytest.raises(ValueError, match="kernel matrix factorization failed"):
-            gp.fit_with_params(X, rng.standard_normal(20), params)
 
 
 class TestPredict:
@@ -795,6 +788,25 @@ class TestFit:
             nfev_ref += ref_nfev
         assert kept >= 18
         assert nfev_new < nfev_ref
+
+    def test_jitter_ladder_is_recorded(self):
+        # there is no jitter ladder to record: near-coincident points and a
+        # long lengthscale factor at the noise floor from_natural applies,
+        # with the plain noise on the diagonal, and without that floor the
+        # fixed-parameter fit raises the evidence's factorization error
+        rng = np.random.default_rng(18)
+        X = 1e-4 * rng.uniform(-1, 1, (20, 2))
+        y = rng.standard_normal(20)
+        params = gp.KernelParams.from_natural(1.0, 10.0, 0.0)
+        model = gp.fit_with_params(X, y, params)
+        assert not hasattr(model, "jitter")
+        kn = gp._kernel_matrix(gp._sqdist(model.inputs, model.inputs), params)
+        kn += params.noise_var * np.eye(20)
+        np.testing.assert_allclose(model.chol_factor @ model.chol_factor.T, kn,
+                                   rtol=0, atol=1e-12)
+        below_floor = gp.KernelParams(0.0, np.log(10.0), np.log(1e-30))
+        with pytest.raises(ValueError, match="kernel matrix factorization failed"):
+            gp.fit_with_params(X, y, below_floor)
 
     def test_rejects_non_finite_targets(self):
         with pytest.raises(ValueError, match="finite"):
