@@ -9,8 +9,6 @@ from .problems import (
     ProblemSpec,
     SimulatorError,
     SimulatorHandle,
-    log_likelihood,
-    log_prior,
 )
 from .rml import (
     RMLInstance,

@@ -14,7 +14,7 @@ from .hdbo import (
     _check_instances,
     select_maximizers,
 )
-from .problems import BoxPrior, ProblemSpec, SimulatorError, sample_prior
+from .problems import ProblemSpec, SimulatorError
 from .rml import objective
 
 
@@ -29,7 +29,7 @@ def random_design(problem: ProblemSpec, instances, budget_N: int,
     records = []
     try:
         for i in range(1, budget_N + 1):
-            x = sample_prior(problem.prior, rng)
+            x = problem.prior.sample(rng)
             fx = problem.simulator(x)
             records.append(SimulationRecord(
                 emb_index=-1, y=None, x=x, fx=fx, refined_z=None, f_refined=None,
@@ -68,8 +68,7 @@ def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
             nonlocal used, iteration
             if used >= per_objective:
                 raise _BudgetExhausted
-            x = problem.prior.clip(x) if isinstance(problem.prior, BoxPrior) \
-                else np.asarray(x, dtype=float)
+            x = problem.prior.clip(x)
             fx = problem.simulator(x)
             used += 1
             iteration += 1
@@ -78,7 +77,7 @@ def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
                 iteration=iteration, objective_index=inst.index))
             return -objective(inst, x, problem, fx=fx)
 
-        x0 = sample_prior(problem.prior, stream)
+        x0 = problem.prior.sample(stream)
         try:
             minimize(run_one, x0, method="Nelder-Mead",
                      options={"maxiter": 10 * per_objective, "maxfev": 10 * per_objective,

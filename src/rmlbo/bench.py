@@ -32,10 +32,7 @@ from .problems import (
     LikelihoodSpec,
     ProblemSpec,
     SimulatorHandle,
-    log_likelihood,
-    log_prior,
     prior_from_dict,
-    sample_prior,
 )
 from .rml import objective, oracle_linear_rml
 from .seeding import STREAM_PROBLEM, STREAM_TRIAL, labeled_seed, labeled_stream
@@ -482,7 +479,8 @@ def project_active(samples, A, problem: ProblemSpec):
     with problem.simulator.analysis():
         for i, x in enumerate(xs):
             fx = problem.simulator(x)
-            logpost[i] = log_likelihood(x, problem, fx=fx) + log_prior(x, problem.prior)
+            logpost[i] = (problem.likelihood.gaussian.logpdf(problem.likelihood.data, mean=fx)
+                          + problem.prior.logpdf(x))
     return coords, logpost
 
 
@@ -490,7 +488,7 @@ def prior_landscape(problem: ProblemSpec, n_samples: int, rng: np.random.Generat
     """Fresh prior samples projected into the active subspace with
     log-posterior colors (offline analysis mode)."""
     A = getattr(problem.simulator, "active_matrix", None)
-    xs = np.stack([sample_prior(problem.prior, rng) for _ in range(n_samples)])
+    xs = np.stack([problem.prior.sample(rng) for _ in range(n_samples)])
     coords, logpost = project_active(xs, A, problem)
     return xs, coords, logpost
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import BoxPrior, GaussianSpec
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -62,7 +60,8 @@ def sample_embedding(input_dim: int, embed_dim: int, rng: np.random.Generator,
 
 def lift(emb: Embedding, y, prior) -> np.ndarray:
     """Map a low-dimensional point into the original space: ``x = R y``,
-    clipped into the box for uniform priors (no clipping for Gaussians).
+    clipped into the prior's support (``prior.clip``: the box for uniform
+    priors, unchanged for Gaussians).
 
     ``y`` outside the embedding's domain is a contract violation.
     """
@@ -72,9 +71,4 @@ def lift(emb: Embedding, y, prior) -> np.ndarray:
     if not emb.contains(y):
         raise ValueError(f"y {y!r} is outside the embedding domain "
                          f"[{emb.y_lower[0]}, {emb.y_upper[0]}]^{emb.embed_dim}")
-    x = emb.matrix @ y
-    if isinstance(prior, BoxPrior):
-        return prior.clip(x)
-    if isinstance(prior, GaussianSpec):
-        return x
-    raise TypeError(f"unsupported prior type {type(prior).__name__}")
+    return prior.clip(emb.matrix @ y)

@@ -4,9 +4,15 @@ Defines simulators, Gaussian and box priors, the Gaussian likelihood, and
 the dense SPD algebra (Cholesky factors, solves and the one Gaussian log
 density, ``GaussianSpec.logpdf``) that every other module builds on.
 
+Each prior owns its rules: ``logpdf(x, mean=None)`` (a box's is 0 inside
+and -inf outside, with no mean to recenter), ``clip(x)`` into its support
+(all of R^D for a Gaussian) and ``sample(rng)``.  No other module branches
+on the prior's kind to evaluate, clip or draw.
+
 Conventions:
   * all SPD solves go through cached lower Cholesky factors, never an
-    explicit inverse;
+    explicit inverse, and a matrix that fails to factor is an error: there
+    is no jitter retry;
   * out-of-support log densities are the IEEE ``-inf`` sentinel, which
     propagates through sums (``-inf + finite == -inf``) so an infeasible
     point can never win an argmax.
@@ -35,8 +41,8 @@ class SimulatorError(RuntimeError):
 def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of an SPD matrix.
 
-    On factorization failure a jitter of ``1e-10 * mean(diag)`` is added
-    once; a second failure is a hard error naming the matrix.
+    A failed factorization is a ``ValueError`` naming the matrix; a
+    semidefinite matrix is not rescued by added jitter.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -44,23 +50,20 @@ def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        jitter = 1e-10 * float(np.mean(np.diag(mat)))
-        try:
-            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            raise ValueError(f"{name} is not positive definite (Cholesky failed twice)")
+        raise ValueError(f"{name} is not positive definite") from None
 
 
 class GaussianSpec:
     """Dense multivariate Gaussian with a cached Cholesky factor.
 
-    The mean and ``covariance`` must be finite, and ``covariance`` symmetric
-    within 1e-12 relative tolerance and positive definite (one round of
-    diagonal jitter is tolerated).
+    The mean must be a finite vector, and ``covariance`` finite, symmetric
+    within 1e-12 relative tolerance and positive definite.
     """
 
     def __init__(self, mean, covariance, name: str = "covariance"):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        if self.mean.ndim != 1:
+            raise ValueError(f"{name}: the mean must be a vector, got shape {self.mean.shape}")
         cov = np.asarray(covariance, dtype=float)
         if cov.ndim == 0:
             cov = cov.reshape(1, 1)
@@ -99,6 +102,10 @@ class GaussianSpec:
             raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
         return -0.5 * (self.dim * LOG_2PI + self._log_det + float(w @ w))
 
+    def clip(self, x) -> np.ndarray:
+        """The support is all of R^D: ``x`` as a float array, unchanged."""
+        return np.asarray(x, dtype=float)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
         return self.mean + self.chol @ rng.standard_normal(self.dim)
@@ -114,8 +121,9 @@ class BoxPrior:
     def __post_init__(self):
         object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, dtype=float)))
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("box bounds must have matching shapes")
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+            raise ValueError(f"box bounds must be vectors of one shape, got "
+                             f"{self.lower.shape} and {self.upper.shape}")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("box prior requires finite bounds")
         if not np.all(self.lower < self.upper):
@@ -128,6 +136,11 @@ class BoxPrior:
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
         return bool((x >= self.lower).all() and (x <= self.upper).all())
+
+    def logpdf(self, x, mean=None) -> float:
+        """Unnormalized log density: 0 inside the box, -inf outside.  A box
+        has no mean to recenter, so ``mean`` is ignored."""
+        return 0.0 if self.contains(x) else NEG_INF
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -239,36 +252,6 @@ class ProblemSpec:
     @property
     def has_gaussian_prior(self) -> bool:
         return isinstance(self.prior, GaussianSpec)
-
-
-def log_likelihood(x, problem: ProblemSpec, fx=None) -> float:
-    """Gaussian log likelihood of the observed data at ``x``.
-
-    Consumes one simulator evaluation unless ``fx`` supplies the
-    pre-computed forward value, in which case no evaluation occurs and the
-    result is bit-identical to the direct path.
-    """
-    if fx is None:
-        fx = problem.simulator(np.asarray(x, dtype=float))
-    lik = problem.likelihood
-    return lik.gaussian.logpdf(lik.data, mean=fx)
-
-
-def log_prior(x, prior) -> float:
-    """Log prior density: 0 inside a box (unnormalized), -inf outside;
-    the full log density for Gaussian priors."""
-    if isinstance(prior, BoxPrior):
-        return 0.0 if prior.contains(x) else NEG_INF
-    if isinstance(prior, GaussianSpec):
-        return prior.logpdf(x)
-    raise TypeError(f"unsupported prior type {type(prior).__name__}")
-
-
-def sample_prior(prior, rng: np.random.Generator) -> np.ndarray:
-    """One draw from a box or Gaussian prior."""
-    if isinstance(prior, (BoxPrior, GaussianSpec)):
-        return prior.sample(rng)
-    raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
 
 def prior_from_dict(d: dict) -> "BoxPrior | GaussianSpec":

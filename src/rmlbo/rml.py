@@ -66,18 +66,15 @@ def objective(instance: RMLInstance, x, problem: ProblemSpec, fx=None) -> float:
 
     Gaussian prior: perturbed log likelihood plus the log prior density
     recentered on the perturbed mean.  Box prior: perturbed log likelihood
-    inside the box, -inf outside (short-circuited before any simulator
-    call, so infeasible points never consume budget).
+    inside the box, -inf outside.  A prior term of -inf short-circuits
+    before any simulator call, so infeasible points never consume budget.
     """
     x = np.asarray(x, dtype=float)
-    if problem.has_gaussian_prior:
-        if instance.prior_mean_n is None:
-            raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
-        prior_term = problem.prior.logpdf(x, mean=instance.prior_mean_n)
-    else:
-        if not problem.prior.contains(x):
-            return NEG_INF
-        prior_term = 0.0
+    if problem.has_gaussian_prior and instance.prior_mean_n is None:
+        raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
+    prior_term = problem.prior.logpdf(x, mean=instance.prior_mean_n)
+    if prior_term == NEG_INF:
+        return NEG_INF
     if fx is None:
         fx = problem.simulator(x)
     return problem.likelihood.gaussian.logpdf(instance.data_n, mean=fx) + prior_term

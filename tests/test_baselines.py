@@ -4,7 +4,6 @@ import pytest
 from rmlbo import bench
 from rmlbo.baselines import per_objective_local_search, random_design
 from rmlbo.hdbo import RunAborted
-from rmlbo.problems import log_prior
 from rmlbo.rml import draw_randomizations
 from rmlbo.seeding import STREAM_RANDOMIZE, labeled_stream
 
@@ -49,7 +48,7 @@ class TestRandomDesign:
         insts = drawn(prob, 2)
         res = random_design(prob, insts, 15, np.random.default_rng(4))
         for x in res.maximizers:
-            assert np.isfinite(log_prior(x, prob.prior))
+            assert np.isfinite(prob.prior.logpdf(x))
 
 
 class TestPerObjectiveLocalSearch:
@@ -103,7 +102,7 @@ class TestPerObjectiveLocalSearch:
         insts = drawn(prob, 2)
         res = per_objective_local_search(prob, insts, 30, np.random.default_rng(2))
         for rec in res.records:
-            assert log_prior(rec.x, prob.prior) == 0.0
+            assert prob.prior.logpdf(rec.x) == 0.0
 
     def test_budget_below_objective_count_rejected(self):
         prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0)

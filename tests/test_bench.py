@@ -6,7 +6,7 @@ import pytest
 
 from rmlbo import baselines, bench, hdbo
 from rmlbo.hdbo import ConfigError, HDBOConfig, RMLResult
-from rmlbo.problems import BoxPrior, GaussianSpec
+from rmlbo.problems import NEG_INF, BoxPrior, GaussianSpec
 from rmlbo.rml import draw_randomizations, objective
 from rmlbo.seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
 
@@ -347,6 +347,37 @@ class TestProjections:
         xs2, c2, lp2 = bench.prior_landscape(prob, 50, labeled_stream(3, STREAM_LANDSCAPE))
         assert xs1.shape == (50, 8)
         assert np.array_equal(c1, c2) and np.array_equal(lp1, lp2)
+
+    @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
+    def test_log_post_matches_the_free_function_reference_bits(self, prior):
+        def log_likelihood(x, problem, fx=None):
+            # reference: the log likelihood as a free function of the problem
+            if fx is None:
+                fx = problem.simulator(np.asarray(x, dtype=float))
+            lik = problem.likelihood
+            return lik.gaussian.logpdf(lik.data, mean=fx)
+
+        def log_prior(x, prior):
+            # reference: the log prior as a free function branching on its kind
+            if isinstance(prior, BoxPrior):
+                return 0.0 if prior.contains(x) else NEG_INF
+            if isinstance(prior, GaussianSpec):
+                return prior.logpdf(x)
+            raise TypeError(f"unsupported prior type {type(prior).__name__}")
+
+        prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0, prior=prior)
+        rng = np.random.default_rng(5)
+        # prior draws, and the same draws stretched out of a box's support
+        xs = np.stack([prob.prior.sample(rng) for _ in range(12)])
+        xs = np.concatenate([xs, 3.0 * xs])
+        A = prob.simulator.active_matrix
+        _, logpost = bench.project_active(xs, A, prob)
+        with prob.simulator.analysis():
+            ref = np.array([log_likelihood(x, prob, fx=prob.simulator(x))
+                            + log_prior(x, prob.prior) for x in xs])
+        assert logpost.tobytes() == ref.tobytes()
+        if prior == "uniform":
+            assert np.isneginf(logpost[12:]).any() and np.isfinite(logpost[:12]).all()
 
     def test_unavailable_subspace_is_error(self):
         prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0)

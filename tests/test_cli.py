@@ -295,7 +295,12 @@ class TestConfigPlumbing:
         ("prior", {"kind": "gaussian", "mean": [float("nan")] + [0] * 11,
                    "cov": np.eye(12).tolist()}),
         ("prior", {"kind": "gaussian", "mean": [0] * 12,
-                   "cov": np.diag([np.inf] * 12).tolist()})])
+                   "cov": np.diag([np.inf] * 12).tolist()}),
+        ("prior", {"kind": "box", "lower": [[-1] * 12], "upper": [[1] * 12]}),
+        ("prior", {"kind": "gaussian", "mean": [[0] * 12], "cov": np.eye(12).tolist()}),
+        ("likelihood", {"data": [[0, 0, 0]], "obs_cov": np.eye(3).tolist()}),
+        ("prior", {"kind": "gaussian", "mean": [0] * 12, "cov": np.ones((12, 12)).tolist()}),
+        ("likelihood", {"data": [0, 0, 0], "obs_cov": np.diag([1, 1, 0]).tolist()})])
     def test_bad_problem_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         base = LINEAR if field == "m" else BOWL
         cfg = {**base, "problem": {**base["problem"], field: value}}

@@ -17,7 +17,7 @@ from rmlbo.hdbo import (
     select_maximizers,
     write_trace,
 )
-from rmlbo.problems import GaussianSpec, log_prior
+from rmlbo.problems import GaussianSpec
 from rmlbo.rml import RMLInstance, draw_randomizations, objective
 from rmlbo.seeding import STREAM_RANDOMIZE, labeled_stream
 
@@ -310,7 +310,7 @@ class TestRunTrace:
     def test_maximizers_are_feasible(self, uniform_run):
         prob, _, _, res = uniform_run
         for x in res.maximizers:
-            assert log_prior(x, prob.prior) > -np.inf
+            assert prob.prior.logpdf(x) > -np.inf
 
     def test_selected_value_dominates_every_candidate(self, uniform_run):
         prob, insts, _, res = uniform_run

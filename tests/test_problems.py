@@ -13,10 +13,8 @@ from rmlbo.problems import (
     SimulatorError,
     SimulatorHandle,
     chol_spd,
-    log_likelihood,
-    log_prior,
-    sample_prior,
 )
+from rmlbo.rml import RMLInstance, objective
 
 
 def _log_gaussian_direct(x, mu, cov):
@@ -29,9 +27,9 @@ def _log_gaussian_direct(x, mu, cov):
     return float(-0.5 * (x.size * np.log(2 * np.pi) + logdet + r @ np.linalg.inv(cov) @ r))
 
 
-def identity_problem(d=1, data=None, obs_sd=1.0):
+def identity_problem(d=1, data=None, obs_sd=1.0, prior=None):
     sim = SimulatorHandle(lambda x: x.copy(), d, d)
-    prior = GaussianSpec(np.zeros(d), np.eye(d))
+    prior = GaussianSpec(np.zeros(d), np.eye(d)) if prior is None else prior
     data = np.zeros(d) if data is None else np.asarray(data, float)
     return ProblemSpec(sim, prior, LikelihoodSpec(data, obs_sd ** 2 * np.eye(d)))
 
@@ -85,12 +83,12 @@ class TestMahalanobis:
 
 
 class TestCholSpd:
-    def test_single_jitter_round_rescues_semidefinite(self):
-        # rank-deficient PSD matrix: one jitter round must make it factorizable
+    def test_semidefinite_matrix_is_rejected(self):
+        # rank-deficient PSD matrix: no jitter is added to rescue it
         v = np.array([1.0, 2.0])
         mat = np.outer(v, v)
-        L = chol_spd(mat, name="gram")
-        assert np.allclose(L @ L.T, mat, atol=1e-8)
+        with pytest.raises(ValueError, match="gram is not positive definite"):
+            chol_spd(mat, name="gram")
 
     def test_names_offender_on_failure(self):
         with pytest.raises(ValueError, match="prior covariance"):
@@ -154,14 +152,26 @@ class TestLogGaussianDensity:
             GaussianSpec([0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+def log_likelihood(x, prob, fx=None):
+    """The log likelihood of the observed data at ``x``, as ``objective``
+    gives it for the unperturbed data under a box prior that holds ``x``
+    (whose log density there is 0.0)."""
+    assert isinstance(prob.prior, BoxPrior) and prob.prior.contains(x)
+    return objective(RMLInstance(index=1, data_n=prob.likelihood.data), x, prob, fx=fx)
+
+
+def wide_box(d):
+    return BoxPrior(-10.0 * np.ones(d), 10.0 * np.ones(d))
+
+
 class TestLogLikelihood:
     def test_zero_residual(self):
-        prob = identity_problem(3, data=[0.5, -0.5, 1.0])
+        prob = identity_problem(3, data=[0.5, -0.5, 1.0], prior=wide_box(3))
         got = log_likelihood(np.array([0.5, -0.5, 1.0]), prob)
         assert got == pytest.approx(-1.5 * np.log(2 * np.pi))
 
     def test_scalar_residual_two(self):
-        prob = identity_problem(1, data=[2.0])
+        prob = identity_problem(1, data=[2.0], prior=wide_box(1))
         assert log_likelihood(np.array([0.0]), prob) == pytest.approx(
             -0.5 * np.log(2 * np.pi) - 2.0)
 
@@ -169,19 +179,21 @@ class TestLogLikelihood:
         rng = np.random.default_rng(7)
         d = 4
         data = rng.standard_normal(d)
-        prob = identity_problem(d, data=data, obs_sd=0.7)
+        prob = identity_problem(d, data=data, obs_sd=0.7, prior=wide_box(d))
         x = rng.standard_normal(d)
         direct = GaussianSpec(np.zeros(d), 0.49 * np.eye(d)).logpdf(data - x)
         assert log_likelihood(x, prob) == pytest.approx(direct, abs=1e-12)
 
     def test_precomputed_fx_is_bitwise_equal_and_free(self):
-        prob = identity_problem(2, data=[1.0, 2.0])
+        prob = identity_problem(2, data=[1.0, 2.0], prior=wide_box(2))
         x = np.array([0.3, 0.4])
         direct = log_likelihood(x, prob)
         before = prob.simulator.eval_counter
         via_fx = log_likelihood(x, prob, fx=x.copy())
         assert via_fx == direct
         assert prob.simulator.eval_counter == before
+        lik = prob.likelihood
+        assert lik.gaussian.logpdf(lik.data, mean=x.copy()) == direct
 
     def test_simulator_failure_carries_input(self):
         def bad(x):
@@ -198,16 +210,38 @@ class TestLogLikelihood:
 class TestLogPrior:
     def test_inside_box_is_zero(self):
         prior = BoxPrior([-1.0, -1.0], [1.0, 1.0])
-        assert log_prior(np.array([0.2, -0.9]), prior) == 0.0
+        assert prior.logpdf(np.array([0.2, -0.9])) == 0.0
 
     def test_outside_box_is_neg_inf(self):
         prior = BoxPrior([-1.0, -1.0], [1.0, 1.0])
-        assert log_prior(np.array([0.2, 1.5]), prior) == NEG_INF
+        assert prior.logpdf(np.array([0.2, 1.5])) == NEG_INF
+
+    def test_box_has_no_mean_to_recenter(self):
+        prior = BoxPrior([-1.0, -1.0], [1.0, 1.0])
+        far = np.array([5.0, 5.0])
+        assert prior.logpdf(np.array([0.2, -0.9]), mean=far) == 0.0
+        assert prior.logpdf(far, mean=far) == NEG_INF
 
     def test_gaussian_prior_delegates(self):
+        # objective's prior term is the Gaussian's own logpdf at the
+        # instance's perturbed mean
         spec = GaussianSpec([0.5], [[2.0]])
+        prob = identity_problem(1, data=[0.3], prior=spec)
+        inst = RMLInstance(index=1, data_n=[0.4], prior_mean_n=[-0.2])
         x = np.array([0.1])
-        assert log_prior(x, spec) == spec.logpdf(x)
+        lik = prob.likelihood.gaussian.logpdf(inst.data_n, mean=x)
+        assert objective(inst, x, prob) == lik + spec.logpdf(x, mean=inst.prior_mean_n)
+
+    def test_clip_projects_into_the_support(self):
+        box = BoxPrior([-1.0, 0.0], [1.0, 0.5])
+        np.testing.assert_array_equal(box.clip([2.0, -3.0]), [1.0, 0.0])
+        assert box.logpdf(box.clip([2.0, -3.0])) == 0.0
+        # a Gaussian's support is all of R^D: clip returns the point as floats
+        spec = GaussianSpec([0.0, 0.0], np.eye(2))
+        x = np.array([1e6, -3.0])
+        assert spec.clip(x) is x
+        got = spec.clip([1, 2])
+        assert got.dtype == float and got.tolist() == [1.0, 2.0]
 
     def test_contains_matches_reference_on_boundaries_and_nan(self):
         prior = BoxPrior([-1.0, 0.0, 2.5], [1.0, 0.5, 3.0])
@@ -228,8 +262,8 @@ class TestLogPrior:
     def test_box_samples_always_feasible(self, seed):
         rng = np.random.default_rng(seed)
         prior = BoxPrior([-2.0, 0.0, 1.0], [-1.0, 3.0, 1.5])
-        x = sample_prior(prior, rng)
-        assert log_prior(x, prior) == 0.0
+        x = prior.sample(rng)
+        assert prior.logpdf(x) == 0.0
 
 
 class TestSimulatorHandle:

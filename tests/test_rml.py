@@ -226,7 +226,7 @@ class TestPosteriorExactness:
 
     def test_failed_normal_factor_raises_value_error_for_both(self, monkeypatch):
         def failing(mat, name="matrix"):
-            raise ValueError(f"{name} is not positive definite (Cholesky failed twice)")
+            raise ValueError(f"{name} is not positive definite")
 
         monkeypatch.setattr("rmlbo.rml.chol_spd", failing)
         rng = np.random.default_rng(24)
