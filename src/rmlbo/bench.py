@@ -94,7 +94,7 @@ def _make_link(name: str, d: int, rng: np.random.Generator):
 
 def make_problem(name: str, D: int | None = None, d: int | None = None, seed: int = 0,
                  prior: str | None = None, noise_sd: float | None = None,
-                 m: int | None = None, fail_after: int | None = None) -> ProblemSpec:
+                 m: int | None = None) -> ProblemSpec:
     """Build a catalog problem, fully determined by ``seed``.
 
     ``prior`` selects "uniform" or "gaussian"; the linear-Gaussian problem
@@ -102,8 +102,6 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
     per-catalog default that may be overridden by ``noise_sd``.  Synthetic
     data is ``f(x_true) + noise`` for a seeded ``x_true`` (generated under
     the analysis counter, so fresh problems start at zero budget consumed).
-    ``fail_after`` wraps the simulator to raise after that many calls, for
-    exercising abort paths.
     """
     if name not in _DEFAULTS:
         raise ValueError(f"unknown problem name {name!r}; catalog: {', '.join(CATALOG)}")
@@ -155,53 +153,30 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
         clean = simulator(x_true)
     data = clean + sd * rng.standard_normal(m)
     likelihood = LikelihoodSpec(data, sd ** 2 * np.eye(m))
-
-    if fail_after is not None:
-        simulator = _failing_wrapper(simulator, int(fail_after))
     return ProblemSpec(simulator=simulator, prior=prior_spec, likelihood=likelihood)
-
-
-def _failing_wrapper(inner: SimulatorHandle, fail_after: int) -> SimulatorHandle:
-    """Test double: delegates to ``inner`` and raises once the call budget
-    is spent."""
-    state = {"left": fail_after}
-
-    def body(x):
-        if state["left"] <= 0:
-            raise RuntimeError("simulated hardware failure")
-        state["left"] -= 1
-        return inner._fn(x)
-
-    sim = SimulatorHandle(body, inner.input_dim, inner.output_dim,
-                          name=f"{inner.name}[failing]")
-    sim.active_matrix = getattr(inner, "active_matrix", None)
-    if hasattr(inner, "matrix"):
-        sim.matrix = inner.matrix
-    return sim
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
     """Instantiate a problem from its JSON form.
 
     Catalog fields: name (required), D, d, m, seed, prior ("uniform" or
-    "gaussian"), noise_sd, fail_after.  ``prior`` may instead be an explicit
-    object (kind + dense row-major arrays) and ``likelihood`` an explicit
+    "gaussian"), noise_sd.  ``prior`` may instead be an explicit object
+    (kind + dense row-major arrays) and ``likelihood`` an explicit
     {data, obs_cov} pair; both override the generated ingredients.  name is
-    a string; D, d, m (positive), seed and fail_after (non-negative) are
-    integers or null; noise_sd is a positive finite number (not a bool) or
-    null.
+    a string; D, d, m (positive) and seed (non-negative) are integers or
+    null; noise_sd is a positive finite number (not a bool) or null.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("problem: expected an object")
     if "name" not in cfg:
         raise ConfigError("problem.name: missing required field")
-    known = {"name", "D", "d", "m", "seed", "prior", "noise_sd", "fail_after", "likelihood"}
+    known = {"name", "D", "d", "m", "seed", "prior", "noise_sd", "likelihood"}
     for key in cfg:
         if key not in known:
             raise ConfigError(f"problem.{key}: unknown field")
     if not isinstance(cfg["name"], str):
         raise ConfigError(f"problem.name: expected a catalog name, got {cfg['name']!r}")
-    for key, minimum in (("D", 1), ("d", 1), ("m", 1), ("seed", 0), ("fail_after", 0)):
+    for key, minimum in (("D", 1), ("d", 1), ("m", 1), ("seed", 0)):
         if cfg.get(key) is not None:
             require_integer(f"problem.{key}", cfg[key], minimum)
     noise_sd = cfg.get("noise_sd")
@@ -218,8 +193,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     try:
         problem = make_problem(cfg["name"], D=cfg.get("D"), d=cfg.get("d"),
                                seed=cfg.get("seed") or 0, prior=prior_kind,
-                               noise_sd=noise_sd, m=cfg.get("m"),
-                               fail_after=cfg.get("fail_after"))
+                               noise_sd=noise_sd, m=cfg.get("m"))
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
     if isinstance(prior_cfg, dict):

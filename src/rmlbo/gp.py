@@ -9,8 +9,10 @@ a jitter floor rather than real observation noise.
 
 Both fits, :func:`fit` and :func:`fit_with_params`, train on one checked,
 deduplicated and standardized training set and its one squared-distance
-matrix.  Both evidence functions raise ValueError on a count mismatch; they
-and both fits raise one ValueError for a kernel matrix that fails to factor.
+matrix.  Both evidence functions raise ValueError on a count mismatch.
+Every factorization goes through one Cholesky call, which raises the one
+``ValueError("kernel matrix factorization failed: ...")`` that both
+evidence functions and both fits let through.
 
 The fitter concentrates the outputscale out of the evidence (the
 "concentrated likelihood" of kriging: Jones, Schonlau & Welch, J. Global
@@ -35,16 +37,15 @@ to its upper bound and the ratio to 1e-14, where the evidence carries
 roundoff of a few hundredths of a nat between nearby points and L-BFGS-B
 spends most of its evaluations in line searches that cannot succeed.  The
 bound also satisfies Higham's condition for Cholesky to complete,
-``20 n^1.5 cond u < 1`` (2002, ch. 10), up to ~460 points, so no jitter
-fallback stands behind the factorization.
+``20 n^1.5 cond u < 1`` (2002, ch. 10), up to ~460 points, so nothing
+stands behind the factorization: no jitter fallback, no sentinel evidence
+for a start that fails to factor, and no fallback hyperparameters.  A
+factorization that fails anyway raises out of the fit.
 
 Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
 given ``init`` (the sampler passes each embedding's previous
 hyperparameters, so only its first fit is cold) starts from ``init``,
-clipped into the current bounds, plus one log-uniform restart.  When every
-start fails to factor there is no ``q`` for the closed form: a warm fit
-falls back to ``init``, a cold one to ``o = 1`` (the scale of the
-standardized targets) at the best start's ``(l, r)``.
+clipped into the current bounds, plus one log-uniform restart.
 
 Each evidence gradient takes one LAPACK pass over the factor: ``dpotrf``
 factors, ``dpotrs`` solves for ``alpha`` and ``dpotri`` forms the inverse.
@@ -71,7 +72,6 @@ DUPLICATE_TOL = 1e-10
 FIT_RESTARTS = 5
 FIT_MAXITER = 100
 OUTPUTSCALE_BOUNDS = (1e-3, 1e3)
-FAILED_LML = 1e25   # negative evidence reported for a start that fails to factor
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ class GPModel:
     its inverse, and ``alpha`` solves that system for the standardized
     targets ``z``.  ``nfev`` and ``failed_starts`` describe the
     hyperparameter search of :func:`fit`: evidence evaluations over all
-    starts, and starts that ended without success or failed to factor (both
-    0 for :func:`fit_with_params`).
+    starts, and starts that L-BFGS-B ended without success (both 0 for
+    :func:`fit_with_params`).
     Empty models (n = 0) revert to the prior: mean ``target_mean``, sd equal
     to the outputscale.
     """
@@ -159,10 +159,11 @@ def _kernel_matrix(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
 
 
 def _cholesky(kn: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``kn`` (zero above the diagonal)."""
+    """Lower Cholesky factor of ``kn`` (zero above the diagonal).  A matrix
+    that fails to factor raises the module's one factorization ValueError."""
     chol, info = lapack.dpotrf(kn, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf failed with info={info}")
+        raise ValueError(f"kernel matrix factorization failed: dpotrf failed with info={info}")
     return chol
 
 
@@ -205,10 +206,7 @@ def log_marginal_likelihood_grad(inputs, targets,
     z = np.atleast_1d(np.asarray(targets, dtype=float))
     if inputs.shape[0] != z.size:
         raise ValueError("inputs and targets disagree on the number of points")
-    try:
-        return _grad_from(_sqdist(inputs, inputs), z, params)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"kernel matrix factorization failed: {exc}") from exc
+    return _grad_from(_sqdist(inputs, inputs), z, params)
 
 
 def _dedup_average(inputs: np.ndarray, targets: np.ndarray):
@@ -259,10 +257,7 @@ def _training_set(inputs, targets):
 
 
 def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) -> GPModel:
-    try:
-        _, chol, alpha = _factor(sqdist, z, params)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"kernel matrix factorization failed: {exc}") from exc
+    _, chol, alpha = _factor(sqdist, z, params)
     chol_inv, _ = lapack.dtrtri(chol, lower=1)
     return GPModel(inputs=inputs, raw_targets=raw_targets, target_mean=mean,
                    target_sd=sd, params=params, chol_factor=chol, alpha=alpha,
@@ -291,19 +286,15 @@ def fit(inputs, targets, rng: np.random.Generator,
     ``[NOISE_FLOOR, 1e-1]``, and ``o`` takes its closed-form maximizer.
     Without ``init`` it runs FIT_RESTARTS log-uniform starts.  With ``init``
     it starts from ``init`` mapped to those coordinates and clipped into
-    this fit's bounds, plus one log-uniform start.  If every start fails to
-    factor, the model keeps ``init``, or without one takes ``o = 1`` at the
-    best start.  The model records the search's ``nfev`` and
-    ``failed_starts``.
+    this fit's bounds, plus one log-uniform start.  The model records the
+    search's ``nfev`` and ``failed_starts``.  A kernel matrix that fails to
+    factor at any evaluation raises the factorization ValueError.
     """
     inputs, targets, sqdist, z, mean, sd = _training_set(inputs, targets)
     diam = _input_diameter(inputs)
 
     def neg_lml(theta):
-        try:
-            lml, grad, _ = _concentrated(sqdist, z, theta)
-        except np.linalg.LinAlgError:
-            return FAILED_LML, np.zeros(2)
+        lml, grad, _ = _concentrated(sqdist, z, theta)
         return -lml, -grad
 
     bounds = [
@@ -329,19 +320,12 @@ def fit(inputs, targets, rng: np.random.Generator,
         res = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B",
                        bounds=bounds, options={"maxiter": FIT_MAXITER})
         nfev += int(res.nfev)
-        failed += int(not res.success or not res.fun < FAILED_LML)
+        failed += int(not res.success)
         if best is None or res.fun < best.fun:
             best = res
     log_l, log_ratio = best.x
-    if best.fun < FAILED_LML:
-        log_o = _concentrated(sqdist, z, best.x)[2]
-        params = KernelParams(log_o, log_l, log_ratio + 2.0 * log_o)
-    elif init is not None:
-        params = init
-    else:
-        # no start factored, so no q for the closed form: o = 1, the scale
-        # of the standardized targets
-        params = KernelParams(0.0, log_l, log_ratio)
+    log_o = _concentrated(sqdist, z, best.x)[2]
+    params = KernelParams(log_o, log_l, log_ratio + 2.0 * log_o)
     model = _assemble(inputs, targets, sqdist, z, mean, sd, params)
     model.nfev, model.failed_starts = nfev, failed
     return model

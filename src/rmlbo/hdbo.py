@@ -46,6 +46,7 @@ REFIT_EVERY_UNTIL = 30   # full hyperparameter search while the ensemble is smal
 REFIT_PERIOD = 5         # afterwards, every 5th slot (factor-only updates between)
 ACQ_PROBES = 512
 ACQ_SWEEPS = 50
+ACQ_RESTARTS = 10
 
 
 class ConfigError(ValueError):
@@ -85,7 +86,6 @@ class HDBOConfig:
     d_e: int = 3
     n0: int = 5
     beta: float = 2.0
-    acq_restarts: int = 10
     prox_eta: float = 0.25
     seed: int = 0
 
@@ -94,7 +94,7 @@ class HDBOConfig:
         take Python or numpy integers but not bools, positive except ``seed``
         (non-negative); ``beta`` and ``prox_eta`` take any finite real
         number but a bool."""
-        for name in ("n_rml", "budget_N", "K", "d_e", "n0", "acq_restarts"):
+        for name in ("n_rml", "budget_N", "K", "d_e", "n0"):
             require_integer(name, getattr(self, name))
         require_integer("seed", self.seed, minimum=0)
         for name in ("beta", "prox_eta"):
@@ -196,19 +196,31 @@ def write_trace(records, path) -> None:
 
 
 def read_trace(path) -> list:
-    """Read a JSON-lines trace.  A record whose ``fx`` or ``f_refined`` is
-    not finite raises ValueError naming its line."""
+    """Read a JSON-lines trace.  A line that is not a JSON object, lacks a
+    record key, holds a value of the wrong type, or whose ``fx`` or
+    ``f_refined`` is not finite raises ValueError naming ``path:line``."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rec = SimulationRecord.from_dict(json.loads(line))
-                for name in ("fx", "f_refined"):
-                    value = getattr(rec, name)
-                    if value is not None and not np.isfinite(value).all():
-                        raise ValueError(f"{path}:{lineno}: {name} is not finite")
-                records.append(rec)
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+                rec = SimulationRecord.from_dict(row)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            for name in ("fx", "f_refined"):
+                value = getattr(rec, name)
+                if value is not None and not np.isfinite(value).all():
+                    raise ValueError(f"{path}:{lineno}: {name} is not finite")
+            records.append(rec)
     return records
 
 
@@ -224,14 +236,14 @@ def sobol_points(n: int, lower: np.ndarray, upper: np.ndarray,
 
 
 def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray],
-                         beta: float, rng: np.random.Generator,
-                         restarts: int = 10) -> np.ndarray:
+                         beta: float, rng: np.random.Generator) -> np.ndarray:
     """Approximate argmax of the UCB over a box.
 
-    Ranks 512 scrambled quasi-random probes, then runs coordinate-wise
-    refinement with adaptive step halving from the best ``restarts`` of
-    them; returns the best point seen, always inside the box.  The restart
-    points advance in lockstep so each sweep costs one batched UCB call.
+    Ranks ACQ_PROBES scrambled quasi-random probes, then runs coordinate-wise
+    refinement with adaptive step halving from the best ACQ_RESTARTS of
+    them, for at most ACQ_SWEEPS sweeps; returns the best point seen, always
+    inside the box.  The restart points advance in lockstep so each sweep
+    costs one batched UCB call.
     """
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
@@ -239,7 +251,7 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     probes = sobol_points(ACQ_PROBES, lower, upper, rng)
     vals = np.atleast_1d(gp.ucb(model, probes, beta))
     order = np.argsort(-vals)
-    take = min(restarts, probes.shape[0])
+    take = min(ACQ_RESTARTS, probes.shape[0])
     ys = probes[order[:take]]
     fys = vals[order[:take]].astype(float)
     width = upper - lower
@@ -428,8 +440,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
                 last_full_fit = m
             else:
                 model = gp.fit_with_params(train_y, train_z, params)
-            y = acquisition_maximize(model, (emb.y_lower, emb.y_upper), config.beta,
-                                     acq_rng, restarts=config.acq_restarts)
+            y = acquisition_maximize(model, (emb.y_lower, emb.y_upper), config.beta, acq_rng)
         x = lift(emb, y, problem.prior)
         fx = problem.simulator(x)
         refined_z = f_refined = None

@@ -6,8 +6,9 @@ density, ``GaussianSpec.logpdf``) that every other module builds on.
 
 Each prior owns its rules: ``logpdf(x, mean=None)`` (a box's is 0 inside
 and -inf outside, with no mean to recenter), ``clip(x)`` into its support
-(all of R^D for a Gaussian) and ``sample(rng)``.  No other module branches
-on the prior's kind to evaluate, clip or draw.
+(all of R^D for a Gaussian) and ``sample(rng)``.  ``logpdf`` and ``clip``
+of either prior reject a point whose shape is not ``(dim,)``.  No other
+module branches on the prior's kind to evaluate, clip or draw.
 
 Conventions:
   * all SPD solves go through cached lower Cholesky factors, never an
@@ -36,6 +37,17 @@ class SimulatorError(RuntimeError):
     def __init__(self, message, x):
         super().__init__(message)
         self.x = np.asarray(x, dtype=float)
+
+
+def _point(x, dim: int, name: str) -> np.ndarray:
+    """``x`` as a float vector (a scalar counts as a 1-vector); ValueError
+    unless its shape is ``(dim,)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape == (dim,):
+        return x
+    if x.ndim == 0:   # np.atleast_1d's rule, kept off the hot path
+        return _point(x.reshape(1), dim, name)
+    raise ValueError(f"point of shape {x.shape} against {name} of dimension {dim}")
 
 
 def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -90,11 +102,7 @@ class GaussianSpec:
     def logpdf(self, x, mean=None) -> float:
         """Log density at the point ``x``; ``mean`` recenters the density
         while keeping this covariance and its factor."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(
-                f"point of shape {x.shape} against {self.name} of dimension {self.dim}")
-        r = x - (self.mean if mean is None else mean)
+        r = _point(x, self.dim, self.name) - (self.mean if mean is None else mean)
         # solve L w = r as L^T's transposed system: the Fortran-ordered view
         # of this C-ordered factor, exactly what solve_triangular runs
         w, info = lapack.dtrtrs(self.chol.T, r, lower=0, trans=1, overwrite_b=1)
@@ -104,7 +112,7 @@ class GaussianSpec:
 
     def clip(self, x) -> np.ndarray:
         """The support is all of R^D: ``x`` as a float array, unchanged."""
-        return np.asarray(x, dtype=float)
+        return _point(x, self.dim, self.name)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
@@ -140,10 +148,10 @@ class BoxPrior:
     def logpdf(self, x, mean=None) -> float:
         """Unnormalized log density: 0 inside the box, -inf outside.  A box
         has no mean to recenter, so ``mean`` is ignored."""
-        return 0.0 if self.contains(x) else NEG_INF
+        return 0.0 if self.contains(_point(x, self.dim, "box prior")) else NEG_INF
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+    def clip(self, x) -> np.ndarray:
+        return np.clip(_point(x, self.dim, "box prior"), self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)

@@ -112,15 +112,15 @@ class TestPerObjectiveLocalSearch:
 
 
 class TestAbort:
-    def test_random_design_preserves_partial_trace(self):
-        prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0, fail_after=7)
+    def test_random_design_preserves_partial_trace(self, fail_after):
+        prob = fail_after(bench.make_problem("quadratic-bowl", D=8, d=2, seed=0), 7)
         insts = drawn(prob, 2)
         with pytest.raises(RunAborted) as err:
             random_design(prob, insts, 20, np.random.default_rng(0))
         assert len(err.value.records) == 7
 
-    def test_local_search_preserves_partial_trace(self):
-        prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0, fail_after=5)
+    def test_local_search_preserves_partial_trace(self, fail_after):
+        prob = fail_after(bench.make_problem("quadratic-bowl", D=8, d=2, seed=0), 5)
         insts = drawn(prob, 2)
         with pytest.raises(RunAborted) as err:
             per_objective_local_search(prob, insts, 20, np.random.default_rng(0))

@@ -84,9 +84,19 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "buget_N" in capsys.readouterr().err
 
-    def test_simulator_failure_exits_3_with_partial_trace(self, tmp_path, capsys):
-        cfg = {**BOWL, "problem": {**BOWL["problem"], "fail_after": 10}}
-        path = write_config(tmp_path, cfg)
+    def test_acq_restarts_is_not_a_run_option(self, tmp_path, capsys):
+        # the acquisition's start count is hdbo.ACQ_RESTARTS, like its probe
+        # and sweep counts
+        path = write_config(tmp_path, {**BOWL, "acq_restarts": 10})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert "unknown field 'acq_restarts'" in capsys.readouterr().err
+
+    def test_simulator_failure_exits_3_with_partial_trace(self, tmp_path, capsys,
+                                                          monkeypatch, fail_after):
+        real = bench.problem_from_config
+        monkeypatch.setattr(bench, "problem_from_config",
+                            lambda cfg: fail_after(real(cfg), 10))
+        path = write_config(tmp_path, BOWL)
         out = tmp_path / "x"
         assert main(["run", "--config", path, "--out", str(out)]) == 3
         lines = (out / "trace.jsonl").read_text().strip().splitlines()
@@ -98,9 +108,9 @@ class TestRun:
         assert "simulator failed" in report["error"]
         assert report["method"] == "hdbo-rml"
         assert report["seed"] == BOWL["seed"]
-        assert report["config"]["problem"]["fail_after"] == 10
         assert report["n_evals"] == 10
-        assert report["analysis_evals"] == 0
+        # the data draw that built the problem, as in a run that completes
+        assert report["analysis_evals"] == 1
 
     @pytest.mark.parametrize("method,make", [
         ("random-design", bench.random_design_method),
@@ -205,6 +215,39 @@ class TestCompare:
         assert "nan.jsonl:1: fx is not finite" in capsys.readouterr().err
         curves = cmp_out / "curves.csv"
         assert not curves.exists() or "inf" not in curves.read_text()
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "bad.jsonl:2: not JSON"),
+        ("{}", "bad.jsonl:2: missing key 'emb_index'")], ids=["not-json", "empty-object"])
+    def test_external_trace_with_a_malformed_line_exits_3_naming_it(self, tmp_path, capsys,
+                                                                    line, message):
+        run_cfg = write_config(tmp_path, BOWL, "run.json")
+        out = tmp_path / "donor"
+        assert main(["run", "--config", run_cfg, "--out", str(out)]) == 0
+        rows = (out / "trace.jsonl").read_text().splitlines()
+        rows[1] = line
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("".join(row + "\n" for row in rows))
+        methods = [{"name": "ext", "trace": str(trace)}]
+        cmp_cfg = write_config(tmp_path, {**BOWL, "methods": methods, "trials": 1}, "cmp.json")
+        assert main(["compare", "--config", cmp_cfg, "--out", str(tmp_path / "cmp")]) == 3
+        assert f"runtime failure: {trace.parent}/{message}" in capsys.readouterr().err
+
+    def test_external_trace_point_of_the_wrong_dimension_exits_3(self, tmp_path, capsys):
+        # unchecked, a one-coordinate x would broadcast against the 12-D
+        # box bounds and score as feasible
+        run_cfg = write_config(tmp_path, BOWL, "run.json")
+        out = tmp_path / "donor"
+        assert main(["run", "--config", run_cfg, "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        rows[0]["x"] = [0.0]
+        trace = tmp_path / "short.jsonl"
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        methods = [{"name": "ext", "trace": str(trace)}]
+        cmp_cfg = write_config(tmp_path, {**BOWL, "methods": methods, "trials": 1}, "cmp.json")
+        assert main(["compare", "--config", cmp_cfg, "--out", str(tmp_path / "cmp")]) == 3
+        assert "point of shape (1,) against box prior of dimension 12" in \
+            capsys.readouterr().err
 
     def test_bool_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BOWL, "methods": ["random-design"],
@@ -319,7 +362,7 @@ class TestConfigPlumbing:
         assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
 
     def test_null_problem_fields_keep_their_defaults(self, tmp_path):
-        nulls = {"seed": None, "fail_after": None, "m": None}
+        nulls = {"seed": None, "m": None}
         outs = []
         for i, problem in enumerate(({**BOWL["problem"], **nulls},
                                      {**BOWL["problem"], "seed": 0})):

@@ -31,9 +31,10 @@ def drawn(problem, n_rml, seed=11):
     return draw_randomizations(problem, n_rml, labeled_stream(seed, STREAM_RANDOMIZE))
 
 
-def ref_acquisition_maximize(model, domain, beta, rng, restarts=10):
-    """The per-coordinate formulation of the acquisition sweep, kept as the
-    reference; returns the point and the number of sweeps run."""
+def ref_acquisition_maximize(model, domain, beta, rng, restarts):
+    """The per-coordinate formulation of the acquisition sweep from the best
+    ``restarts`` probes, kept as the reference; returns the point and the
+    number of sweeps run."""
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     d = lower.size
@@ -114,14 +115,15 @@ class TestAcquisitionMaximize:
             assert np.all(y >= lo) and np.all(y <= hi)
 
     @pytest.mark.parametrize("n", [0, 1, 25, 95])
-    def test_bits_match_per_coordinate_reference(self, n):
+    def test_bits_match_per_coordinate_reference(self, n, monkeypatch):
         for b, (lo, hi) in enumerate(ACQ_BOXES):
             model = acquisition_model(n, 30 + n + b, lo, hi)
             for restarts in (1, 10):
+                monkeypatch.setattr(hdbo, "ACQ_RESTARTS", restarts)
                 for beta in (0.0, 2.0):
                     seed = 1000 * n + 100 * b + 10 * restarts + int(beta)
                     y = acquisition_maximize(model, (lo, hi), beta,
-                                             np.random.default_rng(seed), restarts=restarts)
+                                             np.random.default_rng(seed))
                     ref, _ = ref_acquisition_maximize(model, (lo, hi), beta,
                                                       np.random.default_rng(seed), restarts)
                     assert y.tobytes() == ref.tobytes()
@@ -140,7 +142,8 @@ class TestAcquisitionMaximize:
             return real_ucb(model, y, beta)
 
         monkeypatch.setattr(gp, "ucb", spy)
-        acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(9), restarts=4)
+        monkeypatch.setattr(hdbo, "ACQ_RESTARTS", 4)
+        acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(9))
         assert len(sizes) == 1 + sweeps
         assert sizes == [hdbo.ACQ_PROBES] + [4 * 2 * lo.size] * sweeps
         if n == 0:
@@ -353,6 +356,26 @@ class TestRunTrace:
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
             with pytest.raises(ValueError, match=f"{field}.jsonl:3: {field} is not finite"):
                 read_trace(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: "{not json", r"bad.jsonl:3: not JSON: Expecting property name"),
+        (lambda row: "[1, 2]", "bad.jsonl:3: expected a JSON object, got list"),
+        (lambda row: "{}", "bad.jsonl:3: missing key 'emb_index'"),
+        (lambda row: json.dumps({k: v for k, v in row.items() if k != "fx"}),
+         "bad.jsonl:3: missing key 'fx'"),
+        (lambda row: json.dumps({**row, "x": "left"}), "bad.jsonl:3: could not convert"),
+        (lambda row: json.dumps({**row, "x": {"a": 1}}), "bad.jsonl:3: float"),
+        (lambda row: json.dumps({**row, "iteration": None}), "bad.jsonl:3: int"),
+    ], ids=["not-json", "not-an-object", "empty-object", "missing-fx",
+            "string-x", "object-x", "null-iteration"])
+    def test_read_names_the_line_of_a_malformed_record(self, uniform_run, tmp_path,
+                                                       edit, message):
+        rows = [json.dumps(rec.to_dict()) for rec in uniform_run[3].records[:5]]
+        rows[2] = edit(json.loads(rows[2]))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(row + "\n" for row in rows))
+        with pytest.raises(ValueError, match=message):
+            read_trace(path)
 
 
 class TestGaussianPath:
@@ -593,8 +616,8 @@ class TestReductionToSingleObjectiveBO:
 
 
 class TestAbort:
-    def test_simulator_failure_preserves_partial_trace(self):
-        prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0, fail_after=17)
+    def test_simulator_failure_preserves_partial_trace(self, fail_after):
+        prob = fail_after(bench.make_problem("quadratic-bowl", D=10, d=2, seed=0), 17)
         insts = drawn(prob, 2)
         cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
         with pytest.raises(RunAborted) as err:

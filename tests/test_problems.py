@@ -243,6 +243,26 @@ class TestLogPrior:
         got = spec.clip([1, 2])
         assert got.dtype == float and got.tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("point, shape", [
+        (0.5, (1,)), ([0.5], (1,)), ([0.5] * 11, (11,)), ([0.5] * 13, (13,)),
+        (np.zeros((1, 12)), (1, 12)), (np.zeros((12, 1)), (12, 1)),
+        (np.zeros((2, 12)), (2, 12))],
+        ids=["scalar", "one", "short", "long", "row", "column", "batch"])
+    @pytest.mark.parametrize("kind", ["box", "gaussian"])
+    def test_logpdf_and_clip_reject_a_point_of_the_wrong_shape(self, kind, point, shape):
+        # unchecked, a short point broadcasts against the 12-D box bounds:
+        # logpdf(0.5) would read 0.0 and clip([0.5]) return 12 values
+        prior, name = ((BoxPrior(-np.ones(12), np.ones(12)), "box prior") if kind == "box"
+                       else (GaussianSpec(np.zeros(12), np.eye(12)), "covariance"))
+        message = rf"point of shape \({', '.join(map(str, shape))},?\) against {name} " \
+                  r"of dimension 12"
+        with pytest.raises(ValueError, match=message):
+            prior.logpdf(point)
+        with pytest.raises(ValueError, match=message):
+            prior.clip(point)
+        assert prior.logpdf(np.full(12, 0.5)) > NEG_INF
+        assert prior.clip(np.full(12, 0.5)).shape == (12,)
+
     def test_contains_matches_reference_on_boundaries_and_nan(self):
         prior = BoxPrior([-1.0, 0.0, 2.5], [1.0, 0.5, 3.0])
         points = [prior.lower, prior.upper, [1.0, 0.0, 2.75], [-1.0, 0.5, 3.0],
