@@ -263,10 +263,11 @@ def trace_method(path, name: str) -> Method:
     """Method backed by a JSON-lines trace file (one simulation record per
     line); every trial replays the same recorded candidates.  The trace is
     adopted through the standard final selection, so third-party
-    optimizers compare on equal footing."""
+    optimizers compare on equal footing.  Each record's forward values must
+    have the problem's output length: the log-density does not check it."""
 
     def runner(problem, instances, seed):
-        return select_maximizers(read_trace(path), instances, problem)
+        return select_maximizers(read_trace(path, problem.output_dim), instances, problem)
 
     return Method(name, runner)
 

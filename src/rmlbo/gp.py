@@ -50,12 +50,14 @@ clipped into the current bounds, plus one log-uniform restart.
 Each evidence gradient takes one LAPACK pass over the factor: ``dpotrf``
 factors, ``dpotrs`` solves for ``alpha`` and ``dpotri`` forms the inverse.
 A fitted model caches the inverse factor, so a prediction is one GEMM.
-These paths run tens of thousands of times per run on small matrices, so
-they build their arrays in place: the kernel in one new array, the noise
-added on the diagonal, the inverse symmetrized by adding its transpose.
-Each gives the same bits as the plain expression (``o^2 exp(-d / 2 l^2)``,
-``K + noise * np.eye(n)``, ``K + np.tril(K, -1).T``), which the tests keep
-as their reference.
+These paths, and :func:`predict` behind every UCB call, run tens of
+thousands of times per run on small matrices, so they build their arrays in
+place: the evidence's kernel in one new array and :func:`predict`'s in its
+fresh distance matrix, the noise added on the diagonal, the inverse
+symmetrized by adding its transpose, and the evidence's gradient product
+in ``M``.  Each gives the same bits as the plain expression
+(``o^2 exp(-d / 2 l^2)``, ``K + noise * np.eye(n)``, ``K + np.tril(K, -1).T``,
+``np.sum(M * K_l * D)``), which the tests keep as their reference.
 """
 
 import math
@@ -149,12 +151,16 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b, metric="sqeuclidean")
 
 
-def _kernel_matrix(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel values for squared distances, built in one new array
-    (``sqdist`` is left untouched)."""
-    k = np.divide(sqdist, -2.0 * params.lengthscale ** 2)
+def _kernel_matrix(sqdist: np.ndarray, lengthscale: float,
+                   outputscale: float | None = None, out: np.ndarray | None = None):
+    """Kernel values ``o^2 exp(-d / 2 l^2)`` for squared distances ``d``,
+    built in ``out``: a new array by default, or ``sqdist`` itself when the
+    caller owns a fresh one.  ``outputscale=None`` is the unit outputscale
+    of the concentrated evidence, which needs no multiply."""
+    k = np.divide(sqdist, -2.0 * lengthscale ** 2, out=out)
     np.exp(k, out=k)
-    np.multiply(k, params.outputscale ** 2, out=k)
+    if outputscale is not None:
+        np.multiply(k, outputscale ** 2, out=k)
     return k
 
 
@@ -167,11 +173,12 @@ def _cholesky(kn: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _factor(sqdist: np.ndarray, z: np.ndarray, params: KernelParams):
+def _factor(sqdist: np.ndarray, z: np.ndarray, lengthscale: float, noise_var: float,
+            outputscale: float | None = None):
     """Kernel matrix, lower factor of ``K + noise * I`` and ``alpha``."""
-    k_rbf = _kernel_matrix(sqdist, params)
+    k_rbf = _kernel_matrix(sqdist, lengthscale, outputscale)
     kn = k_rbf.copy()
-    kn.flat[::z.size + 1] += params.noise_var
+    kn.flat[::z.size + 1] += noise_var
     chol = _cholesky(kn)
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
     return k_rbf, chol, alpha
@@ -257,7 +264,8 @@ def _training_set(inputs, targets):
 
 
 def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) -> GPModel:
-    _, chol, alpha = _factor(sqdist, z, params)
+    _, chol, alpha = _factor(sqdist, z, params.lengthscale, params.noise_var,
+                             params.outputscale)
     chol_inv, _ = lapack.dtrtri(chol, lower=1)
     return GPModel(inputs=inputs, raw_targets=raw_targets, target_mean=mean,
                    target_sd=sd, params=params, chol_factor=chol, alpha=alpha,
@@ -335,26 +343,30 @@ def _concentrated(sqdist, z, theta):
     """Evidence maximized over the outputscale at ``theta = (log l,
     log(noise / o^2))``, its gradient in ``theta`` and the maximizing
     ``log o``, clamped into OUTPUTSCALE_BOUNDS."""
-    unit = KernelParams(0.0, theta[0], theta[1])   # factors A = K_l + r I
-    k_unit, chol, alpha = _factor(sqdist, z, unit)
+    lengthscale, ratio = math.exp(theta[0]), math.exp(theta[1])
+    k_unit, chol, alpha = _factor(sqdist, z, lengthscale, ratio)   # A = K_l + r I
     n = z.size
     q = float(z @ alpha)
     lo, hi = OUTPUTSCALE_BOUNDS
     o2 = min(max(q / n, lo ** 2), hi ** 2)
-    lml = -0.5 * q / o2 - float(np.sum(np.log(np.diag(chol)))) \
+    lml = -0.5 * q / o2 - float(np.log(chol.diagonal()).sum()) \
         - 0.5 * n * math.log(2.0 * math.pi * o2)
-    w = np.outer(alpha, alpha)
+    w = alpha[:, None] * alpha
     w /= o2
     w -= _inverse(chol)
+    trace_w = float(w.trace())
+    w *= k_unit
+    w *= sqdist
     grad = np.array([
-        0.5 * float(np.sum(w * k_unit * sqdist)) / unit.lengthscale ** 2,
-        0.5 * unit.noise_var * float(np.trace(w)),
+        0.5 * float(w.sum()) / lengthscale ** 2,
+        0.5 * ratio * trace_w,
     ])
     return lml, grad, 0.5 * math.log(o2)
 
 
 def _grad_from(sqdist, z, params: KernelParams):
-    k_rbf, chol, alpha = _factor(sqdist, z, params)
+    k_rbf, chol, alpha = _factor(sqdist, z, params.lengthscale, params.noise_var,
+                                 params.outputscale)
     lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
         - 0.5 * z.size * math.log(2.0 * math.pi)
     w = np.outer(alpha, alpha) - _inverse(chol)
@@ -374,7 +386,7 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
-    pts = np.atleast_2d(y)
+    pts = y if y.ndim == 2 else np.atleast_2d(y)
     o = model.params.outputscale
     if model.n_train == 0:
         mean = np.full(pts.shape[0], model.target_mean)
@@ -384,7 +396,8 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
             raise ValueError(
                 f"query dimension {pts.shape[1]} does not match model "
                 f"dimension {model.inputs.shape[1]}")
-        k_star = _kernel_matrix(_sqdist(model.inputs, pts), model.params)
+        sqdist = _sqdist(model.inputs, pts)
+        k_star = _kernel_matrix(sqdist, model.params.lengthscale, o, out=sqdist)
         mean_norm = k_star.T @ model.alpha
         v = model.chol_inv @ k_star
         np.square(v, out=v)

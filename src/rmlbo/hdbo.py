@@ -155,6 +155,11 @@ class SimulationRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationRecord":
+        """Record from :meth:`to_dict`'s form; an index or iteration that is
+        not an integer (a float or a bool) raises ValueError naming its key."""
+        for key in ("emb_index", "iteration", "objective_index"):
+            if not _is_integer(d[key]):
+                raise ValueError(f"{key}: expected an integer, got {d[key]!r}")
         arr = lambda v: None if v is None else np.asarray(v, dtype=float)
         return cls(emb_index=int(d["emb_index"]), y=arr(d["y"]),
                    x=np.asarray(d["x"], dtype=float), fx=np.asarray(d["fx"], dtype=float),
@@ -195,10 +200,11 @@ def write_trace(records, path) -> None:
     atomic_write(path, "".join(json.dumps(rec.to_dict()) + "\n" for rec in records))
 
 
-def read_trace(path) -> list:
+def read_trace(path, output_dim: int | None = None) -> list:
     """Read a JSON-lines trace.  A line that is not a JSON object, lacks a
     record key, holds a value of the wrong type, or whose ``fx`` or
-    ``f_refined`` is not finite raises ValueError naming ``path:line``."""
+    ``f_refined`` is not finite (or, given ``output_dim``, not of that
+    length) raises ValueError naming ``path:line``."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -218,7 +224,12 @@ def read_trace(path) -> list:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             for name in ("fx", "f_refined"):
                 value = getattr(rec, name)
-                if value is not None and not np.isfinite(value).all():
+                if value is None:
+                    continue
+                if output_dim is not None and value.shape != (output_dim,):
+                    raise ValueError(f"{path}:{lineno}: {name} has shape {value.shape}, "
+                                     f"expected ({output_dim},)")
+                if not np.isfinite(value).all():
                     raise ValueError(f"{path}:{lineno}: {name} is not finite")
             records.append(rec)
     return records
@@ -243,38 +254,48 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     refinement with adaptive step halving from the best ACQ_RESTARTS of
     them, for at most ACQ_SWEEPS sweeps; returns the best point seen, always
     inside the box.  The restart points advance in lockstep so each sweep
-    costs one batched UCB call.
+    costs one batched UCB call.  Each sweep writes its ``(starts, 2 d, d)``
+    candidates into one buffer allocated per call, and updates the starts
+    by mask: an improved start takes its best candidate and value
+    (``np.copyto(..., where=improved)``) and keeps its steps, the others keep
+    their point and value and halve their steps.
     """
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     d = lower.size
     probes = sobol_points(ACQ_PROBES, lower, upper, rng)
-    vals = np.atleast_1d(gp.ucb(model, probes, beta))
+    vals = gp.ucb(model, probes, beta)
     order = np.argsort(-vals)
     take = min(ACQ_RESTARTS, probes.shape[0])
     ys = probes[order[:take]]
-    fys = vals[order[:take]].astype(float)
+    fys = vals[order[:take]]
     width = upper - lower
     floor = 1e-12 * width
-    steps = np.broadcast_to(0.25 * width, (take, d)).copy()
-    rows = np.arange(take)
+    steps = np.broadcast_to(0.25 * width, (take, 1, d)).copy()
     # candidate 2j moves coordinate j up by its step, 2j + 1 down; the other
     # coordinates add a zero, and a move never crosses the far bound, so
     # clipping every coordinate equals clipping the moved one
     eye = np.eye(d)
     moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
+    cands = np.empty((take, 2 * d, d))
+    flat = cands.reshape(-1, d)
+    centers = ys[:, None, :]               # a view: follows the updates of ys
+    first = np.arange(0, take * 2 * d, 2 * d)   # each start's first row in flat
     for _ in range(ACQ_SWEEPS):
-        cands = ys[:, None, :] + moves * steps[:, None, :]
+        np.multiply(moves, steps, out=cands)
+        cands += centers
         np.minimum(cands, upper, out=cands)
         np.maximum(cands, lower, out=cands)
-        cv = np.atleast_1d(gp.ucb(model, cands.reshape(-1, d), beta)).reshape(take, 2 * d)
-        pick = np.argmax(cv, axis=1)
-        pick_val = cv[rows, pick]
+        cv = gp.ucb(model, flat, beta)
+        pick = cv.reshape(take, 2 * d).argmax(axis=1)
+        pick += first
+        pick_val = cv[pick]
         improved = pick_val > fys
-        if improved.any():
-            ys[improved] = cands[rows, pick][improved]
-            fys[improved] = pick_val[improved]
-        steps[~improved] *= 0.5
+        # a start that improved moves and keeps its steps; the others stay
+        # and halve theirs (x * 1.0 is x, bit for bit)
+        np.copyto(ys, flat[pick], where=improved[:, None])
+        np.copyto(fys, pick_val, where=improved)
+        steps *= np.where(improved, 1.0, 0.5)[:, None, None]
         if (steps < floor).all():
             break
     # refinement only ever improves on a start's probe value, so the argmax

@@ -249,6 +249,25 @@ class TestCompare:
         assert "point of shape (1,) against box prior of dimension 12" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("prior, field", [("uniform", "fx"), ("gaussian", "f_refined")])
+    def test_external_trace_with_a_short_forward_value_exits_3_naming_it(
+            self, tmp_path, capsys, prior, field):
+        # unchecked, a one-value forward map would broadcast against the
+        # problem's 3 data values and score as if the simulator returned it
+        cfg = {**BOWL, "problem": {**BOWL["problem"], "prior": prior}}
+        out = tmp_path / "donor"
+        assert main(["run", "--config", write_config(tmp_path, cfg, "run.json"),
+                     "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        rows[1][field] = [0.0]
+        trace = tmp_path / "short.jsonl"
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        methods = [{"name": "ext", "trace": str(trace)}]
+        cmp_cfg = write_config(tmp_path, {**cfg, "methods": methods, "trials": 1}, "cmp.json")
+        assert main(["compare", "--config", cmp_cfg, "--out", str(tmp_path / "cmp")]) == 3
+        assert f"short.jsonl:2: {field} has shape (1,), expected (3,)" in \
+            capsys.readouterr().err
+
     def test_bool_checkpoint_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BOWL, "methods": ["random-design"],
                                        "checkpoints": [True, 48]})

@@ -55,6 +55,31 @@ def ref_predict(model, pts):
             model.target_sd * np.sqrt(var_norm))
 
 
+def ref_concentrated(sqdist, z, theta):
+    """The concentrated evidence as first written: a unit-outputscale
+    KernelParams per evaluation, its kernel multiplied by 1.0, np.outer, and
+    the gradient product in fresh arrays."""
+    unit = gp.KernelParams(0.0, theta[0], theta[1])
+    n = z.size
+    k_unit = ref_kernel_matrix(sqdist, unit)
+    chol, info = lapack.dpotrf(k_unit + unit.noise_var * np.eye(n), lower=1)
+    assert info == 0
+    alpha, _ = lapack.dpotrs(chol, z, lower=1)
+    q = float(z @ alpha)
+    lo, hi = gp.OUTPUTSCALE_BOUNDS
+    o2 = min(max(q / n, lo ** 2), hi ** 2)
+    lml = -0.5 * q / o2 - float(np.sum(np.log(np.diag(chol)))) \
+        - 0.5 * n * np.log(2.0 * np.pi * o2)
+    k_inv, _ = lapack.dpotri(chol, lower=1)
+    k_inv += np.tril(k_inv, -1).T
+    w = np.outer(alpha, alpha) / o2 - k_inv
+    grad = np.array([
+        0.5 * float(np.sum(w * k_unit * sqdist)) / unit.lengthscale ** 2,
+        0.5 * unit.noise_var * float(np.trace(w)),
+    ])
+    return lml, grad, 0.5 * np.log(o2)
+
+
 def ref_dedup_groups(inputs):
     """The greedy grouping: each unassigned row takes every unassigned row
     within DUPLICATE_TOL of it."""
@@ -381,6 +406,25 @@ class TestLogMarginalLikelihood:
             lml, grad = gp.log_marginal_likelihood_grad(X, z, params)
             ref_lml, ref_grad = ref_lml_grad(X, z, params)
             assert bits(lml, grad) == bits(ref_lml, ref_grad)
+
+    @pytest.mark.parametrize("n", [1, 25, 95])
+    def test_concentrated_bits_match_reference(self, n):
+        # the theta grid and target scales put the outputscale at both
+        # clamps and inside them
+        rng = np.random.default_rng(300 + n)
+        X = rng.uniform(-1.5, 1.5, (n, 3))
+        sqdist = cdist(X, X, metric="sqeuclidean")
+        z = rng.standard_normal(n)
+        lo, hi = np.log(gp.OUTPUTSCALE_BOUNDS)
+        log_os = set()
+        for scale in (1e-5, 1.0, 1e4):
+            for log_l in np.log([0.01, 0.3, 3.0, 100.0]):
+                for log_r in np.log([gp.NOISE_FLOOR, 1e-4, 1e-1]):
+                    theta = np.array([log_l, log_r])
+                    got = gp._concentrated(sqdist, scale * z, theta)
+                    assert bits(*got) == bits(*ref_concentrated(sqdist, scale * z, theta))
+                    log_os.add(got[2] if got[2] in (lo, hi) else "interior")
+        assert log_os == {lo, hi, "interior"}
 
     def test_fitted_factors_match_reference_bits(self):
         rng = np.random.default_rng(23)
@@ -813,7 +857,8 @@ class TestFit:
         params = gp.KernelParams.from_natural(1.0, 10.0, 0.0)
         model = gp.fit_with_params(X, y, params)
         assert not hasattr(model, "jitter")
-        kn = gp._kernel_matrix(gp._sqdist(model.inputs, model.inputs), params)
+        kn = gp._kernel_matrix(gp._sqdist(model.inputs, model.inputs), params.lengthscale,
+                               params.outputscale)
         kn += params.noise_var * np.eye(20)
         np.testing.assert_allclose(model.chol_factor @ model.chol_factor.T, kn,
                                    rtol=0, atol=1e-12)

@@ -31,10 +31,11 @@ def drawn(problem, n_rml, seed=11):
     return draw_randomizations(problem, n_rml, labeled_stream(seed, STREAM_RANDOMIZE))
 
 
-def ref_acquisition_maximize(model, domain, beta, rng, restarts):
+def ref_acquisition_maximize(model, domain, beta, rng, restarts, improved_per_sweep=None):
     """The per-coordinate formulation of the acquisition sweep from the best
     ``restarts`` probes, kept as the reference; returns the point and the
-    number of sweeps run."""
+    number of sweeps run, and appends each sweep's improved-start mask to
+    ``improved_per_sweep`` when given."""
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     d = lower.size
@@ -58,6 +59,8 @@ def ref_acquisition_maximize(model, domain, beta, rng, restarts):
         pick = np.argmax(cv, axis=1)
         pick_val = cv[rows, pick]
         improved = pick_val > fys
+        if improved_per_sweep is not None:
+            improved_per_sweep.append(improved)
         ys[improved] = cands[rows, pick][improved]
         fys[improved] = pick_val[improved]
         steps[~improved] *= 0.5
@@ -150,6 +153,60 @@ class TestAcquisitionMaximize:
             # a flat UCB never improves: steps halve from 0.25 of the width
             # until all are below 1e-12 of it, which takes 38 sweeps
             assert sweeps == 38
+
+    def test_starts_that_do_not_improve_keep_their_point_and_value(self, monkeypatch):
+        # every sweep scores below the probes, so no start ever moves; the
+        # sweep values rise with the start's row, so a value written to a
+        # start that did not improve would change the returned start
+        lo, hi = ACQ_BOXES[0]
+        model = acquisition_model(25, 41, lo, hi)
+        real_ucb = gp.ucb
+        calls = []
+
+        def spy(model, y, beta):
+            calls.append(np.array(y))
+            vals = real_ucb(model, y, beta)
+            if len(calls) == 1:
+                return vals
+            return -1e6 + np.repeat(np.arange(4.0), 2 * lo.size)
+
+        monkeypatch.setattr(gp, "ucb", spy)
+        monkeypatch.setattr(hdbo, "ACQ_RESTARTS", 4)
+        y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(3))
+        probes, sweeps = calls[0], calls[1:]
+        starts = probes[np.argsort(-real_ucb(model, probes, 2.0))[:4]]
+        assert y.tobytes() == starts[0].tobytes()
+        # each sweep moves from the same starts with steps halved once more
+        eye = np.eye(lo.size)
+        moves = np.stack([eye, -eye], axis=1).reshape(2 * lo.size, lo.size)
+        assert len(sweeps) == 38
+        for s, cands in enumerate(sweeps):
+            want = starts[:, None, :] + moves * (0.25 * (hi - lo) * 0.5 ** s)
+            want = np.clip(want, lo, hi).reshape(-1, lo.size)
+            assert cands.tobytes() == want.tobytes()
+
+    def test_sweeps_where_only_some_starts_improve_match_reference(self, monkeypatch):
+        lo, hi = ACQ_BOXES[1]
+        model = acquisition_model(25, 42, lo, hi)
+        real_ucb = gp.ucb
+
+        def recording(calls):
+            def spy(model, y, beta):
+                calls.append(np.array(y))
+                return real_ucb(model, y, beta)
+            return spy
+
+        monkeypatch.setattr(hdbo, "ACQ_RESTARTS", 10)
+        for seed in range(3):
+            improved, ref_calls, new_calls = [], [], []
+            monkeypatch.setattr(gp, "ucb", recording(ref_calls))
+            ref, _ = ref_acquisition_maximize(model, (lo, hi), 2.0,
+                                              np.random.default_rng(seed), 10, improved)
+            monkeypatch.setattr(gp, "ucb", recording(new_calls))
+            y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(seed))
+            assert any(0 < mask.sum() < 10 for mask in improved)
+            assert y.tobytes() == ref.tobytes()
+            assert [a.tobytes() for a in new_calls] == [a.tobytes() for a in ref_calls]
 
 
 class TestLocalPriorRefine:
@@ -365,9 +422,19 @@ class TestRunTrace:
          "bad.jsonl:3: missing key 'fx'"),
         (lambda row: json.dumps({**row, "x": "left"}), "bad.jsonl:3: could not convert"),
         (lambda row: json.dumps({**row, "x": {"a": 1}}), "bad.jsonl:3: float"),
-        (lambda row: json.dumps({**row, "iteration": None}), "bad.jsonl:3: int"),
+        (lambda row: json.dumps({**row, "iteration": None}),
+         "bad.jsonl:3: iteration: expected an integer, got None"),
+        (lambda row: json.dumps({**row, "emb_index": 1.9}),
+         "bad.jsonl:3: emb_index: expected an integer, got 1.9"),
+        (lambda row: json.dumps({**row, "iteration": True}),
+         "bad.jsonl:3: iteration: expected an integer, got True"),
+        (lambda row: json.dumps({**row, "objective_index": 2.5}),
+         "bad.jsonl:3: objective_index: expected an integer, got 2.5"),
+        (lambda row: json.dumps({**row, "objective_index": 2.0}),
+         "bad.jsonl:3: objective_index: expected an integer, got 2.0"),
     ], ids=["not-json", "not-an-object", "empty-object", "missing-fx",
-            "string-x", "object-x", "null-iteration"])
+            "string-x", "object-x", "null-iteration", "float-emb-index", "bool-iteration",
+            "float-objective-index", "integral-float-objective-index"])
     def test_read_names_the_line_of_a_malformed_record(self, uniform_run, tmp_path,
                                                        edit, message):
         rows = [json.dumps(rec.to_dict()) for rec in uniform_run[3].records[:5]]
