@@ -7,9 +7,10 @@ the log marginal likelihood of standardized targets with analytic
 gradients and L-BFGS-B.  Simulators are deterministic, so the noise term is
 a jitter floor rather than real observation noise.
 
-Both fits, :func:`fit` and :func:`fit_with_params`, train on one checked,
-deduplicated and standardized training set and its one squared-distance
-matrix.  Both evidence functions raise ValueError on a count mismatch.
+Both fits, :func:`fit` and :func:`fit_with_params`, train on exactly the
+rows they are given: one checked and standardized training set and its one
+squared-distance matrix.  Both fits and both evidence functions raise the
+same ValueError on a count mismatch.
 Every factorization goes through one Cholesky call, which raises the one
 ``ValueError("kernel matrix factorization failed: ...")`` that both
 evidence functions and both fits let through.
@@ -38,9 +39,10 @@ roundoff of a few hundredths of a nat between nearby points and L-BFGS-B
 spends most of its evaluations in line searches that cannot succeed.  The
 bound also satisfies Higham's condition for Cholesky to complete,
 ``20 n^1.5 cond u < 1`` (2002, ch. 10), up to ~460 points, so nothing
-stands behind the factorization: no jitter fallback, no sentinel evidence
-for a start that fails to factor, and no fallback hyperparameters.  A
-factorization that fails anyway raises out of the fit.
+stands behind the factorization: no jitter fallback, no merging of
+coincident rows, no sentinel evidence for a start that fails to factor, and
+no fallback hyperparameters.  A factorization that fails anyway raises out
+of the fit.
 
 Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
 given ``init`` (the sampler passes each embedding's previous
@@ -70,7 +72,6 @@ from scipy.spatial.distance import cdist
 
 NOISE_FLOOR = 1e-8
 TARGET_SD_FLOOR = 1e-8
-DUPLICATE_TOL = 1e-10
 FIT_RESTARTS = 5
 FIT_MAXITER = 100
 OUTPUTSCALE_BOUNDS = (1e-3, 1e3)
@@ -209,32 +210,17 @@ def log_marginal_likelihood_grad(inputs, targets,
     evidence over the outputscale in closed form and searches the other
     two coordinates (see the module docstring).  This three-parameter form
     is the reference the concentrated evidence is tested against."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    z = np.atleast_1d(np.asarray(targets, dtype=float))
-    if inputs.shape[0] != z.size:
-        raise ValueError("inputs and targets disagree on the number of points")
+    inputs, z = _points(inputs, targets)
     return _grad_from(_sqdist(inputs, inputs), z, params)
 
 
-def _dedup_average(inputs: np.ndarray, targets: np.ndarray):
-    """Average targets of rows closer than DUPLICATE_TOL (Euclidean); also
-    return the squared distances of the rows returned, recomputed only on a merge."""
-    n = inputs.shape[0]
-    sqdist = _sqdist(inputs, inputs)
-    d = sqdist <= DUPLICATE_TOL ** 2
-    if np.count_nonzero(d) == n:   # only the diagonal: no duplicates
-        return inputs, targets, sqdist
-    assigned = np.full(n, -1, dtype=int)
-    groups = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        members = np.where((assigned < 0) & d[i])[0]
-        assigned[members] = len(groups)
-        groups.append(members)
-    out_x = np.stack([inputs[g].mean(axis=0) for g in groups])
-    out_z = np.array([targets[g].mean() for g in groups])
-    return out_x, out_z, _sqdist(out_x, out_x)
+def _points(inputs, targets):
+    """Inputs as a matrix and targets as a vector, with one row per target."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if inputs.shape[0] != targets.size:
+        raise ValueError("inputs and targets disagree on the number of points")
+    return inputs, targets
 
 
 def _input_diameter(inputs: np.ndarray) -> float:
@@ -250,17 +236,14 @@ def _standardize(targets: np.ndarray):
 
 
 def _training_set(inputs, targets):
-    """Checked, deduplicated inputs and raw targets, their squared-distance
-    matrix, and the standardized targets with their mean and sd: what both
-    fits train on."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if inputs.shape[0] < 1 or targets.size < 1:
+    """Checked inputs and raw targets, their squared-distance matrix, and
+    the standardized targets with their mean and sd: what both fits train on."""
+    inputs, targets = _points(inputs, targets)
+    if targets.size < 1:
         raise ValueError("fit requires at least one training point")
     if not np.all(np.isfinite(targets)):
         raise ValueError("fit requires finite targets")
-    inputs, targets, sqdist = _dedup_average(inputs, targets)
-    return (inputs, targets, sqdist, *_standardize(targets))
+    return (inputs, targets, _sqdist(inputs, inputs), *_standardize(targets))
 
 
 def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) -> GPModel:

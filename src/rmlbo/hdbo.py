@@ -156,10 +156,13 @@ class SimulationRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationRecord":
         """Record from :meth:`to_dict`'s form; an index or iteration that is
-        not an integer (a float or a bool) raises ValueError naming its key."""
+        not an integer (a float or a bool), or a refined point without its
+        forward value or the reverse, raises ValueError naming its key."""
         for key in ("emb_index", "iteration", "objective_index"):
             if not _is_integer(d[key]):
                 raise ValueError(f"{key}: expected an integer, got {d[key]!r}")
+        if (d["refined_z"] is None) != (d["f_refined"] is None):
+            raise ValueError("refined_z and f_refined must be both null or both present")
         arr = lambda v: None if v is None else np.asarray(v, dtype=float)
         return cls(emb_index=int(d["emb_index"]), y=arr(d["y"]),
                    x=np.asarray(d["x"], dtype=float), fx=np.asarray(d["fx"], dtype=float),
@@ -202,9 +205,11 @@ def write_trace(records, path) -> None:
 
 def read_trace(path, output_dim: int | None = None) -> list:
     """Read a JSON-lines trace.  A line that is not a JSON object, lacks a
-    record key, holds a value of the wrong type, or whose ``fx`` or
-    ``f_refined`` is not finite (or, given ``output_dim``, not of that
-    length) raises ValueError naming ``path:line``."""
+    record key, holds a value of the wrong type, has only one of
+    ``refined_z`` and ``f_refined``, whose ``x`` or ``refined_z`` is not
+    finite, or whose ``fx`` or ``f_refined`` is not finite (or, given
+    ``output_dim``, not of that length) raises ValueError naming
+    ``path:line``."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -222,11 +227,12 @@ def read_trace(path, output_dim: int | None = None) -> list:
                 raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            for name in ("fx", "f_refined"):
+            for name in ("x", "fx", "refined_z", "f_refined"):
                 value = getattr(rec, name)
                 if value is None:
                     continue
-                if output_dim is not None and value.shape != (output_dim,):
+                if (output_dim is not None and name in ("fx", "f_refined")
+                        and value.shape != (output_dim,)):
                     raise ValueError(f"{path}:{lineno}: {name} has shape {value.shape}, "
                                      f"expected ({output_dim},)")
                 if not np.isfinite(value).all():
@@ -455,7 +461,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
             train_y = np.asarray(ys)[finite]
             train_z = train_z[finite]
             full = train_z.size < REFIT_EVERY_UNTIL or (m - last_full_fit) >= REFIT_PERIOD
-            if full or params is None:
+            if full:
                 model = gp.fit(train_y, train_z, fit_rng, init=params)
                 params = model.params
                 last_full_fit = m

@@ -80,20 +80,6 @@ def ref_concentrated(sqdist, z, theta):
     return lml, grad, 0.5 * np.log(o2)
 
 
-def ref_dedup_groups(inputs):
-    """The greedy grouping: each unassigned row takes every unassigned row
-    within DUPLICATE_TOL of it."""
-    d = cdist(inputs, inputs, metric="sqeuclidean")
-    assigned = np.full(len(inputs), -1)
-    groups = []
-    for i in range(len(inputs)):
-        if assigned[i] < 0:
-            members = np.where((assigned < 0) & (d[i] <= gp.DUPLICATE_TOL ** 2))[0]
-            assigned[members] = len(groups)
-            groups.append(members)
-    return groups
-
-
 def bits(*arrays):
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
@@ -439,9 +425,13 @@ class TestLogMarginalLikelihood:
     def test_count_mismatch_raises_the_same_error_for_both(self):
         params = gp.KernelParams.from_natural(1.0, 0.5, 1e-3)
         X, z = [[0.0], [1.0], [2.0]], [0.1, -0.2]
-        for evidence in (gp.log_marginal_likelihood, gp.log_marginal_likelihood_grad):
+        rng = np.random.default_rng(0)
+        for call in (lambda: gp.log_marginal_likelihood(X, z, params),
+                     lambda: gp.log_marginal_likelihood_grad(X, z, params),
+                     lambda: gp.fit(X, z, rng), lambda: gp.fit(X, z, rng, init=params),
+                     lambda: gp.fit_with_params(X, z, params)):
             with pytest.raises(ValueError, match="disagree on the number of points"):
-                evidence(X, z, params)
+                call()
 
     def test_failed_factorization_raises_the_same_error_for_both(self, monkeypatch):
         # duplicate points with a vanishing noise leave K singular
@@ -451,8 +441,9 @@ class TestLogMarginalLikelihood:
         for evidence in (gp.log_marginal_likelihood, gp.log_marginal_likelihood_grad):
             with pytest.raises(ValueError, match=message):
                 evidence(X, z, params)
-        # the fits merge duplicates and keep the noise above its floor, so
-        # dpotrf is stubbed to report the same failed minor
+        # the fits keep the noise ratio at or above its floor, where even
+        # duplicate points factor, so dpotrf is stubbed to report the same
+        # failed minor
         monkeypatch.setattr(gp.lapack, "dpotrf", lambda a, lower=0: (a, 2))
         X, z = [[0.0], [1.0], [2.0]], [0.1, -0.2, 0.4]
         params = gp.KernelParams.from_natural(1.0, 0.5, 1e-3)
@@ -599,51 +590,24 @@ class TestFit:
         mean, _ = gp.predict(model, rng.uniform(-1, 1, (10, 2)))
         assert np.max(np.abs(mean - 2.5)) < 1e-6
 
-    def test_duplicates_are_averaged(self):
-        params_in = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        model = gp.fit_with_params(params_in, np.array([1.0, 3.0, 0.0]),
-                                   gp.KernelParams.from_natural(1.0, 1.0, 1e-6))
-        assert model.n_train == 2
-        assert 2.0 in model.raw_targets
-
-    def test_no_duplicates_returns_the_same_arrays(self):
-        rng = np.random.default_rng(24)
-        X = rng.uniform(-1, 1, (30, 2))
-        z = rng.standard_normal(30)
-        out_x, out_z, sqdist = gp._dedup_average(X, z)
-        assert out_x is X and out_z is z
-        assert bits(sqdist) == bits(cdist(X, X, metric="sqeuclidean"))
-        assert len(ref_dedup_groups(X)) == 30
-
-    @pytest.mark.parametrize("case", ["exact", "at_tol", "chain"])
-    def test_duplicate_groups_match_greedy_loop(self, case):
-        tol = gp.DUPLICATE_TOL
+    def test_exact_duplicate_rows_are_all_kept(self):
+        # a sweep can converge onto a point simulated before: the repeated
+        # rows stay training points, since the relative noise floor keeps
+        # K + noise * I factorable without merging them
         rng = np.random.default_rng(25)
-        X = rng.uniform(-1, 1, (8, 2))
-        if case == "exact":
-            X[5] = X[1]
-            X[7] = X[1]
-            X[6] = X[3]
-        elif case == "at_tol":
-            # squared distance tol * tol, exactly the merge threshold
-            X[0] = [0.0, 0.0]
-            X[4] = [tol, 0.0]
-        else:
-            # a ~ b and b ~ c, but a and c are 1.8 tol apart
-            X[2] = [0.5, 0.5]
-            X[3] = [0.5 + 0.9 * tol, 0.5]
-            X[6] = [0.5 + 1.8 * tol, 0.5]
-        z = rng.standard_normal(8)
-        groups = ref_dedup_groups(X)
-        assert len(groups) < 8
-        out_x, out_z, sqdist = gp._dedup_average(X, z)
-        assert bits(out_x, out_z) == bits(
-            np.stack([X[g].mean(axis=0) for g in groups]),
-            [z[g].mean() for g in groups])
-        assert bits(sqdist) == bits(cdist(out_x, out_x, metric="sqeuclidean"))
+        X = rng.uniform(-1, 1, (10, 2))
+        X = np.vstack([X, X[:3], X[:3]])
+        z = np.sin(3.0 * X[:, 0]) + X[:, 1]
+        cold = gp.fit(X, z, rng)
+        for model in (cold, gp.fit(X, z, rng, init=cold.params),
+                      gp.fit_with_params(X, z, cold.params)):
+            assert model.n_train == 16
+            assert bits(model.inputs, model.raw_targets) == bits(X, z)
+            mean, _ = gp.predict(model, X[:3])
+            assert mean == pytest.approx(z[:3], abs=1e-5)
 
     def test_one_distance_matrix_per_fit(self, monkeypatch):
-        # the duplicate check's matrix serves the search and the factors
+        # one matrix serves the search and the factors
         rng = np.random.default_rng(26)
         X = rng.uniform(-1, 1, (12, 2))
         z = rng.standard_normal(12)
@@ -778,17 +742,19 @@ class TestFit:
             gp.fit(X, z, rng, init=init)
         assert len(calls) == 4
 
-    @pytest.mark.parametrize("scale", [1e3, 10.0, 1.0, 0.1])
-    def test_noise_floor_factors_460_points_with_near_duplicates(self, scale):
+    @pytest.mark.parametrize("scale, gap", [
+        *(pytest.param(scale, 1e-9, id=str(scale)) for scale in (1e3, 10.0, 1.0, 0.1)),
+        *(pytest.param(scale, 0.0, id=f"exact-{scale}") for scale in (1e3, 10.0, 1.0, 0.1))])
+    def test_noise_floor_factors_460_points_with_near_duplicates(self, scale, gap):
         # the module docstring's bound: Higham's condition for Cholesky to
         # complete holds at the relative noise floor up to ~460 points.  In
-        # the d_e = 3 box, a tenth of the points sit 1e-9 from another (above
-        # DUPLICATE_TOL, so none merge) and the lengthscale spans 0.1 to 1e3
+        # the d_e = 3 box, a tenth of the points sit ``gap`` (1e-9, or 0 for
+        # exact duplicates) from another and the lengthscale spans 0.1 to 1e3
         # diameters: the evidence the search evaluates still factors
         rng = np.random.default_rng(46)
         Y = rng.uniform(-np.sqrt(3), np.sqrt(3), (414, 3))
         step = rng.standard_normal((46, 3))
-        step *= 1e-9 / np.linalg.norm(step, axis=1, keepdims=True)
+        step *= gap / np.linalg.norm(step, axis=1, keepdims=True)
         Y = np.vstack([Y, Y[:46] + step])
         z = np.sin(Y[:, 0]) + Y[:, 1] * Y[:, 2]
         inputs, _, sqdist, zs, _, _ = gp._training_set(Y, z)

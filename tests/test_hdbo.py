@@ -432,9 +432,23 @@ class TestRunTrace:
          "bad.jsonl:3: objective_index: expected an integer, got 2.5"),
         (lambda row: json.dumps({**row, "objective_index": 2.0}),
          "bad.jsonl:3: objective_index: expected an integer, got 2.0"),
+        # a refined point without its forward value would be simulated, and
+        # charged to the budget, when the trace is scored
+        (lambda row: json.dumps({**row, "refined_z": row["x"]}),
+         "bad.jsonl:3: refined_z and f_refined must be both null or both present"),
+        (lambda row: json.dumps({**row, "f_refined": row["fx"]}),
+         "bad.jsonl:3: refined_z and f_refined must be both null or both present"),
+        # a non-finite point would score -inf and be dropped without a word
+        (lambda row: json.dumps({**row, "x": [float("nan"), *row["x"][1:]]}),
+         "bad.jsonl:3: x is not finite"),
+        (lambda row: json.dumps({**row, "refined_z": [float("inf"), *row["x"][1:]],
+                                 "f_refined": row["fx"]}),
+         "bad.jsonl:3: refined_z is not finite"),
     ], ids=["not-json", "not-an-object", "empty-object", "missing-fx",
             "string-x", "object-x", "null-iteration", "float-emb-index", "bool-iteration",
-            "float-objective-index", "integral-float-objective-index"])
+            "float-objective-index", "integral-float-objective-index",
+            "refined-z-without-f-refined", "f-refined-without-refined-z",
+            "non-finite-x", "non-finite-refined-z"])
     def test_read_names_the_line_of_a_malformed_record(self, uniform_run, tmp_path,
                                                        edit, message):
         rows = [json.dumps(rec.to_dict()) for rec in uniform_run[3].records[:5]]
