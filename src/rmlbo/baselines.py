@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .hdbo import (
+    ConfigError,
     RMLResult,
     RunAborted,
     SimulationRecord,
@@ -43,6 +44,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def check_local_search_budget(budget_N: int, n_rml: int) -> None:
+    """Raise ConfigError unless the budget gives every objective at least
+    one evaluation."""
+    if budget_N < n_rml:
+        raise ConfigError(f"budget_N={budget_N} cannot cover {n_rml} objectives")
+
+
 def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
                                rng: np.random.Generator) -> RMLResult:
     """Independent simplex search per objective on an even budget split.
@@ -55,8 +63,7 @@ def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
     """
     _check_instances(instances, problem)
     n_rml = len(instances)
-    if budget_N < n_rml:
-        raise ValueError(f"budget_N={budget_N} cannot cover {n_rml} objectives")
+    check_local_search_budget(budget_N, n_rml)
     per_objective = budget_N // n_rml
     streams = rng.spawn(n_rml)
     records = []

@@ -66,7 +66,7 @@ class LinearSimulator(SimulatorHandle):
 CATALOG = ("linear-gaussian", "quadratic-bowl", "rosenbrock-2d", "sine-ridge")
 
 _DEFAULTS = {
-    "linear-gaussian": dict(D=8, d=None, m=5, noise=dict(gaussian=0.2)),
+    "linear-gaussian": dict(D=8, m=5, noise=dict(gaussian=0.2)),
     "quadratic-bowl": dict(D=100, d=2, half=1.0, noise=dict(uniform=0.05, gaussian=0.5)),
     "rosenbrock-2d": dict(D=20, d=2, half=2.0, noise=dict(uniform=0.05, gaussian=0.5)),
     "sine-ridge": dict(D=30, d=2, half=1.5, noise=dict(uniform=0.1, gaussian=0.5)),
@@ -102,10 +102,16 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
     per-catalog default that may be overridden by ``noise_sd``.  Synthetic
     data is ``f(x_true) + noise`` for a seeded ``x_true`` (generated under
     the analysis counter, so fresh problems start at zero budget consumed).
+    ``d`` applies only to the ridge entries and ``m`` only to
+    linear-gaussian (a ridge link fixes its output length); a value that
+    does not apply raises ValueError.
     """
     if name not in _DEFAULTS:
         raise ValueError(f"unknown problem name {name!r}; catalog: {', '.join(CATALOG)}")
     defaults = _DEFAULTS[name]
+    for key, value in (("d", d), ("m", m)):
+        if value is not None and key not in defaults:
+            raise ValueError(f"{name} takes no {key}, got {value!r}")
     D = defaults["D"] if D is None else int(D)
     rng = labeled_stream(seed, STREAM_PROBLEM)
 
@@ -164,7 +170,8 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     (kind + dense row-major arrays) and ``likelihood`` an explicit
     {data, obs_cov} pair; both override the generated ingredients.  name is
     a string; D, d, m (positive) and seed (non-negative) are integers or
-    null; noise_sd is a positive finite number (not a bool) or null.
+    null, and a d or m that does not apply to the entry is rejected;
+    noise_sd is a positive finite number (not a bool) or null.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("problem: expected an object")
@@ -176,9 +183,12 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             raise ConfigError(f"problem.{key}: unknown field")
     if not isinstance(cfg["name"], str):
         raise ConfigError(f"problem.name: expected a catalog name, got {cfg['name']!r}")
+    applies = _DEFAULTS.get(cfg["name"], {})
     for key, minimum in (("D", 1), ("d", 1), ("m", 1), ("seed", 0)):
         if cfg.get(key) is not None:
             require_integer(f"problem.{key}", cfg[key], minimum)
+            if key in ("d", "m") and applies and key not in applies:
+                raise ConfigError(f"problem.{key}: {cfg['name']} takes no {key}")
     noise_sd = cfg.get("noise_sd")
     if noise_sd is not None and (isinstance(noise_sd, bool)
                                  or not isinstance(noise_sd, (int, float))

@@ -26,12 +26,14 @@ import time
 import numpy as np
 
 from . import bench
+from .baselines import check_local_search_budget
 from .hdbo import (
     ConfigError,
     HDBOConfig,
     RunAborted,
     _is_integer,
     atomic_write,
+    embedding_slots,
     require_integer,
     write_trace,
 )
@@ -163,28 +165,38 @@ def _embedding_dim(resolved: dict, problem) -> int:
 
 def _method(entry, resolved: dict, problem) -> bench.Method:
     """The method a ``method`` or ``methods`` entry names: a built-in
-    budgeted method or an external trace."""
+    budgeted method or an external trace.  A built-in method's config is
+    checked against the problem here, before any method runs."""
     if isinstance(entry, dict):
         return bench.trace_method(entry["trace"], entry["name"])
     if entry == "hdbo-rml":
-        return bench.hdbo_method(_hdbo_config(resolved, _embedding_dim(resolved, problem)))
+        config = _hdbo_config(resolved, _embedding_dim(resolved, problem))
+        embedding_slots(config, problem)
+        return bench.hdbo_method(config)
     if entry == "random-design":
         return bench.random_design_method(resolved["budget_N"])
     if entry == "local-search":
+        check_local_search_budget(resolved["budget_N"], resolved["n_rml"])
         return bench.local_search_method(resolved["budget_N"])
     raise ConfigError(f"methods: {entry!r} is not a budgeted method")
 
 
-def _run_method(problem, instances, resolved: dict):
-    """Run ``method`` with the config seed as its method seed, exactly as
-    compare runs a trial with the trial seed."""
-    if resolved["method"] == "oracle-rml":
+def _single_method(resolved: dict, problem) -> bench.Method:
+    """The ``method`` of ``run`` and ``export-landscape``, which run it with
+    the config seed as its method seed, exactly as compare runs a trial with
+    the trial seed."""
+    if resolved["method"] != "oracle-rml":
+        return _method(resolved["method"], resolved, problem)
+    if getattr(problem.simulator, "matrix", None) is None:
+        raise ConfigError("method: oracle RML requires a linear simulator exposing its matrix")
+
+    def oracle(problem, instances, seed):
         try:
             return bench.oracle_rml_result(problem, instances)
         except ValueError as exc:
             raise ConfigError(f"method: {exc}") from exc
-    method = _method(resolved["method"], resolved, problem)
-    return method.run(problem, instances, resolved["seed"])
+
+    return bench.Method("oracle-rml", oracle)
 
 
 def _draw_instances(problem, resolved: dict):
@@ -194,12 +206,13 @@ def _draw_instances(problem, resolved: dict):
 
 def cmd_run(resolved: dict, out_dir: str) -> int:
     problem = bench.problem_from_config(resolved["problem"])
+    method = _single_method(resolved, problem)
     instances = _draw_instances(problem, resolved)
     trace_path = os.path.join(out_dir, "trace.jsonl")
     report_path = os.path.join(out_dir, "report.json")
     started = time.perf_counter()
     try:
-        result = _run_method(problem, instances, resolved)
+        result = method.run(problem, instances, resolved["seed"])
     except RunAborted as exc:
         write_trace(exc.records, trace_path)
         _atomic_write_json(report_path, {
@@ -277,6 +290,7 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
     if A is None:
         raise ConfigError("problem: active subspace unavailable; landscape export "
                           "requires a synthetic problem")
+    method = _single_method(resolved, problem)
     instances = _draw_instances(problem, resolved)
 
     rng = labeled_stream(resolved["seed"], STREAM_LANDSCAPE)
@@ -296,7 +310,7 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
     else:
         print("warning: oracle samples unavailable (nonlinear simulator)", file=sys.stderr)
 
-    result = _run_method(problem, instances, resolved)
+    result = method.run(problem, instances, resolved["seed"])
     m_coords, m_logpost = bench.project_active(result.maximizers, A, problem)
     method_path = os.path.join(out_dir, "method_samples.csv")
     atomic_write(method_path,

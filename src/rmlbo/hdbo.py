@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import gp
 from .embeddings import Embedding, lift, sample_embedding
@@ -107,9 +106,25 @@ class HDBOConfig:
         if self.prox_eta <= 0:
             raise ConfigError("prox_eta: must be strictly positive")
 
-    def slots_per_embedding(self, gaussian_prior: bool) -> int:
-        per_slot = 2 if gaussian_prior else 1
-        return self.budget_N // (per_slot * self.K)
+
+def embedding_slots(config: HDBOConfig, problem: ProblemSpec) -> int:
+    """Slots per embedding that ``config`` affords on ``problem`` (a
+    Gaussian-prior slot costs two evaluations).  Raises ConfigError when
+    ``d_e`` exceeds the problem's dimension, when the budget affords no slot,
+    or when the ``n0`` initial points leave no slot for the GP."""
+    if config.d_e > problem.input_dim:
+        raise ConfigError(
+            f"d_e={config.d_e} exceeds the problem's input dimension {problem.input_dim}")
+    per_slot = 2 if problem.has_gaussian_prior else 1
+    slots = config.budget_N // (per_slot * config.K)
+    if slots < 1:
+        raise ConfigError(
+            f"budget_N={config.budget_N} admits no iterations for K={config.K}")
+    if config.n0 >= slots:
+        raise ConfigError(
+            f"n0={config.n0} initial points exceed the {slots} per-embedding "
+            f"iterations afforded by budget_N={config.budget_N}")
+    return slots
 
 
 @dataclass
@@ -241,59 +256,47 @@ def read_trace(path, output_dim: int | None = None) -> list:
     return records
 
 
-def sobol_points(n: int, lower: np.ndarray, upper: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """``n`` scrambled low-discrepancy points in a box (drawn as the next
-    power of two and truncated, which keeps the sampler warning-free)."""
-    d = lower.size
-    m = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    sampler = qmc.Sobol(d, scramble=True, seed=rng)
-    pts = sampler.random_base2(m)[:n]
-    return qmc.scale(pts, lower, upper)
-
-
 def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray],
                          beta: float, rng: np.random.Generator) -> np.ndarray:
     """Approximate argmax of the UCB over a box.
 
-    Ranks ACQ_PROBES scrambled quasi-random probes, then runs coordinate-wise
-    refinement with adaptive step halving from the best ACQ_RESTARTS of
-    them, for at most ACQ_SWEEPS sweeps; returns the best point seen, always
-    inside the box.  The restart points advance in lockstep so each sweep
-    costs one batched UCB call.  Each sweep writes its ``(starts, 2 d, d)``
-    candidates into one buffer allocated per call, and updates the starts
-    by mask: an improved start takes its best candidate and value
-    (``np.copyto(..., where=improved)``) and keeps its steps, the others keep
-    their point and value and halve their steps.
+    Ranks ACQ_PROBES probes drawn uniformly from ``rng``, then runs
+    coordinate-wise refinement with adaptive step halving from the best
+    ACQ_RESTARTS of them, for at most ACQ_SWEEPS sweeps; returns the best
+    point seen, always inside the box.  The restart points advance in
+    lockstep so each sweep costs one batched UCB call.  Each sweep writes
+    its ``(starts, 2 d, d)`` candidates into one buffer allocated per call,
+    and updates the starts by mask: an improved start takes its best
+    candidate and value (``np.copyto(..., where=improved)``) and keeps its
+    steps, the others keep their point and value and halve their steps.
     """
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     d = lower.size
-    probes = sobol_points(ACQ_PROBES, lower, upper, rng)
+    probes = rng.uniform(lower, upper, (ACQ_PROBES, d))
     vals = gp.ucb(model, probes, beta)
     order = np.argsort(-vals)
-    take = min(ACQ_RESTARTS, probes.shape[0])
-    ys = probes[order[:take]]
-    fys = vals[order[:take]]
+    ys = probes[order[:ACQ_RESTARTS]]
+    fys = vals[order[:ACQ_RESTARTS]]
     width = upper - lower
     floor = 1e-12 * width
-    steps = np.broadcast_to(0.25 * width, (take, 1, d)).copy()
+    steps = np.broadcast_to(0.25 * width, (ACQ_RESTARTS, 1, d)).copy()
     # candidate 2j moves coordinate j up by its step, 2j + 1 down; the other
     # coordinates add a zero, and a move never crosses the far bound, so
     # clipping every coordinate equals clipping the moved one
     eye = np.eye(d)
     moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
-    cands = np.empty((take, 2 * d, d))
+    cands = np.empty((ACQ_RESTARTS, 2 * d, d))
     flat = cands.reshape(-1, d)
     centers = ys[:, None, :]               # a view: follows the updates of ys
-    first = np.arange(0, take * 2 * d, 2 * d)   # each start's first row in flat
+    first = np.arange(0, ACQ_RESTARTS * 2 * d, 2 * d)   # each start's first row in flat
     for _ in range(ACQ_SWEEPS):
         np.multiply(moves, steps, out=cands)
         cands += centers
         np.minimum(cands, upper, out=cands)
         np.maximum(cands, lower, out=cands)
         cv = gp.ucb(model, flat, beta)
-        pick = cv.reshape(take, 2 * d).argmax(axis=1)
+        pick = cv.reshape(ACQ_RESTARTS, 2 * d).argmax(axis=1)
         pick += first
         pick_val = cv[pick]
         improved = pick_val > fys
@@ -400,18 +403,8 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     if len(instances) != config.n_rml:
         raise ConfigError(
             f"config.n_rml={config.n_rml} but {len(instances)} instances supplied")
+    slots = embedding_slots(config, problem)
     gaussian = problem.has_gaussian_prior
-    if config.d_e > problem.input_dim:
-        raise ConfigError(
-            f"d_e={config.d_e} exceeds the problem's input dimension {problem.input_dim}")
-    slots = config.slots_per_embedding(gaussian)
-    if slots < 1:
-        raise ConfigError(
-            f"budget_N={config.budget_N} admits no iterations for K={config.K}")
-    if config.n0 >= slots:
-        raise ConfigError(
-            f"n0={config.n0} initial points exceed the {slots} per-embedding "
-            f"iterations afforded by budget_N={config.budget_N}")
 
     emb_rng = labeled_stream(config.seed, STREAM_EMBED)
     embeddings = [
@@ -441,7 +434,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
     init_rng = labeled_stream(config.seed, STREAM_INIT, k)
     acq_rng = labeled_stream(config.seed, STREAM_ACQ, k)
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
-    init_pts = sobol_points(config.n0, emb.y_lower, emb.y_upper, init_rng)
+    init_pts = init_rng.uniform(emb.y_lower, emb.y_upper, (config.n0, emb.embed_dim))
     own: list[SimulationRecord] = []
     ys: list[np.ndarray] = []   # the inputs of ``own``, shared by every objective
     # per objective: the targets of ``own[:len(column)]``, in record order

@@ -56,6 +56,16 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match="unknown problem name"):
             bench.make_problem("elliptic")
 
+    @pytest.mark.parametrize("name, key", [
+        ("quadratic-bowl", "m"), ("rosenbrock-2d", "m"), ("sine-ridge", "m"),
+        ("linear-gaussian", "d")])
+    def test_argument_that_does_not_apply_is_rejected(self, name, key):
+        # a ridge link fixes the output length, and linear-gaussian has no
+        # active dimension; None keeps the catalog default
+        with pytest.raises(ValueError, match=f"^{name} takes no {key}"):
+            bench.make_problem(name, **{key: 4})
+        bench.make_problem(name, **{key: None})
+
     def test_generation_is_seeded_and_budget_free(self):
         a = bench.make_problem("sine-ridge", seed=5)
         b = bench.make_problem("sine-ridge", seed=5)

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rmlbo
 from rmlbo import bench
 from rmlbo.cli import main
 from rmlbo.rml import draw_randomizations
@@ -184,6 +189,22 @@ class TestCompare:
         assert main(["compare", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "simulated-annealing" in capsys.readouterr().err
 
+    def test_sampler_config_error_exits_2_before_any_method_runs(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # n0=30 leaves no BO slot of the 24 per embedding; the baselines
+        # listed first must not run before the sampler's check fails
+        ran = []
+        real = bench.random_design
+        monkeypatch.setattr(bench, "random_design",
+                            lambda *args: ran.append(args) or real(*args))
+        cfg = {**BOWL, "n0": 30, "methods": ["random-design", "local-search", "hdbo-rml"]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "c"
+        assert main(["compare", "--config", path, "--out", str(out)]) == 2
+        assert "n0=30" in capsys.readouterr().err
+        assert ran == []
+        assert list(out.iterdir()) == []
+
     def test_external_trace_entry_joins_comparison(self, tmp_path):
         # record a run, then compare against its trace as a third-party method
         run_cfg = write_config(tmp_path, BOWL, "run.json")
@@ -291,7 +312,31 @@ class TestCompare:
         assert "methods:" in err and message in err
 
 
+class TestLocalSearchBudget:
+    # 20 evaluations cannot give each of 30 objectives one
+    @pytest.mark.parametrize("command, override", [
+        ("run", 'method="local-search"'), ("compare", 'methods=["local-search"]')])
+    def test_budget_below_objective_count_exits_2(self, tmp_path, capsys, command,
+                                                  override):
+        path = write_config(tmp_path, {**BOWL, "n_rml": 30, "budget_N": 20, "n0": 2})
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--set", override, "--out", str(out)]) == 2
+        assert "budget_N=20 cannot cover 30 objectives" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestExportLandscape:
+    @pytest.mark.parametrize("override, message", [
+        ({"n0": 30}, "n0=30"), ({"method": "oracle-rml"}, "oracle RML requires")],
+        ids=["n0", "oracle-on-bowl"])
+    def test_method_config_error_exits_2_before_writing(self, tmp_path, capsys, override,
+                                                        message):
+        path = write_config(tmp_path, {**BOWL, **override, "prior_samples": 50})
+        out = tmp_path / "e"
+        assert main(["export-landscape", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
     def test_linear_problem_produces_all_three_files(self, tmp_path):
         cfg = {**LINEAR, "prior_samples": 200, "budget_N": 40}
         path = write_config(tmp_path, cfg)
@@ -370,6 +415,16 @@ class TestConfigPlumbing:
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert f"problem.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base, field", [(BOWL, "m"), (LINEAR, "d")],
+                             ids=["m-on-bowl", "d-on-linear"])
+    def test_field_that_does_not_apply_exits_2_naming_it(self, tmp_path, capsys, base, field):
+        # a ridge link fixes the output length, and linear-gaussian has no
+        # active dimension
+        cfg = {**base, "problem": {**base["problem"], field: 5}}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"problem.{field}: " in capsys.readouterr().err
+
     def test_numeric_noise_sd_is_accepted(self, tmp_path):
         # a JSON integer is a number too: 1 and 1.0 give the same run
         outs = []
@@ -389,6 +444,17 @@ class TestConfigPlumbing:
             outs.append(tmp_path / f"n{i}")
             assert main(["run", "--config", path, "--out", str(outs[-1])]) == 0
         assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
+
+    def test_importing_the_cli_loads_no_scipy_stats(self):
+        # scipy.stats adds about a quarter second and 20 MiB to start-up,
+        # and nothing in rmlbo uses it
+        src = str(pathlib.Path(rmlbo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, rmlbo.cli; print(sorted(m for m in sys.modules if 'stats' in m))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert "scipy.stats" not in done.stdout
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, BOWL)

@@ -19,7 +19,7 @@ from rmlbo.hdbo import (
 )
 from rmlbo.problems import GaussianSpec
 from rmlbo.rml import RMLInstance, draw_randomizations, objective
-from rmlbo.seeding import STREAM_RANDOMIZE, labeled_stream
+from rmlbo.seeding import STREAM_INIT, STREAM_RANDOMIZE, labeled_stream
 
 
 def bowl_problem(D=20, d=2, seed=1, prior="uniform", noise_sd=None):
@@ -39,7 +39,7 @@ def ref_acquisition_maximize(model, domain, beta, rng, restarts, improved_per_sw
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     d = lower.size
-    probes = hdbo.sobol_points(hdbo.ACQ_PROBES, lower, upper, rng)
+    probes = rng.uniform(lower, upper, (hdbo.ACQ_PROBES, d))
     vals = np.atleast_1d(gp.ucb(model, probes, beta))
     order = np.argsort(-vals)
     take = min(restarts, probes.shape[0])
@@ -355,6 +355,17 @@ class TestRunTrace:
         for a, b in zip(res.records, res2.records):
             assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("run", ["uniform_run", "gaussian_run"])
+    def test_initial_points_are_uniform_draws_of_the_init_stream(self, run, request):
+        # embedding k (0-based position) draws its n0 initial points from
+        # its own labeled STREAM_INIT substream, in one uniform call
+        _, _, cfg, res = request.getfixturevalue(run)
+        for k, emb in enumerate(res.embeddings):
+            own = [rec for rec in res.records if rec.emb_index == emb.index]
+            want = labeled_stream(cfg.seed, STREAM_INIT, k).uniform(
+                emb.y_lower, emb.y_upper, (cfg.n0, cfg.d_e))
+            assert np.array([rec.y for rec in own[:cfg.n0]]).tobytes() == want.tobytes()
+
     def test_objective_cycles_one_based(self, uniform_run):
         _, _, cfg, res = uniform_run
         for rec in res.records:
@@ -501,7 +512,7 @@ class TestDataSharing:
         insts = drawn(prob, 5)
         cfg = HDBOConfig(n_rml=5, budget_N=36, K=2, d_e=2, n0=3, seed=1)
         run_hdbo_rml(prob, insts, cfg)
-        slots = cfg.slots_per_embedding(False)
+        slots = hdbo.embedding_slots(cfg, prob)
         expected = [m - 1 for _ in range(cfg.K) for m in range(cfg.n0 + 1, slots + 1)]
         assert sizes == expected
 
@@ -611,7 +622,10 @@ class TestDataSharing:
                     dropped += len(earlier) - len(keep)
                     expected.append((np.array([earlier[i].y for i in keep]),
                                      np.array([zs[i] for i in keep])))
-        assert sum(bool(rec.fx[0] == 1e200) for rec in res.records) == 32
+        # the simulator answers 1e200 exactly where the lifted point has x[0] > 0.3
+        overflowing = sum(bool(rec.x[0] > 0.3) for rec in res.records)
+        assert overflowing > 0
+        assert sum(bool(rec.fx[0] == 1e200) for rec in res.records) == overflowing
         assert dropped > 0
         assert len(fitted) == len(expected)
         for (got_y, got_z), (want_y, want_z) in zip(fitted, expected):
