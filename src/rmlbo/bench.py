@@ -104,7 +104,8 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
     the analysis counter, so fresh problems start at zero budget consumed).
     ``d`` applies only to the ridge entries and ``m`` only to
     linear-gaussian (a ridge link fixes its output length); a value that
-    does not apply raises ValueError.
+    does not apply raises ValueError, as does a ``noise_sd`` that is not
+    positive or whose square is not a positive finite variance.
     """
     if name not in _DEFAULTS:
         raise ValueError(f"unknown problem name {name!r}; catalog: {', '.join(CATALOG)}")
@@ -155,11 +156,23 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
         sd = defaults["noise"][prior] if noise_sd is None else float(noise_sd)
         x_true = A @ u_target
 
+    noise_var = _noise_variance(sd)
     with simulator.analysis():
         clean = simulator(x_true)
     data = clean + sd * rng.standard_normal(m)
-    likelihood = LikelihoodSpec(data, sd ** 2 * np.eye(m))
+    likelihood = LikelihoodSpec(data, noise_var * np.eye(m))
     return ProblemSpec(simulator=simulator, prior=prior_spec, likelihood=likelihood)
+
+
+def _noise_variance(sd: float) -> float:
+    """``sd * sd`` for a positive ``sd``; the square must be positive and
+    finite: a noise sd beyond ~1e154 squares to inf, and one below ~1e-162
+    to 0."""
+    var = sd * sd
+    if not (sd > 0.0 and 0.0 < var < math.inf):
+        raise ValueError(f"noise_sd={sd!r} squares to {var!r}; the noise sd must be "
+                         f"positive and its square a positive finite variance")
+    return var
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
@@ -171,7 +184,8 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     {data, obs_cov} pair; both override the generated ingredients.  name is
     a string; D, d, m (positive) and seed (non-negative) are integers or
     null, and a d or m that does not apply to the entry is rejected;
-    noise_sd is a positive finite number (not a bool) or null.
+    noise_sd is a positive finite number (not a bool) whose square is
+    positive and finite, or null.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("problem: expected an object")
@@ -190,11 +204,14 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             if key in ("d", "m") and applies and key not in applies:
                 raise ConfigError(f"problem.{key}: {cfg['name']} takes no {key}")
     noise_sd = cfg.get("noise_sd")
-    if noise_sd is not None and (isinstance(noise_sd, bool)
-                                 or not isinstance(noise_sd, (int, float))
-                                 or not 0 < noise_sd < math.inf):
-        raise ConfigError(f"problem.noise_sd: expected a positive number or null, "
-                          f"got {noise_sd!r}")
+    if noise_sd is not None:
+        if isinstance(noise_sd, bool) or not isinstance(noise_sd, (int, float)):
+            raise ConfigError(f"problem.noise_sd: expected a positive number or null, "
+                              f"got {noise_sd!r}")
+        try:
+            _noise_variance(float(noise_sd))
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"problem.noise_sd: {exc}") from None
     prior_cfg = cfg.get("prior")
     if not isinstance(prior_cfg, (str, dict, type(None))):
         raise ConfigError(f"problem.prior: expected a kind or an object, got {prior_cfg!r}")

@@ -29,7 +29,11 @@ theorem, which also holds at the clamp (where ``o`` is constant), the
 gradient in ``theta`` is the evidence's partial derivative at fixed ``o``:
 with ``a = A^-1 z`` and ``M = a a^T / o^2 - A^-1``, ``d/dlog l =
 sum(M * K_l * D) / (2 l^2)`` over squared distances ``D`` and ``d/dlog r =
-r tr(M) / 2``.
+r tr(M) / 2``.  Neither ``M`` nor the symmetric ``A^-1`` is formed: ``D``
+has an exactly zero diagonal, so ``sum(A^-1 * K_l * D)`` is twice its sum
+over the lower triangle that ``dpotri`` returns, and
+``d/dlog l = (a^T (K_l * D) a / o^2 - 2 <tril(A^-1), K_l * D>) / (2 l^2)``
+with ``tr(M) = a^T a / o^2 - tr(A^-1)``.
 
 The ratio is boxed between NOISE_FLOOR and 1e-1, so
 ``cond(K + noise * I) <= 1 + n / NOISE_FLOOR`` at any outputscale.  An
@@ -49,17 +53,20 @@ given ``init`` (the sampler passes each embedding's previous
 hyperparameters, so only its first fit is cold) starts from ``init``,
 clipped into the current bounds, plus one log-uniform restart.
 
-Each evidence gradient takes one LAPACK pass over the factor: ``dpotrf``
-factors, ``dpotrs`` solves for ``alpha`` and ``dpotri`` forms the inverse.
-A fitted model caches the inverse factor, so a prediction is one GEMM.
-These paths, and :func:`predict` behind every UCB call, run tens of
-thousands of times per run on small matrices, so they build their arrays in
-place: the evidence's kernel in one new array and :func:`predict`'s in its
-fresh distance matrix, the noise added on the diagonal, the inverse
-symmetrized by adding its transpose, and the evidence's gradient product
-in ``M``.  Each gives the same bits as the plain expression
-(``o^2 exp(-d / 2 l^2)``, ``K + noise * np.eye(n)``, ``K + np.tril(K, -1).T``,
-``np.sum(M * K_l * D)``), which the tests keep as their reference.
+Each concentrated-evidence gradient takes one LAPACK pass over the
+factor: ``dpotrf`` factors, ``dpotrs`` solves for ``alpha`` and ``dpotri``
+overwrites the factor with the lower triangle of the inverse.  A fitted
+model stacks ``alpha`` over the inverse factor in one ``(n + 1, n)`` array,
+so a prediction is one GEMM of that array with the unit-outputscale kernel:
+row 0 gives the mean and the other rows give ``v``, whose column sums give
+the variance.  The outputscale and the target mean and sd scale those ``(m,)``
+results, not the ``(n, m)`` kernel.  These paths, and :func:`predict`
+behind every UCB call, run tens of thousands of times per run on small
+matrices, so they build their arrays in place: the evidence's
+``K + noise * I`` in one new array, which then becomes ``K_l * D`` (equal,
+since ``D``'s diagonal is zero), and :func:`predict`'s kernel in its fresh
+distance matrix.  Each gives the same bits as the plain fresh-array
+expression, which the tests keep as their reference.
 """
 
 import math
@@ -112,9 +119,11 @@ class KernelParams:
 class GPModel:
     """Fitted surrogate: training pairs, hyperparameters, cached factors.
 
-    ``chol_factor`` is the lower Cholesky of ``K + noise * I``, ``chol_inv``
-    its inverse, and ``alpha`` solves that system for the standardized
-    targets ``z``.  ``nfev`` and ``failed_starts`` describe the
+    ``chol_factor`` is the lower Cholesky of ``K + noise * I``.
+    ``alpha_chol_inv`` stacks, in one ``(n + 1, n)`` array, the row
+    ``alpha`` that solves that system for the standardized targets ``z``
+    over the factor's inverse ``chol_inv``; the ``alpha`` and ``chol_inv``
+    properties are views of it.  ``nfev`` and ``failed_starts`` describe the
     hyperparameter search of :func:`fit`: evidence evaluations over all
     starts, and starts that L-BFGS-B ended without success (both 0 for
     :func:`fit_with_params`).
@@ -128,14 +137,21 @@ class GPModel:
     target_sd: float
     params: KernelParams
     chol_factor: np.ndarray | None
-    alpha: np.ndarray | None
-    chol_inv: np.ndarray | None
+    alpha_chol_inv: np.ndarray | None
     nfev: int = 0
     failed_starts: int = 0
 
     @property
     def n_train(self) -> int:
         return self.inputs.shape[0]
+
+    @property
+    def alpha(self) -> np.ndarray | None:
+        return None if self.alpha_chol_inv is None else self.alpha_chol_inv[0]
+
+    @property
+    def chol_inv(self) -> np.ndarray | None:
+        return None if self.alpha_chol_inv is None else self.alpha_chol_inv[1:]
 
 
 def rbf_kernel(y1, y2, params: KernelParams) -> float:
@@ -157,7 +173,8 @@ def _kernel_matrix(sqdist: np.ndarray, lengthscale: float,
     """Kernel values ``o^2 exp(-d / 2 l^2)`` for squared distances ``d``,
     built in ``out``: a new array by default, or ``sqdist`` itself when the
     caller owns a fresh one.  ``outputscale=None`` is the unit outputscale
-    of the concentrated evidence, which needs no multiply."""
+    of the concentrated evidence and of :func:`predict`, which needs no
+    multiply."""
     k = np.divide(sqdist, -2.0 * lengthscale ** 2, out=out)
     np.exp(k, out=k)
     if outputscale is not None:
@@ -176,17 +193,17 @@ def _cholesky(kn: np.ndarray) -> np.ndarray:
 
 def _factor(sqdist: np.ndarray, z: np.ndarray, lengthscale: float, noise_var: float,
             outputscale: float | None = None):
-    """Kernel matrix, lower factor of ``K + noise * I`` and ``alpha``."""
-    k_rbf = _kernel_matrix(sqdist, lengthscale, outputscale)
-    kn = k_rbf.copy()
+    """``K + noise * I`` in a new array, its lower factor and ``alpha``."""
+    kn = _kernel_matrix(sqdist, lengthscale, outputscale)
     kn.flat[::z.size + 1] += noise_var
     chol = _cholesky(kn)
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
-    return k_rbf, chol, alpha
+    return kn, chol, alpha
 
 
 def _inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of the matrix whose lower factor is ``chol``."""
+    """Inverse of the matrix whose lower factor is ``chol``, for the
+    three-parameter evidence."""
     inv, _ = lapack.dpotri(chol, lower=1)
     # dpotri fills the lower triangle and leaves the upper one zero, so
     # adding the transpose symmetrizes; halving the doubled diagonal is exact
@@ -249,17 +266,17 @@ def _training_set(inputs, targets):
 def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) -> GPModel:
     _, chol, alpha = _factor(sqdist, z, params.lengthscale, params.noise_var,
                              params.outputscale)
-    chol_inv, _ = lapack.dtrtri(chol, lower=1)
+    alpha_chol_inv = np.vstack((alpha, lapack.dtrtri(chol, lower=1)[0]))
     return GPModel(inputs=inputs, raw_targets=raw_targets, target_mean=mean,
-                   target_sd=sd, params=params, chol_factor=chol, alpha=alpha,
-                   chol_inv=chol_inv)
+                   target_sd=sd, params=params, chol_factor=chol,
+                   alpha_chol_inv=alpha_chol_inv)
 
 
 def empty_model(params: KernelParams, dim: int) -> GPModel:
     """Prior-only model: predicts (0, outputscale) everywhere."""
     return GPModel(inputs=np.zeros((0, dim)), raw_targets=np.zeros(0),
                    target_mean=0.0, target_sd=1.0, params=params,
-                   chol_factor=None, alpha=None, chol_inv=None)
+                   chol_factor=None, alpha_chol_inv=None)
 
 
 def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
@@ -327,37 +344,35 @@ def _concentrated(sqdist, z, theta):
     log(noise / o^2))``, its gradient in ``theta`` and the maximizing
     ``log o``, clamped into OUTPUTSCALE_BOUNDS."""
     lengthscale, ratio = math.exp(theta[0]), math.exp(theta[1])
-    k_unit, chol, alpha = _factor(sqdist, z, lengthscale, ratio)   # A = K_l + r I
+    a, chol, alpha = _factor(sqdist, z, lengthscale, ratio)   # A = K_l + r I
     n = z.size
     q = float(z @ alpha)
     lo, hi = OUTPUTSCALE_BOUNDS
     o2 = min(max(q / n, lo ** 2), hi ** 2)
     lml = -0.5 * q / o2 - float(np.log(chol.diagonal()).sum()) \
         - 0.5 * n * math.log(2.0 * math.pi * o2)
-    w = alpha[:, None] * alpha
-    w /= o2
-    w -= _inverse(chol)
-    trace_w = float(w.trace())
-    w *= k_unit
-    w *= sqdist
+    inv_lower, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    kd = np.multiply(a, sqdist, out=a)   # A * D = K_l * D: D's diagonal is zero
     grad = np.array([
-        0.5 * float(w.sum()) / lengthscale ** 2,
-        0.5 * ratio * trace_w,
+        (float(alpha @ (kd @ alpha)) / o2 - 2.0 * float(np.vdot(inv_lower.T, kd)))
+        / (2.0 * lengthscale ** 2),
+        0.5 * ratio * (float(alpha @ alpha) / o2 - float(inv_lower.trace())),
     ])
     return lml, grad, 0.5 * math.log(o2)
 
 
 def _grad_from(sqdist, z, params: KernelParams):
-    k_rbf, chol, alpha = _factor(sqdist, z, params.lengthscale, params.noise_var,
-                                 params.outputscale)
+    kn, chol, alpha = _factor(sqdist, z, params.lengthscale, params.noise_var,
+                              params.outputscale)
     lml = -0.5 * float(z @ alpha) - float(np.sum(np.log(np.diag(chol)))) \
         - 0.5 * z.size * math.log(2.0 * math.pi)
     w = np.outer(alpha, alpha) - _inverse(chol)
-    wk = w * k_rbf
+    trace_w = float(np.trace(w))
+    wk = w * kn   # sum(w * K) = sum(w * kn) - noise tr(w)
     grad = np.array([
-        float(np.sum(wk)),
+        float(np.sum(wk)) - params.noise_var * trace_w,
         0.5 * float(np.sum(wk * sqdist)) / params.lengthscale ** 2,
-        0.5 * params.noise_var * float(np.trace(w)),
+        0.5 * params.noise_var * trace_w,
     ])
     return lml, grad
 
@@ -380,14 +395,23 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
                 f"query dimension {pts.shape[1]} does not match model "
                 f"dimension {model.inputs.shape[1]}")
         sqdist = _sqdist(model.inputs, pts)
-        k_star = _kernel_matrix(sqdist, model.params.lengthscale, o, out=sqdist)
-        mean_norm = k_star.T @ model.alpha
-        v = model.chol_inv @ k_star
+        k_unit = _kernel_matrix(sqdist, model.params.lengthscale, out=sqdist)
+        # row 0 is alpha^T k_unit and rows 1.. are v = chol_inv k_unit; the
+        # kernel is o^2 k_unit, so the mean is o^2 alpha^T k_unit and the
+        # variance o^2 - o^4 sum(v^2)
+        rows = model.alpha_chol_inv @ k_unit
+        o2 = o ** 2
+        mean = rows[0]
+        mean *= model.target_sd * o2
+        mean += model.target_mean
+        v = rows[1:]
         np.square(v, out=v)
-        var_norm = o ** 2 - np.sum(v, axis=0)
-        np.maximum(var_norm, 0.0, out=var_norm)
-        mean = model.target_mean + model.target_sd * mean_norm
-        sd = model.target_sd * np.sqrt(var_norm)
+        sd = v.sum(axis=0)
+        sd *= -o2 * o2
+        sd += o2
+        np.maximum(sd, 0.0, out=sd)
+        np.sqrt(sd, out=sd)
+        sd *= model.target_sd
     if single:
         return float(mean[0]), float(sd[0])
     return mean, sd

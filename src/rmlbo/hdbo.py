@@ -280,19 +280,21 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     fys = vals[order[:ACQ_RESTARTS]]
     width = upper - lower
     floor = 1e-12 * width
-    steps = np.broadcast_to(0.25 * width, (ACQ_RESTARTS, 1, d)).copy()
     # candidate 2j moves coordinate j up by its step, 2j + 1 down; the other
     # coordinates add a zero, and a move never crosses the far bound, so
-    # clipping every coordinate equals clipping the moved one
+    # clipping every coordinate equals clipping the moved one.  Each start
+    # keeps its moves scaled by its steps; halving them is exact, so they
+    # stay the product of the unit moves and the halved steps, bit for bit
     eye = np.eye(d)
     moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
+    deltas = np.broadcast_to(moves * (0.25 * width), (ACQ_RESTARTS, 2 * d, d)).copy()
+    steps = np.diagonal(deltas[:, ::2], axis1=1, axis2=2)   # a view: (starts, d)
     cands = np.empty((ACQ_RESTARTS, 2 * d, d))
     flat = cands.reshape(-1, d)
     centers = ys[:, None, :]               # a view: follows the updates of ys
     first = np.arange(0, ACQ_RESTARTS * 2 * d, 2 * d)   # each start's first row in flat
     for _ in range(ACQ_SWEEPS):
-        np.multiply(moves, steps, out=cands)
-        cands += centers
+        np.add(deltas, centers, out=cands)
         np.minimum(cands, upper, out=cands)
         np.maximum(cands, lower, out=cands)
         cv = gp.ucb(model, flat, beta)
@@ -304,7 +306,7 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
         # and halve theirs (x * 1.0 is x, bit for bit)
         np.copyto(ys, flat[pick], where=improved[:, None])
         np.copyto(fys, pick_val, where=improved)
-        steps *= np.where(improved, 1.0, 0.5)[:, None, None]
+        deltas *= np.where(improved, 1.0, 0.5)[:, None, None]
         if (steps < floor).all():
             break
     # refinement only ever improves on a start's probe value, so the argmax

@@ -66,6 +66,12 @@ class TestMakeProblem:
             bench.make_problem(name, **{key: 4})
         bench.make_problem(name, **{key: None})
 
+    @pytest.mark.parametrize("name", ["quadratic-bowl", "linear-gaussian"])
+    @pytest.mark.parametrize("sd", [1e170, 1e-170, -0.5])
+    def test_noise_sd_must_square_to_a_positive_finite_variance(self, name, sd):
+        with pytest.raises(ValueError, match="noise_sd=.* squares to"):
+            bench.make_problem(name, seed=0, noise_sd=sd)
+
     def test_generation_is_seeded_and_budget_free(self):
         a = bench.make_problem("sine-ridge", seed=5)
         b = bench.make_problem("sine-ridge", seed=5)

@@ -425,6 +425,17 @@ class TestConfigPlumbing:
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert f"problem.{field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sd", [1e170, 1e-170, 10 ** 400],
+                             ids=["1e170", "1e-170", "10**400"])
+    def test_noise_sd_without_a_finite_positive_square_exits_2(self, tmp_path, capsys, sd):
+        # 1e170 squares to inf and 1e-170 to 0: neither is a noise variance;
+        # the JSON integer 10**400 does not fit a float at all
+        cfg = {**BOWL, "problem": {**BOWL["problem"], "noise_sd": sd}}
+        out = tmp_path / "x"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "problem.noise_sd: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_numeric_noise_sd_is_accepted(self, tmp_path):
         # a JSON integer is a number too: 1 and 1.0 give the same run
         outs = []

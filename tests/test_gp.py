@@ -7,8 +7,9 @@ from rmlbo import gp
 
 
 # Reference formulations of the GP's hot paths: fresh arrays, np.eye on the
-# diagonal, np.tril to symmetrize and np.clip on the variance.  The module
-# builds the same arithmetic in place, so results must agree bit for bit.
+# diagonal, np.tril to symmetrize, np.triu to pick a triangle and np.clip on
+# the variance.  The module builds the same arithmetic in place, so results
+# must agree bit for bit.
 
 def ref_kernel_matrix(sqdist, params):
     return params.outputscale ** 2 * np.exp(-sqdist / (2.0 * params.lengthscale ** 2))
@@ -27,11 +28,12 @@ def ref_lml_grad(inputs, z, params):
     k_inv, _ = lapack.dpotri(chol, lower=1)
     k_inv += np.tril(k_inv, -1).T
     w = np.outer(alpha, alpha) - k_inv
-    wk = w * k_rbf
+    trace_w = float(np.trace(w))
+    wk = w * kn
     grad = np.array([
-        float(np.sum(wk)),
+        float(np.sum(wk)) - params.noise_var * trace_w,
         0.5 * float(np.sum(wk * sqdist)) / params.lengthscale ** 2,
-        0.5 * params.noise_var * float(np.trace(w)),
+        0.5 * params.noise_var * trace_w,
     ])
     return lml, grad
 
@@ -45,20 +47,26 @@ def ref_factors(inputs, z, params):
     return chol, alpha, chol_inv
 
 
+def unit_kernel(model, pts):
+    """Kernel values at unit outputscale between the training inputs and ``pts``."""
+    unit = gp.KernelParams(0.0, model.params.log_lengthscale, 0.0)
+    return ref_kernel_matrix(cdist(model.inputs, pts, metric="sqeuclidean"), unit)
+
+
 def ref_predict(model, pts):
-    o = model.params.outputscale
-    k_star = ref_kernel_matrix(cdist(model.inputs, pts, metric="sqeuclidean"), model.params)
-    mean_norm = k_star.T @ model.alpha
-    v = model.chol_inv @ k_star
-    var_norm = np.clip(o ** 2 - np.sum(v ** 2, axis=0), 0.0, None)
-    return (model.target_mean + model.target_sd * mean_norm,
+    """One GEMM of alpha stacked over chol_inv with the unit-outputscale
+    kernel; the outputscale and the target scale act on its rows."""
+    o2 = model.params.outputscale ** 2
+    rows = np.vstack([model.alpha, model.chol_inv]) @ unit_kernel(model, pts)
+    var_norm = np.clip(o2 - (o2 * o2) * np.sum(rows[1:] ** 2, axis=0), 0.0, None)
+    return (model.target_mean + (model.target_sd * o2) * rows[0],
             model.target_sd * np.sqrt(var_norm))
 
 
 def ref_concentrated(sqdist, z, theta):
-    """The concentrated evidence as first written: a unit-outputscale
-    KernelParams per evaluation, its kernel multiplied by 1.0, np.outer, and
-    the gradient product in fresh arrays."""
+    """The concentrated evidence with a unit-outputscale KernelParams per
+    evaluation, its kernel multiplied by 1.0, and the gradient's two sums
+    over ``a = A^-1 z`` and the lower triangle of ``A^-1`` in fresh arrays."""
     unit = gp.KernelParams(0.0, theta[0], theta[1])
     n = z.size
     k_unit = ref_kernel_matrix(sqdist, unit)
@@ -70,12 +78,13 @@ def ref_concentrated(sqdist, z, theta):
     o2 = min(max(q / n, lo ** 2), hi ** 2)
     lml = -0.5 * q / o2 - float(np.sum(np.log(np.diag(chol)))) \
         - 0.5 * n * np.log(2.0 * np.pi * o2)
-    k_inv, _ = lapack.dpotri(chol, lower=1)
-    k_inv += np.tril(k_inv, -1).T
-    w = np.outer(alpha, alpha) / o2 - k_inv
+    inv_lower, _ = lapack.dpotri(chol, lower=1)
+    kd = k_unit * sqdist
+    # the module sums the transposed lower triangle against kd in C order
+    lower_sum = float(np.vdot(np.triu(inv_lower.T), kd))
     grad = np.array([
-        0.5 * float(np.sum(w * k_unit * sqdist)) / unit.lengthscale ** 2,
-        0.5 * unit.noise_var * float(np.trace(w)),
+        (float(alpha @ (kd @ alpha)) / o2 - 2.0 * lower_sum) / (2.0 * unit.lengthscale ** 2),
+        0.5 * unit.noise_var * (float(alpha @ alpha) / o2 - float(np.trace(inv_lower))),
     ])
     return lml, grad, 0.5 * np.log(o2)
 
@@ -320,6 +329,28 @@ class TestLogMarginalLikelihood:
                       - ref_concentrated_lml(X, zs, dn)) / (2 * eps)
                 assert -grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
+    def test_fit_coordinate_gradient_with_exact_duplicate_rows(self, monkeypatch):
+        # repeated rows stay training points, so the distance matrix has
+        # zeros off its diagonal as well; the gradient's lower-triangle sum
+        # relies only on the diagonal being exactly zero
+        rng = np.random.default_rng(31)
+        X = rng.uniform(-2, 2, (12, 2))
+        X = np.vstack([X, X[:4], X[:2]])
+        neg_lml, zs = fit_objective(monkeypatch, X, np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2)
+        eps = 1e-6
+        for _ in range(10):
+            theta = np.array([rng.uniform(-1.5, 0.5),
+                              rng.uniform(np.log(1e-6), np.log(1e-2))])
+            value, grad = neg_lml(theta)
+            assert -value == pytest.approx(ref_concentrated_lml(X, zs, theta), rel=1e-10)
+            for i in range(2):
+                up, dn = theta.copy(), theta.copy()
+                up[i] += eps
+                dn[i] -= eps
+                fd = (ref_concentrated_lml(X, zs, up)
+                      - ref_concentrated_lml(X, zs, dn)) / (2 * eps)
+                assert -grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
     def test_fit_coordinate_gradient_at_n60_near_noise_floor(self, monkeypatch):
         rng = np.random.default_rng(21)
         X = rng.uniform(-2, 2, (60, 3))
@@ -551,9 +582,9 @@ class TestPredict:
         X = rng.uniform(-1, 1, (20, 2))
         params = gp.KernelParams(0.0, np.log(1.0), np.log(1e-30))
         model = gp.fit_with_params(X, rng.standard_normal(20), params)
-        v = model.chol_inv @ ref_kernel_matrix(
-            cdist(model.inputs, X, metric="sqeuclidean"), params)
-        assert np.any(params.outputscale ** 2 - np.sum(v ** 2, axis=0) < 0)
+        o2 = params.outputscale ** 2
+        v = model.chol_inv @ unit_kernel(model, X)
+        assert np.any(o2 - (o2 * o2) * np.sum(v ** 2, axis=0) < 0)
         assert bits(*gp.predict(model, X)) == bits(*ref_predict(model, X))
 
     def test_ucb_keeps_its_input_checks(self):
@@ -571,6 +602,23 @@ class TestPredict:
                                    gp.KernelParams.from_natural(1.0, 0.7, 1e-6))
         np.testing.assert_allclose(model.chol_inv @ model.chol_factor, np.eye(30),
                                    atol=1e-8)
+
+    def test_alpha_and_chol_inv_are_views_of_one_stacked_array(self):
+        rng = np.random.default_rng(16)
+        X = rng.uniform(-1, 1, (30, 2))
+        z = np.sin(2 * X[:, 0]) + X[:, 1]
+        params = gp.KernelParams.from_natural(1.0, 0.7, 1e-6)
+        for model in (gp.fit(X, z, rng), gp.fit_with_params(X, z, params)):
+            stacked = model.alpha_chol_inv
+            assert stacked.shape == (31, 30)
+            assert np.shares_memory(model.alpha, stacked)
+            assert np.shares_memory(model.chol_inv, stacked)
+            zs = (z - model.target_mean) / model.target_sd
+            alpha, _ = lapack.dpotrs(model.chol_factor, zs, lower=1)
+            chol_inv, _ = lapack.dtrtri(model.chol_factor, lower=1)
+            assert bits(model.alpha, model.chol_inv) == bits(alpha, chol_inv)
+        empty = gp.empty_model(params, dim=2)
+        assert empty.alpha is None and empty.chol_inv is None
 
 
 class TestFit:

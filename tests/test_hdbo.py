@@ -154,6 +154,26 @@ class TestAcquisitionMaximize:
             # until all are below 1e-12 of it, which takes 38 sweeps
             assert sweeps == 38
 
+    def test_every_prediction_goes_through_one_ucb_call_per_sweep(self, monkeypatch):
+        # gp.ucb is the boundary the benchmark times under the acquisition:
+        # the sweep reaches the surrogate only through it, once per sweep
+        lo, hi = ACQ_BOXES[1]
+        model = acquisition_model(25, 41, lo, hi)
+        _, sweeps = ref_acquisition_maximize(model, (lo, hi), 2.0,
+                                             np.random.default_rng(3), hdbo.ACQ_RESTARTS)
+        calls = {"ucb": 0, "predict": 0}
+
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(gp, "ucb", spy("ucb", gp.ucb))
+        monkeypatch.setattr(gp, "predict", spy("predict", gp.predict))
+        acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(3))
+        assert calls == {"ucb": 1 + sweeps, "predict": 1 + sweeps}
+
     def test_starts_that_do_not_improve_keep_their_point_and_value(self, monkeypatch):
         # every sweep scores below the probes, so no start ever moves; the
         # sweep values rise with the start's row, so a value written to a
