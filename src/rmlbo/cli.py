@@ -60,6 +60,14 @@ def _atomic_write_json(path: str, payload) -> None:
     atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _blas_threads() -> dict:
+    """The BLAS thread-count variables as the environment sets them (None
+    when unset): a rerun reproduces a trace byte for byte only at the same
+    BLAS thread count."""
+    return {name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _parse_override(raw: str):
     if "=" not in raw:
         raise ConfigError(f"--set expects key=value, got {raw!r}")
@@ -219,10 +227,13 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
             "config": resolved,
             "method": resolved["method"],
             "seed": resolved["seed"],
-            "n_evals": sum(rec.eval_cost for rec in exc.records),
+            # the simulator's count: a Gaussian-prior slot whose refined
+            # call failed spent its lifted call but left no record
+            "n_evals": problem.simulator.eval_counter,
             "analysis_evals": problem.simulator.analysis_counter,
             "aborted": True,
             "error": str(exc),
+            "blas_threads": _blas_threads(),
         })
         print(f"runtime failure: {exc}", file=sys.stderr)
         print(f"partial trace ({len(exc.records)} records): {trace_path}", file=sys.stderr)
@@ -244,6 +255,7 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
         "instances": [inst.to_dict() for inst in instances],
         "embeddings": [emb.to_dict() for emb in result.embeddings],
         "wall_clock_s": elapsed,
+        "blas_threads": _blas_threads(),
     }
     _atomic_write_json(report_path, report)
     print(f"method: {resolved['method']}")
@@ -277,7 +289,7 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
     summary_path = os.path.join(out_dir, "summary.csv")
     atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     report_path = os.path.join(out_dir, "report.json")
-    _atomic_write_json(report_path, report.to_dict())
+    _atomic_write_json(report_path, {**report.to_dict(), "blas_threads": _blas_threads()})
     print(f"curves: {curves_path}")
     print(f"summary: {summary_path}")
     print(f"report: {report_path}")

@@ -8,9 +8,10 @@ training point for *every* objective, because the objectives differ only
 in their data/prior-mean perturbations, which are free to apply to a cached
 forward value.  A GP is fitted per step to the active objective's view of
 the shared ensemble and its UCB acquisition proposes the next point.
-Each objective keeps a column of targets over its embedding's shared inputs,
-computed once per record: an activation adds only the records simulated
-since that objective's previous activation.
+The run keeps one table of likelihood terms, a row per record and a column
+per objective, each row filled once, right after its record is simulated;
+a slot's GP targets are a column slice of its embedding's rows, and on a box
+prior final selection reads the same table.
 Within an embedding only the first fit searches hyperparameters cold; later
 fits start from the previous fit's hyperparameters.
 
@@ -189,9 +190,9 @@ class SimulationRecord:
 class RMLResult:
     """Per-objective maximizers and values, plus the full trace.
 
-    ``candidate_values`` is the table :func:`select_maximizers` scored:
-    entry ``[r, i]`` is objective ``i + 1`` at record ``r``'s candidate
-    point, with NaN stored as -inf, and ``values`` are its column maxima.
+    ``candidate_values`` is the table selection scored: entry ``[r, i]`` is
+    objective ``i + 1`` at record ``r``'s candidate point, with NaN stored
+    as -inf, and ``values`` are its column maxima.
     Budget curves replay the selection from it.  Results not built from a
     trace (the linear oracle) leave it None.
     """
@@ -360,11 +361,18 @@ def select_maximizers(records, instances, problem: ProblemSpec) -> RMLResult:
         cand_x, cand_f = rec.candidate()
         for i, inst in enumerate(instances):
             table[r, i] = objective(inst, cand_x, problem, fx=cand_f)
+    return _select(records, table)
+
+
+def _select(records, table: np.ndarray) -> RMLResult:
+    """The result whose ``candidate_values`` is ``table``, entry ``[r, i]``
+    objective ``i + 1`` at record ``r``'s candidate: NaN entries become -inf
+    in place, and each column's first maximum is selected."""
     table[np.isnan(table)] = NEG_INF
     best = np.argmax(table, axis=0)
-    values = table[best, np.arange(len(instances))]
+    values = table[best, np.arange(table.shape[1])]
     if not np.all(np.isfinite(values)):
-        bad = [i + 1 for i in range(len(instances)) if not np.isfinite(values[i])]
+        bad = [i + 1 for i in range(table.shape[1]) if not np.isfinite(values[i])]
         raise ValueError(f"no feasible candidate for objectives {bad}")
     maximizers = np.array([records[r].candidate()[0] for r in best], dtype=float)
     return RMLResult(maximizers=maximizers, values=values, records=list(records),
@@ -415,32 +423,38 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     ]
 
     records: list[SimulationRecord] = []
+    # row r: every objective's likelihood term at record r's lifted point
+    likelihoods = np.empty((config.K * slots, len(instances)))
     try:
         for k, emb in enumerate(embeddings):
-            _run_embedding(problem, instances, config, emb, k, slots, gaussian, records)
+            _run_embedding(problem, instances, config, emb, k, gaussian, records,
+                           likelihoods[k * slots:(k + 1) * slots])
     except SimulatorError as exc:
         raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
 
-    result = select_maximizers(records, instances, problem)
+    if gaussian:
+        result = select_maximizers(records, instances, problem)
+    else:
+        # a lifted point lies in the box, so its objective is the likelihood
+        # plus a prior term of 0.0, which also turns -0.0 into 0.0
+        result = _select(records, likelihoods + 0.0)
     result.embeddings = embeddings
     return result
 
 
-def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: int,
-                   gaussian: bool, records: list) -> None:
+def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian: bool,
+                   records: list, rows: np.ndarray) -> None:
     """Sequential pass over one embedding's slots, appending to the shared
-    trace.  Streams are pre-split per embedding, so embeddings could run
-    concurrently without changing any draw.  Every slot's GP trains on all
-    earlier records of the embedding whose target under the active
-    objective is finite (a finite simulator output can overflow it)."""
+    trace and filling row ``m - 1`` of ``rows``, the embedding's rows of the
+    likelihood table, once slot ``m``'s record is simulated.  Every slot's
+    GP trains on all earlier records of the embedding whose target under the
+    active objective is finite (a finite simulator output can overflow it)."""
     init_rng = labeled_stream(config.seed, STREAM_INIT, k)
     acq_rng = labeled_stream(config.seed, STREAM_ACQ, k)
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
     init_pts = init_rng.uniform(emb.y_lower, emb.y_upper, (config.n0, emb.embed_dim))
-    own: list[SimulationRecord] = []
-    ys: list[np.ndarray] = []   # the inputs of ``own``, shared by every objective
-    # per objective: the targets of ``own[:len(column)]``, in record order
-    columns = [[] for _ in instances]
+    slots = rows.shape[0]
+    ys = np.empty((slots, emb.embed_dim))   # the inputs, shared by every objective
     params = None
     last_full_fit = -REFIT_PERIOD
     for m in range(1, slots + 1):
@@ -449,11 +463,9 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
         if m <= config.n0:
             y = init_pts[m - 1]
         else:
-            column = columns[nprime - 1]
-            column.extend(gp_target(inst, rec, problem) for rec in own[len(column):])
-            train_z = np.asarray(column)
+            train_z = rows[:m - 1, nprime - 1]
             finite = np.isfinite(train_z)
-            train_y = np.asarray(ys)[finite]
+            train_y = ys[:m - 1][finite]
             train_z = train_z[finite]
             full = train_z.size < REFIT_EVERY_UNTIL or (m - last_full_fit) >= REFIT_PERIOD
             if full:
@@ -472,8 +484,8 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, slots: in
         rec = SimulationRecord(emb_index=emb.index, y=np.asarray(y, dtype=float), x=x,
                                fx=fx, refined_z=refined_z, f_refined=f_refined,
                                iteration=m, objective_index=nprime)
-        own.append(rec)
-        ys.append(rec.y)
+        ys[m - 1] = rec.y
+        rows[m - 1] = [gp_target(each, rec, problem) for each in instances]
         records.append(rec)
 
 

@@ -116,6 +116,44 @@ class TestRun:
         assert report["n_evals"] == 10
         # the data draw that built the problem, as in a run that completes
         assert report["analysis_evals"] == 1
+        assert set(report["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                               "MKL_NUM_THREADS"}
+
+    def test_aborted_gaussian_run_reports_the_evaluations_the_simulator_counted(
+            self, tmp_path, monkeypatch, fail_after):
+        # call 7 is slot 4's lifted point and call 8, its refined point,
+        # fails: the partial trace holds 3 records (6 evaluations), and the
+        # report counts the 7 the simulator answered
+        real = bench.problem_from_config
+        monkeypatch.setattr(bench, "problem_from_config",
+                            lambda cfg: fail_after(real(cfg), 7))
+        cfg = {**BOWL, "problem": {**BOWL["problem"], "prior": "gaussian"}}
+        out = tmp_path / "g"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        assert len((out / "trace.jsonl").read_text().strip().splitlines()) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["aborted"] is True
+        assert report["n_evals"] == 7
+
+    def test_reports_record_the_blas_thread_setting(self, tmp_path):
+        # a rerun is byte-identical only at the same BLAS thread count, so
+        # run and compare record the variables that set it, null when unset
+        src = str(pathlib.Path(rmlbo.__file__).parents[1])
+        code = "import sys; from rmlbo.cli import main; sys.exit(main(sys.argv[1:]))"
+        path = write_config(tmp_path, {**BOWL, "methods": ["random-design"], "trials": 1})
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            want = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None,
+                    "MKL_NUM_THREADS": None}
+            for command in ("run", "compare"):
+                out = tmp_path / f"{command}{threads}"
+                subprocess.run([sys.executable, "-c", code, command, "--config", path,
+                                "--out", str(out)], env=env, capture_output=True, check=True)
+                report = json.loads((out / "report.json").read_text())
+                assert report["blas_threads"] == want
 
     @pytest.mark.parametrize("method,make", [
         ("random-design", bench.random_design_method),

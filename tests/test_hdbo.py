@@ -1,4 +1,5 @@
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -562,9 +563,9 @@ class TestDataSharing:
         assert factor_slots == [31, 32, 33, 34, 36, 37, 38, 39]
 
     def test_each_target_computed_once_per_record_and_objective(self, monkeypatch):
-        # within an embedding gp_target sees each (record, objective) pair
-        # once, and every fit still trains on the targets of all earlier
-        # records of its embedding, bit for bit
+        # gp_target scores every (record, objective) pair of the run exactly
+        # once, K * slots * n_rml calls in all, and every fit still trains on
+        # the targets of all earlier records of its embedding, bit for bit
         pairs, fitted = [], []
         real_target = hdbo.gp_target
         real_fit = gp.fit
@@ -590,17 +591,17 @@ class TestDataSharing:
         cfg = HDBOConfig(n_rml=3, budget_N=80, K=2, d_e=2, n0=3, seed=2)
         res = run_hdbo_rml(prob, insts, cfg)
 
-        expected, expected_pairs = [], set()
+        expected = []
         for k in range(1, cfg.K + 1):
             own = [rec for rec in res.records if rec.emb_index == k]
             for rec in own[cfg.n0:]:
                 inst = insts[rec.objective_index - 1]
                 earlier = own[:rec.iteration - 1]
-                expected_pairs.update((id(r), inst.index) for r in earlier)
                 zs = [real_target(inst, r, prob) for r in earlier]
                 expected.append(np.array([z for z in zs if np.isfinite(z)]))
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) == expected_pairs
+        slots = hdbo.embedding_slots(cfg, prob)
+        assert len(pairs) == cfg.K * slots * cfg.n_rml
+        assert set(pairs) == {(id(r), inst.index) for r in res.records for inst in insts}
         assert len(fitted) == len(expected)
         for got, want in zip(fitted, expected):
             assert got.tobytes() == want.tobytes()
@@ -651,6 +652,47 @@ class TestDataSharing:
         for (got_y, got_z), (want_y, want_z) in zip(fitted, expected):
             assert got_y.tobytes() == want_y.tobytes()
             assert got_z.tobytes() == want_z.tobytes()
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["bowl", "overflowing-bowl"])
+    def test_box_run_selects_from_the_table_select_maximizers_scores(self, overflow):
+        # a box-prior run selects from its likelihood table; rescoring its
+        # trace through the objective gives the same table, bit for bit,
+        # including the -inf entries of forward values that overflow
+        if overflow:
+            prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
+            inner = prob.simulator._fn
+            prob.simulator._fn = lambda x: np.full(3, 1e200) if x[0] > 0.3 else inner(x)
+        else:
+            prob = bowl_problem()
+        insts = drawn(prob, 3)
+        cfg = HDBOConfig(n_rml=3, budget_N=40, K=2, d_e=2, n0=3, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow") if overflow else nullcontext():
+            res = run_hdbo_rml(prob, insts, cfg)
+            want = select_maximizers(res.records, insts, prob)
+        assert np.isneginf(res.candidate_values).any() == overflow
+        assert res.candidate_values.tobytes() == want.candidate_values.tobytes()
+        assert res.values.tobytes() == want.values.tobytes()
+        assert res.maximizers.tobytes() == want.maximizers.tobytes()
+        assert res.n_evals == want.n_evals
+
+    @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
+    def test_only_gaussian_selection_scores_the_objective(self, monkeypatch, prior):
+        # a box run selects from the likelihood table alone; a Gaussian run
+        # scores each (record, objective) pair's refined point once
+        calls = []
+        real_objective = hdbo.objective
+
+        def spy_objective(*args, **kwargs):
+            calls.append(args[0].index)
+            return real_objective(*args, **kwargs)
+
+        monkeypatch.setattr("rmlbo.hdbo.objective", spy_objective)
+        prob = bowl_problem(prior=prior)
+        insts = drawn(prob, 3)
+        cfg = HDBOConfig(n_rml=3, budget_N=48, K=2, d_e=2, n0=3, seed=5)
+        res = run_hdbo_rml(prob, insts, cfg)
+        scored = len(res.records) if prior == "gaussian" else 0
+        assert sorted(calls) == [inst.index for inst in insts for _ in range(scored)]
 
     def test_best_so_far_values_non_decreasing(self):
         prob = bowl_problem()
