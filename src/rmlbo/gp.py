@@ -4,8 +4,8 @@ Covariance between two points is ``o^2 * exp(-||y1 - y2||^2 / (2 l^2))``
 with trainable outputscale ``o`` and lengthscale ``l``.  Inference is exact
 through a Cholesky factor of ``K + noise * I``; hyperparameters maximize
 the log marginal likelihood of standardized targets with analytic
-gradients and L-BFGS-B.  Simulators are deterministic, so the noise term is
-a jitter floor rather than real observation noise.
+gradients and a projected BFGS search.  Simulators are deterministic, so
+the noise term is a jitter floor rather than real observation noise.
 
 Both fits, :func:`fit` and :func:`fit_with_params`, train on exactly the
 rows they are given: one checked and standardized training set and its one
@@ -23,7 +23,7 @@ as a ratio ``r = noise / o^2``, ``K + noise * I = o^2 A`` where
 evidence ``-q / (2 o^2) - log|A| / 2 - n log o - (n / 2) log 2 pi``, with
 ``q = z^T A^-1 z``, is strictly concave in ``log o`` and peaks at
 ``o^2 = q / n``; clamped into OUTPUTSCALE_BOUNDS, that value is the exact
-maximizer over ``o``.  L-BFGS-B therefore searches only
+maximizer over ``o``.  The search therefore runs over only
 ``theta = (log l, log r)`` and ``o`` follows in closed form.  By the envelope
 theorem, which also holds at the clamp (where ``o`` is constant), the
 gradient in ``theta`` is the evidence's partial derivative at fixed ``o``:
@@ -39,7 +39,7 @@ The ratio is boxed between NOISE_FLOOR and 1e-1, so
 ``cond(K + noise * I) <= 1 + n / NOISE_FLOOR`` at any outputscale.  An
 absolute floor would let exact (noise-free) targets drive the outputscale
 to its upper bound and the ratio to 1e-14, where the evidence carries
-roundoff of a few hundredths of a nat between nearby points and L-BFGS-B
+roundoff of a few hundredths of a nat between nearby points and the search
 spends most of its evaluations in line searches that cannot succeed.  The
 bound also satisfies Higham's condition for Cholesky to complete,
 ``20 n^1.5 cond u < 1`` (2002, ch. 10), up to ~460 points, so nothing
@@ -52,6 +52,26 @@ Restart policy: a cold fit runs FIT_RESTARTS log-uniform starts.  A fit
 given ``init`` (the sampler passes each embedding's previous
 hyperparameters, so only its first fit is cold) starts from ``init``,
 clipped into the current bounds, plus one log-uniform restart.
+
+Each start runs :func:`_search`, the projected form of L-BFGS-B (Byrd, Lu,
+Nocedal & Zhu, SIAM J. Sci. Comput. 1995) on two coordinates, with the
+BFGS inverse update and its initial scaling ``(s^T y / y^T y) I`` from
+Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 6.1.  A coordinate
+on a bound whose gradient pushes outward is held; the direction is ``-H g``
+in the free coordinates, and ``H`` resets to ``I`` when that is not a
+descent direction.  While ``H = I`` a step moves at most one log unit, so a
+rough evidence's steep first gradient cannot throw theta into a corner of
+the box, where the projected gradient vanishes and the search would stop.
+Armijo backtracking runs along the projected path ``clip(theta + t d)``;
+each shrink takes the minimizer of the quadratic through ``f(0)``, the
+slope and ``f(t)``, kept within ``[0.1 t, 0.5 t]``.  A start succeeds at a
+projected gradient of at most 1e-5 or a relative decrease of at most
+``1e7 eps`` (scipy's defaults), which includes a step too small to move
+theta, as at the noise floor, where the evidence carries roundoff.  It
+fails when 30 backtracks find no decrease or after FIT_MAXITER steps.  The
+search keeps its state in Python floats: on numpy ``(2,)`` arrays its
+bookkeeping cost as much per evaluation as scipy's L-BFGS-B wrapper, about
+as much as the evidence itself.
 
 Each concentrated-evidence gradient takes one LAPACK pass over the
 factor: ``dpotrf`` factors, ``dpotrs`` solves for ``alpha`` and ``dpotri``
@@ -74,7 +94,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 NOISE_FLOOR = 1e-8
@@ -125,7 +144,8 @@ class GPModel:
     over the factor's inverse ``chol_inv``; the ``alpha`` and ``chol_inv``
     properties are views of it.  ``nfev`` and ``failed_starts`` describe the
     hyperparameter search of :func:`fit`: evidence evaluations over all
-    starts, and starts that L-BFGS-B ended without success (both 0 for
+    starts, and starts that :func:`_search` ended without success, by a
+    line search that failed or at FIT_MAXITER steps (both 0 for
     :func:`fit_with_params`).
     Empty models (n = 0) revert to the prior: mean ``target_mean``, sd equal
     to the outputscale.
@@ -287,7 +307,7 @@ def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
 def fit(inputs, targets, rng: np.random.Generator,
         init: KernelParams | None = None) -> GPModel:
     """Fit hyperparameters by maximizing the evidence of standardized
-    targets with L-BFGS-B.
+    targets with the projected BFGS search :func:`_search`.
 
     The outputscale is concentrated out (see the module docstring): the
     search runs over ``(log l, log(noise / o^2))``, the noise ratio boxed to
@@ -302,47 +322,108 @@ def fit(inputs, targets, rng: np.random.Generator,
     diam = _input_diameter(inputs)
 
     def neg_lml(theta):
-        lml, grad, _ = _concentrated(sqdist, z, theta)
-        return -lml, -grad
+        lml, (g0, g1), _ = _concentrated(sqdist, z, theta)
+        return -lml, (-g0, -g1)
 
-    bounds = [
+    bounds = (
         (math.log(1e-3 * diam), math.log(1e3 * diam)),
         (math.log(NOISE_FLOOR), math.log(1e-1)),
-    ]
+    )
 
     def random_start():
-        return np.array([
-            rng.uniform(math.log(0.05 * diam), math.log(2.0 * diam)),
-            rng.uniform(math.log(1e-6), math.log(1e-2)),
-        ])
+        return (rng.uniform(math.log(0.05 * diam), math.log(2.0 * diam)),
+                rng.uniform(math.log(1e-6), math.log(1e-2)))
 
     if init is None:
         starts = [random_start() for _ in range(FIT_RESTARTS)]
     else:
-        lo, hi = np.array(bounds).T
-        theta_init = [init.log_lengthscale, init.log_noise_var - 2.0 * init.log_outputscale]
-        starts = [np.clip(theta_init, lo, hi), random_start()]
-    best = None
-    nfev = failed = 0
-    for theta0 in starts:
-        res = minimize(neg_lml, theta0, jac=True, method="L-BFGS-B",
-                       bounds=bounds, options={"maxiter": FIT_MAXITER})
-        nfev += int(res.nfev)
-        failed += int(not res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    log_l, log_ratio = best.x
-    log_o = _concentrated(sqdist, z, best.x)[2]
+        theta_init = (init.log_lengthscale, init.log_noise_var - 2.0 * init.log_outputscale)
+        starts = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(theta_init, bounds)),
+                  random_start()]
+    results = [_search(neg_lml, theta0, bounds, FIT_MAXITER) for theta0 in starts]
+    best = min(results, key=lambda res: res[1])[0]
+    log_l, log_ratio = best
+    log_o = _concentrated(sqdist, z, best)[2]
     params = KernelParams(log_o, log_l, log_ratio + 2.0 * log_o)
     model = _assemble(inputs, targets, sqdist, z, mean, sd, params)
-    model.nfev, model.failed_starts = nfev, failed
+    model.nfev = sum(res[2] for res in results)
+    model.failed_starts = sum(not res[3] for res in results)
     return model
+
+
+def _search(fun, x, bounds, maxiter):
+    """Minimize ``fun`` over the box ``bounds`` = ``((lo0, hi0), (lo1, hi1))``
+    from ``x`` by projected BFGS on two coordinates.
+
+    ``fun(x)`` returns ``f`` and its gradient as two floats.  Returns the
+    last iterate, its ``f``, the evaluations spent and whether the search
+    converged: a projected gradient of at most 1e-5, or a relative decrease
+    of at most ``1e7 * eps`` in one step (scipy's L-BFGS-B defaults).  A
+    line search that fails, or ``maxiter`` steps, end it without success.
+    """
+    (lo0, hi0), (lo1, hi1) = bounds
+    x0, x1 = x
+    f, (g0, g1) = fun((x0, x1))
+    nfev, steps = 1, 0
+    h00, h01, h11, unscaled = 1.0, 0.0, 1.0, True
+    while True:
+        # a coordinate on a bound with the gradient pushing outward is held there
+        free0 = not (x0 <= lo0 and g0 > 0.0 or x0 >= hi0 and g0 < 0.0)
+        free1 = not (x1 <= lo1 and g1 > 0.0 or x1 >= hi1 and g1 < 0.0)
+        if max(abs(g0) * free0, abs(g1) * free1) <= 1e-5:
+            return (x0, x1), f, nfev, True
+        if steps == maxiter:
+            return (x0, x1), f, nfev, False
+        steps += 1
+        if free0 and free1:
+            d0, d1 = -(h00 * g0 + h01 * g1), -(h01 * g0 + h11 * g1)
+        else:   # Newton step of the model restricted to the free coordinate
+            det = h00 * h11 - h01 * h01
+            d0, d1 = (-det / h11 * g0, 0.0) if free0 else (0.0, -det / h00 * g1)
+        if not g0 * d0 + g1 * d1 < 0.0:
+            h00, h01, h11, unscaled = 1.0, 0.0, 1.0, True
+            d0, d1 = -g0 * free0, -g1 * free1
+        # with H = I the step is the raw gradient: move at most one log unit
+        t = min(1.0, 1.0 / max(abs(d0), abs(d1))) if unscaled else 1.0
+        for _ in range(31):   # Armijo along the projected path, 30 backtracks
+            u0, u1 = min(max(x0 + t * d0, lo0), hi0), min(max(x1 + t * d1, lo1), hi1)
+            s0, s1 = u0 - x0, u1 - x1
+            if s0 == s1 == 0.0:   # a step that no longer moves x decreases nothing
+                return (x0, x1), f, nfev, True
+            ft, (gt0, gt1) = fun((u0, u1))
+            nfev += 1
+            decrease = g0 * s0 + g1 * s1
+            if ft <= f + 1e-4 * min(decrease, 0.0):
+                break
+            # minimizer of the quadratic through f, the slope and ft
+            curv = ft - f - decrease
+            t = min(max(-0.5 * decrease * t / curv, 0.1 * t), 0.5 * t) if curv > 0.0 \
+                else 0.5 * t
+        else:
+            return (x0, x1), f, nfev, False
+        relative = (f - ft) / max(abs(f), abs(ft), 1.0)
+        y0, y1 = gt0 - g0, gt1 - g1
+        x0, x1, f, g0, g1 = u0, u1, ft, gt0, gt1
+        if relative <= 1e7 * 2.0 ** -52:
+            return (x0, x1), f, nfev, True
+        sy = s0 * y0 + s1 * y1
+        if sy <= 1e-10 * math.hypot(s0, s1) * math.hypot(y0, y1):
+            continue
+        if unscaled:   # H = (s^T y / y^T y) I before the first update
+            h00 = h11 = sy / (y0 * y0 + y1 * y1)
+            h01, unscaled = 0.0, False
+        rho = 1.0 / sy
+        hy0, hy1 = h00 * y0 + h01 * y1, h01 * y0 + h11 * y1
+        c = rho * (1.0 + rho * (y0 * hy0 + y1 * hy1))
+        h00 += c * s0 * s0 - 2.0 * rho * hy0 * s0
+        h01 += c * s0 * s1 - rho * (hy0 * s1 + s0 * hy1)
+        h11 += c * s1 * s1 - 2.0 * rho * hy1 * s1
 
 
 def _concentrated(sqdist, z, theta):
     """Evidence maximized over the outputscale at ``theta = (log l,
-    log(noise / o^2))``, its gradient in ``theta`` and the maximizing
-    ``log o``, clamped into OUTPUTSCALE_BOUNDS."""
+    log(noise / o^2))``, its gradient in ``theta`` as two floats and the
+    maximizing ``log o``, clamped into OUTPUTSCALE_BOUNDS."""
     lengthscale, ratio = math.exp(theta[0]), math.exp(theta[1])
     a, chol, alpha = _factor(sqdist, z, lengthscale, ratio)   # A = K_l + r I
     n = z.size
@@ -353,11 +434,11 @@ def _concentrated(sqdist, z, theta):
         - 0.5 * n * math.log(2.0 * math.pi * o2)
     inv_lower, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
     kd = np.multiply(a, sqdist, out=a)   # A * D = K_l * D: D's diagonal is zero
-    grad = np.array([
+    grad = (
         (float(alpha @ (kd @ alpha)) / o2 - 2.0 * float(np.vdot(inv_lower.T, kd)))
         / (2.0 * lengthscale ** 2),
         0.5 * ratio * (float(alpha @ alpha) / o2 - float(inv_lower.trace())),
-    ])
+    )
     return lml, grad, 0.5 * math.log(o2)
 
 
