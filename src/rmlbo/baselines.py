@@ -5,7 +5,6 @@ its final-selection logic, so comparisons isolate search quality.
 """
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .hdbo import (
     ConfigError,
@@ -61,6 +60,10 @@ def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
     simulation.  Selection then scans the combined trace with the shared
     argmax logic.
     """
+    # imported here, not at module level: no sampler run needs it, and it
+    # adds ~0.06 s of set-up and ~11 MiB to every process that imports rmlbo
+    from scipy.optimize import minimize
+
     _check_instances(instances, problem)
     n_rml = len(instances)
     check_local_search_budget(budget_N, n_rml)

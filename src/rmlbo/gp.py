@@ -85,8 +85,9 @@ behind every UCB call, run tens of thousands of times per run on small
 matrices, so they build their arrays in place: the evidence's
 ``K + noise * I`` in one new array, which then becomes ``K_l * D`` (equal,
 since ``D``'s diagonal is zero), and :func:`predict`'s kernel in its fresh
-distance matrix.  Each gives the same bits as the plain fresh-array
-expression, which the tests keep as their reference.
+distance matrix, and :func:`ucb` scales and adds :func:`predict`'s fresh
+``sd`` into its fresh ``mean``.  Each gives the same bits as the plain
+fresh-array expression, which the tests keep as their reference.
 """
 
 import math
@@ -487,7 +488,7 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
         mean += model.target_mean
         v = rows[1:]
         np.square(v, out=v)
-        sd = v.sum(axis=0)
+        sd = np.add.reduce(v, axis=0)
         sd *= -o2 * o2
         sd += o2
         np.maximum(sd, 0.0, out=sd)
@@ -503,4 +504,8 @@ def ucb(model: GPModel, y, beta: float):
     if beta < 0:
         raise ValueError("beta must be non-negative")
     mean, sd = predict(model, y)
-    return mean + beta * sd
+    # predict's arrays are fresh, so the combine reuses them; on a single
+    # point's floats the same lines give mean + sd * beta
+    sd *= beta
+    mean += sd
+    return mean

@@ -36,7 +36,6 @@ from .problems import (
     GaussianSpec,
     ProblemSpec,
     SimulatorError,
-    chol_spd,
     solve_spd,
 )
 from .rml import RMLInstance, objective
@@ -331,8 +330,7 @@ def local_prior_refine(x0, instance: RMLInstance, prior: GaussianSpec,
     if eta <= 0:
         raise ValueError("eta must be strictly positive")
     x0 = np.asarray(x0, dtype=float)
-    chol = chol_spd(prior.cov + eta * np.eye(prior.dim), name="proximal system")
-    return solve_spd(chol, eta * instance.prior_mean_n + prior.cov @ x0)
+    return solve_spd(prior.proximal_chol(eta), eta * instance.prior_mean_n + prior.cov @ x0)
 
 
 def gp_target(instance: RMLInstance, record: SimulationRecord,

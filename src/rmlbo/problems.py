@@ -66,7 +66,8 @@ def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 class GaussianSpec:
-    """Dense multivariate Gaussian with a cached Cholesky factor.
+    """Dense multivariate Gaussian with a cached Cholesky factor, and a
+    cached factor of each proximal system ``cov + eta * I`` it is asked for.
 
     The mean must be a finite vector, and ``covariance`` finite, symmetric
     within 1e-12 relative tolerance and positive definite.
@@ -91,6 +92,7 @@ class GaussianSpec:
         self.chol = chol_spd(cov, name=name)
         self.name = name
         self._log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        self._proximal = {}
 
     @property
     def dim(self) -> int:
@@ -98,6 +100,16 @@ class GaussianSpec:
 
     def log_det(self) -> float:
         return self._log_det
+
+    def proximal_chol(self, eta: float) -> np.ndarray:
+        """Read-only lower Cholesky factor of ``cov + eta * I``, factored
+        once per ``eta`` and kept for the life of this prior."""
+        chol = self._proximal.get(eta)
+        if chol is None:
+            chol = chol_spd(self.cov + eta * np.eye(self.dim), name="proximal system")
+            chol.flags.writeable = False
+            self._proximal[eta] = chol
+        return chol
 
     def logpdf(self, x, mean=None) -> float:
         """Log density at the point ``x``; ``mean`` recenters the density

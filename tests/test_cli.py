@@ -505,6 +505,43 @@ class TestConfigPlumbing:
                               text=True, check=True)
         assert "scipy.stats" not in done.stdout
 
+    def test_sampler_runs_leave_scipy_optimize_unloaded(self, tmp_path):
+        # only local search's Nelder-Mead needs scipy.optimize, which costs
+        # every process start-up time and memory; the other test modules
+        # import it, so a fresh interpreter checks what rmlbo itself loads
+        src = str(pathlib.Path(rmlbo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        configs = {m: write_config(tmp_path, {**BOWL, "method": m}, f"{m}.json")
+                   for m in ("hdbo-rml", "random-design")}
+        code = f"""
+import json, sys
+loaded = lambda: "scipy.optimize" in sys.modules
+import numpy as np
+import rmlbo
+from rmlbo import bench
+from rmlbo.cli import main
+from rmlbo.hdbo import HDBOConfig
+from rmlbo.rml import draw_randomizations
+steps = {{"import": loaded()}}
+problem = bench.make_problem("quadratic-bowl", D=6, d=2, seed=0)
+instances = draw_randomizations(problem, 2, np.random.default_rng(0))
+rmlbo.run_hdbo_rml(problem, instances, HDBOConfig(n_rml=2, budget_N=12, K=2, d_e=2,
+                                                  n0=3, seed=0))
+steps["run_hdbo_rml"] = loaded()
+for method, path in {configs!r}.items():
+    assert main(["run", "--config", path, "--out", {str(tmp_path)!r} + "/" + method]) == 0
+    steps["cli " + method] = loaded()
+rmlbo.per_objective_local_search(problem, instances, 12, np.random.default_rng(0))
+steps["local search"] = loaded()
+print(json.dumps(steps))
+"""
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "import": False, "run_hdbo_rml": False, "cli hdbo-rml": False,
+            "cli random-design": False, "local search": True}
+
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, BOWL)
         out = tmp_path / "s"

@@ -581,7 +581,9 @@ class TestPredict:
             assert bits(gp.ucb(model, q, beta)) == bits(ref_mean + beta * ref_sd)
         one = gp.predict(model, q[0])
         assert isinstance(one[0], float)
-        assert bits(*one) == bits(*ref_predict(model, q[:1]))
+        one_mean, one_sd = ref_predict(model, q[:1])
+        assert bits(*one) == bits(one_mean, one_sd)
+        assert bits(gp.ucb(model, q[0], 2.0)) == bits(one_mean + 2.0 * one_sd)
 
     def test_zero_variance_clamp_matches_reference_bits(self):
         # with no noise the raw variance at training points dips below zero

@@ -18,7 +18,7 @@ from rmlbo.hdbo import (
     select_maximizers,
     write_trace,
 )
-from rmlbo.problems import GaussianSpec
+from rmlbo.problems import GaussianSpec, chol_spd, solve_spd
 from rmlbo.rml import RMLInstance, draw_randomizations, objective
 from rmlbo.seeding import STREAM_INIT, STREAM_RANDOMIZE, labeled_stream
 
@@ -283,6 +283,17 @@ class TestLocalPriorRefine:
             lp = lambda x: -0.5 * (x - inst.prior_mean_n) @ np.linalg.solve(
                 prior.cov, x - inst.prior_mean_n)
             assert lp(z) >= lp(x0) - 1e-12
+
+    def test_bits_match_a_fresh_factor_as_eta_alternates(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((5, 5))
+        prior = GaussianSpec(np.zeros(5), a @ a.T + np.eye(5))
+        inst = RMLInstance(1, np.zeros(2), rng.standard_normal(5))
+        for eta in (0.25, 4.0, 0.25, 4.0):
+            x0 = rng.standard_normal(5)
+            chol = chol_spd(prior.cov + eta * np.eye(5), name="proximal system")
+            ref = solve_spd(chol, eta * inst.prior_mean_n + prior.cov @ x0)
+            assert local_prior_refine(x0, inst, prior, eta).tobytes() == ref.tobytes()
 
     def test_consumes_no_evaluations(self):
         prob = bowl_problem(prior="gaussian")

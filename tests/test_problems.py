@@ -95,6 +95,20 @@ class TestCholSpd:
             chol_spd(-np.eye(2), name="prior covariance")
 
 
+class TestProximalFactor:
+    def test_memo_matches_a_fresh_factor_per_eta(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6))
+        spec = GaussianSpec(np.zeros(6), a @ a.T + np.eye(6))
+        first = {eta: spec.proximal_chol(eta) for eta in (0.25, 4.0)}
+        assert first[0.25] is not first[4.0]
+        for eta in (4.0, 0.25):
+            fresh = chol_spd(spec.cov + eta * np.eye(6), name="proximal system")
+            assert spec.proximal_chol(eta) is first[eta]
+            assert first[eta].tobytes() == fresh.tobytes()
+            assert not first[eta].flags.writeable
+
+
 class TestLogGaussianDensity:
     def test_standard_normal_at_mode(self):
         spec = GaussianSpec(0.0, 1.0)
