@@ -288,13 +288,12 @@ def local_search_method(budget_N: int) -> Method:
 
 def trace_method(path, name: str) -> Method:
     """Method backed by a JSON-lines trace file (one simulation record per
-    line); every trial replays the same recorded candidates.  The trace is
-    adopted through the standard final selection, so third-party
-    optimizers compare on equal footing.  Each record's forward values must
-    have the problem's output length: the log-density does not check it."""
+    line, read against the problem); every trial replays the same recorded
+    candidates.  The trace is adopted through the standard final selection,
+    so third-party optimizers compare on equal footing."""
 
     def runner(problem, instances, seed):
-        return select_maximizers(read_trace(path, problem.output_dim), instances, problem)
+        return select_maximizers(read_trace(path, problem), instances, problem)
 
     return Method(name, runner)
 
@@ -421,7 +420,9 @@ def budget_curve(problem: ProblemSpec, instances, methods, checkpoints,
     mean-return curves at the given budgets.
 
     Each trial is one full-budget run; checkpoint values are replayed from
-    its candidate-value table.
+    its candidate-value table.  Only the first trial's result is kept, for
+    the method's maximizers and their projections ``maximizers @ A``;
+    nothing is simulated outside the methods' runs.
     """
     checkpoints = [int(c) for c in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -432,23 +433,20 @@ def budget_curve(problem: ProblemSpec, instances, methods, checkpoints,
     entries = []
     for method in methods:
         m_start = time.perf_counter()
-        results = [method.run(problem, instances, trial_seed(seed, t)) for t in range(trials)]
-        budgets = None
+        first = budgets = None
         curves = []
         finals = []
-        for res in results:
+        for t in range(trials):
+            res = method.run(problem, instances, trial_seed(seed, t))
             b, v = best_so_far_curve(res, checkpoints)
-            if budgets is None:
-                budgets = b
+            if first is None:
+                first, budgets = res, b
             elif b != budgets:
                 raise AssertionError(f"trials of {method.name} disagree on valid checkpoints")
             curves.append(v)
             finals.append(-mean_return(res, instances, problem))
-        first = results[0]
-        proj = None
         A = getattr(problem.simulator, "active_matrix", None)
-        if A is not None:
-            proj, _ = project_active(first.maximizers, A, problem)
+        proj = None if A is None else first.maximizers @ A
         entries.append(MethodCurve(
             name=method.name, budgets=budgets, trial_curves=np.asarray(curves),
             avg_curve=np.mean(np.asarray(curves), axis=0),

@@ -148,8 +148,8 @@ class GPModel:
     starts, and starts that :func:`_search` ended without success, by a
     line search that failed or at FIT_MAXITER steps (both 0 for
     :func:`fit_with_params`).
-    Empty models (n = 0) revert to the prior: mean ``target_mean``, sd equal
-    to the outputscale.
+    An empty model (n = 0) has a (0, 0) factor and a (1, 0) stack; on it
+    :func:`predict` gives mean ``target_mean`` and sd ``target_sd * o``.
     """
 
     inputs: np.ndarray
@@ -157,8 +157,8 @@ class GPModel:
     target_mean: float
     target_sd: float
     params: KernelParams
-    chol_factor: np.ndarray | None
-    alpha_chol_inv: np.ndarray | None
+    chol_factor: np.ndarray
+    alpha_chol_inv: np.ndarray
     nfev: int = 0
     failed_starts: int = 0
 
@@ -167,12 +167,12 @@ class GPModel:
         return self.inputs.shape[0]
 
     @property
-    def alpha(self) -> np.ndarray | None:
-        return None if self.alpha_chol_inv is None else self.alpha_chol_inv[0]
+    def alpha(self) -> np.ndarray:
+        return self.alpha_chol_inv[0]
 
     @property
-    def chol_inv(self) -> np.ndarray | None:
-        return None if self.alpha_chol_inv is None else self.alpha_chol_inv[1:]
+    def chol_inv(self) -> np.ndarray:
+        return self.alpha_chol_inv[1:]
 
 
 def rbf_kernel(y1, y2, params: KernelParams) -> float:
@@ -294,10 +294,10 @@ def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) ->
 
 
 def empty_model(params: KernelParams, dim: int) -> GPModel:
-    """Prior-only model: predicts (0, outputscale) everywhere."""
+    """Prior-only model of no training points: predicts (0, outputscale)."""
     return GPModel(inputs=np.zeros((0, dim)), raw_targets=np.zeros(0),
                    target_mean=0.0, target_sd=1.0, params=params,
-                   chol_factor=None, alpha_chol_inv=None)
+                   chol_factor=np.zeros((0, 0)), alpha_chol_inv=np.zeros((1, 0)))
 
 
 def fit_with_params(inputs, targets, params: KernelParams) -> GPModel:
@@ -463,37 +463,33 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
     """Posterior mean and sd at ``y`` in raw target units.
 
     Accepts a single point or a matrix of points; sd is clamped at zero.
+    An empty model's zero-row products leave the prior.
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     pts = y if y.ndim == 2 else np.atleast_2d(y)
-    o = model.params.outputscale
-    if model.n_train == 0:
-        mean = np.full(pts.shape[0], model.target_mean)
-        sd = np.full(pts.shape[0], model.target_sd * o)
-    else:
-        if pts.shape[1] != model.inputs.shape[1]:
-            raise ValueError(
-                f"query dimension {pts.shape[1]} does not match model "
-                f"dimension {model.inputs.shape[1]}")
-        sqdist = _sqdist(model.inputs, pts)
-        k_unit = _kernel_matrix(sqdist, model.params.lengthscale, out=sqdist)
-        # row 0 is alpha^T k_unit and rows 1.. are v = chol_inv k_unit; the
-        # kernel is o^2 k_unit, so the mean is o^2 alpha^T k_unit and the
-        # variance o^2 - o^4 sum(v^2)
-        rows = model.alpha_chol_inv @ k_unit
-        o2 = o ** 2
-        mean = rows[0]
-        mean *= model.target_sd * o2
-        mean += model.target_mean
-        v = rows[1:]
-        np.square(v, out=v)
-        sd = np.add.reduce(v, axis=0)
-        sd *= -o2 * o2
-        sd += o2
-        np.maximum(sd, 0.0, out=sd)
-        np.sqrt(sd, out=sd)
-        sd *= model.target_sd
+    if pts.shape[1] != model.inputs.shape[1]:
+        raise ValueError(
+            f"query dimension {pts.shape[1]} does not match model "
+            f"dimension {model.inputs.shape[1]}")
+    sqdist = _sqdist(model.inputs, pts)
+    k_unit = _kernel_matrix(sqdist, model.params.lengthscale, out=sqdist)
+    # row 0 is alpha^T k_unit and rows 1.. are v = chol_inv k_unit; the
+    # kernel is o^2 k_unit, so the mean is o^2 alpha^T k_unit and the
+    # variance o^2 - o^4 sum(v^2)
+    rows = model.alpha_chol_inv @ k_unit
+    o2 = model.params.outputscale ** 2
+    mean = rows[0]
+    mean *= model.target_sd * o2
+    mean += model.target_mean
+    v = rows[1:]
+    np.square(v, out=v)
+    sd = np.add.reduce(v, axis=0)
+    sd *= -o2 * o2
+    sd += o2
+    np.maximum(sd, 0.0, out=sd)
+    np.sqrt(sd, out=sd)
+    sd *= model.target_sd
     if single:
         return float(mean[0]), float(sd[0])
     return mean, sd

@@ -132,8 +132,9 @@ class SimulationRecord:
     """One simulator evaluation in the shared ensemble.
 
     ``refined_z``/``f_refined`` are present exactly when the run has a
-    Gaussian prior.  ``objective_index`` is the 1-based objective active
-    when the point was selected.
+    Gaussian prior (either alone raises ValueError: a refined point needs
+    its forward value to be scored).  ``objective_index`` is the 1-based
+    objective active when the point was selected.
     """
 
     emb_index: int
@@ -144,6 +145,10 @@ class SimulationRecord:
     f_refined: np.ndarray | None
     iteration: int
     objective_index: int
+
+    def __post_init__(self):
+        if (self.refined_z is None) != (self.f_refined is None):
+            raise ValueError("refined_z and f_refined must be both null or both present")
 
     @property
     def eval_cost(self) -> int:
@@ -171,13 +176,10 @@ class SimulationRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationRecord":
         """Record from :meth:`to_dict`'s form; an index or iteration that is
-        not an integer (a float or a bool), or a refined point without its
-        forward value or the reverse, raises ValueError naming its key."""
+        not an integer (a float or a bool) raises ValueError naming its key."""
         for key in ("emb_index", "iteration", "objective_index"):
             if not _is_integer(d[key]):
                 raise ValueError(f"{key}: expected an integer, got {d[key]!r}")
-        if (d["refined_z"] is None) != (d["f_refined"] is None):
-            raise ValueError("refined_z and f_refined must be both null or both present")
         arr = lambda v: None if v is None else np.asarray(v, dtype=float)
         return cls(emb_index=int(d["emb_index"]), y=arr(d["y"]),
                    x=np.asarray(d["x"], dtype=float), fx=np.asarray(d["fx"], dtype=float),
@@ -218,13 +220,15 @@ def write_trace(records, path) -> None:
     atomic_write(path, "".join(json.dumps(rec.to_dict()) + "\n" for rec in records))
 
 
-def read_trace(path, output_dim: int | None = None) -> list:
-    """Read a JSON-lines trace.  A line that is not a JSON object, lacks a
-    record key, holds a value of the wrong type, has only one of
-    ``refined_z`` and ``f_refined``, whose ``x`` or ``refined_z`` is not
-    finite, or whose ``fx`` or ``f_refined`` is not finite (or, given
-    ``output_dim``, not of that length) raises ValueError naming
-    ``path:line``."""
+def read_trace(path, problem: ProblemSpec) -> list:
+    """Read a JSON-lines trace of simulations of ``problem``.  A line that
+    is not a JSON object, lacks a record key, holds a value of the wrong
+    type, has only one of ``refined_z`` and ``f_refined``, whose ``x`` or
+    ``refined_z`` does not have the problem's input dimension, whose ``fx``
+    or ``f_refined`` does not have its output length, or any of which is not
+    finite, raises ValueError naming ``path:line``."""
+    lengths = (("x", problem.input_dim), ("fx", problem.output_dim),
+               ("refined_z", problem.input_dim), ("f_refined", problem.output_dim))
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -242,14 +246,13 @@ def read_trace(path, output_dim: int | None = None) -> list:
                 raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            for name in ("x", "fx", "refined_z", "f_refined"):
+            for name, n in lengths:
                 value = getattr(rec, name)
                 if value is None:
                     continue
-                if (output_dim is not None and name in ("fx", "f_refined")
-                        and value.shape != (output_dim,)):
+                if value.shape != (n,):
                     raise ValueError(f"{path}:{lineno}: {name} has shape {value.shape}, "
-                                     f"expected ({output_dim},)")
+                                     f"expected ({n},)")
                 if not np.isfinite(value).all():
                     raise ValueError(f"{path}:{lineno}: {name} is not finite")
             records.append(rec)

@@ -61,13 +61,14 @@ def draw_randomizations(problem: ProblemSpec, n_rml: int,
     return instances
 
 
-def objective(instance: RMLInstance, x, problem: ProblemSpec, fx=None) -> float:
-    """The randomized objective O_n at ``x``.
+def objective(instance: RMLInstance, x, problem: ProblemSpec, fx) -> float:
+    """The randomized objective O_n at ``x``, whose forward value ``fx``
+    was recorded when ``x`` was simulated.
 
     Gaussian prior: perturbed log likelihood plus the log prior density
     recentered on the perturbed mean.  Box prior: perturbed log likelihood
-    inside the box, -inf outside.  A prior term of -inf short-circuits
-    before any simulator call, so infeasible points never consume budget.
+    inside the box, -inf outside; a prior term of -inf is returned without
+    reading ``fx``.
     """
     x = np.asarray(x, dtype=float)
     if problem.has_gaussian_prior and instance.prior_mean_n is None:
@@ -75,8 +76,6 @@ def objective(instance: RMLInstance, x, problem: ProblemSpec, fx=None) -> float:
     prior_term = problem.prior.logpdf(x, mean=instance.prior_mean_n)
     if prior_term == NEG_INF:
         return NEG_INF
-    if fx is None:
-        fx = problem.simulator(x)
     return problem.likelihood.gaussian.logpdf(instance.data_n, mean=fx) + prior_term
 
 

@@ -287,6 +287,20 @@ class TestBudgetCurve:
                            trials=1, seed=4)
         assert calls == {"select": 30 * len(insts), "curve": 0}
 
+    def test_projections_are_the_first_maximizers_times_the_active_matrix(self, small_setup):
+        # budget_curve projects without scoring, so it makes no analysis call
+        prob, insts = small_setup
+        A = prob.simulator.active_matrix
+        before = prob.simulator.analysis_counter
+        report = bench.budget_curve(prob, insts, [bench.random_design_method(20),
+                                                  bench.local_search_method(21)],
+                                    [10, 20], trials=2, seed=1)
+        assert prob.simulator.analysis_counter == before
+        for m in report.methods:
+            assert m.projections.tobytes() == (m.maximizers @ A).tobytes()
+            assert m.projections.tobytes() == \
+                bench.project_active(m.maximizers, A, prob)[0].tobytes()
+
     def test_strictly_increasing_checkpoints_enforced(self, small_setup):
         prob, insts = small_setup
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -302,7 +316,7 @@ class TestExternalTraces:
         res = bench.random_design_method(25).run(prob, insts, 3)
         path = tmp_path / "external.jsonl"
         write_trace(res.records, path)
-        adopted = select_maximizers(bench.read_trace(path), insts, prob)
+        adopted = select_maximizers(bench.read_trace(path, prob), insts, prob)
         assert np.allclose(adopted.values, res.values)
         assert np.allclose(adopted.maximizers, res.maximizers)
         assert adopted.n_evals == res.n_evals

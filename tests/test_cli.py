@@ -305,8 +305,7 @@ class TestCompare:
         methods = [{"name": "ext", "trace": str(trace)}]
         cmp_cfg = write_config(tmp_path, {**BOWL, "methods": methods, "trials": 1}, "cmp.json")
         assert main(["compare", "--config", cmp_cfg, "--out", str(tmp_path / "cmp")]) == 3
-        assert "point of shape (1,) against box prior of dimension 12" in \
-            capsys.readouterr().err
+        assert "short.jsonl:1: x has shape (1,), expected (12,)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prior, field", [("uniform", "fx"), ("gaussian", "f_refined")])
     def test_external_trace_with_a_short_forward_value_exits_3_naming_it(

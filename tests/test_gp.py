@@ -500,6 +500,27 @@ class TestPredict:
         assert mean == 0.0
         assert sd == pytest.approx(1.7)
 
+    def test_empty_model_predicts_the_prior_exactly(self):
+        # the zero-row products of the general path leave target_mean and
+        # target_sd * sqrt(o^2), which is target_sd * o bit for bit
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            scale, length = np.exp(rng.uniform(-6, 6, 2))
+            d = int(rng.integers(1, 6))
+            model = gp.empty_model(gp.KernelParams.from_natural(scale, length), dim=d)
+            model.target_mean = float(rng.normal() * 100)
+            model.target_sd = float(np.exp(rng.uniform(-4, 4)))
+            o = model.params.outputscale
+            mean, sd = gp.predict(model, rng.normal(size=(3, d)))
+            assert mean.tolist() == [model.target_mean] * 3
+            assert sd.tolist() == [model.target_sd * o] * 3
+            assert gp.predict(model, np.zeros(d)) == (model.target_mean, model.target_sd * o)
+
+    def test_empty_model_rejects_a_query_of_the_wrong_dimension(self):
+        model = gp.empty_model(gp.KernelParams.from_natural(1.0, 1.0), dim=3)
+        with pytest.raises(ValueError, match="query dimension 2 does not match model dimension 3"):
+            gp.predict(model, np.zeros(2))
+
     def test_single_pair_posterior_formula(self):
         # with one training point the standardized target is zero, so the
         # posterior mean stays at the target everywhere; use two points to
@@ -627,7 +648,9 @@ class TestPredict:
             chol_inv, _ = lapack.dtrtri(model.chol_factor, lower=1)
             assert bits(model.alpha, model.chol_inv) == bits(alpha, chol_inv)
         empty = gp.empty_model(params, dim=2)
-        assert empty.alpha is None and empty.chol_inv is None
+        assert empty.chol_factor.shape == (0, 0)
+        assert empty.alpha.shape == (0,) and empty.chol_inv.shape == (0, 0)
+        assert empty.alpha.base is empty.chol_inv.base is empty.alpha_chol_inv
 
 
 class TestFit:

@@ -427,10 +427,10 @@ class TestRunTrace:
         assert all(r.refined_z is None and r.f_refined is None for r in res.records)
 
     def test_trace_round_trips_through_jsonl(self, uniform_run, tmp_path):
-        _, _, _, res = uniform_run
+        prob, _, _, res = uniform_run
         path = tmp_path / "trace.jsonl"
         write_trace(res.records, path)
-        back = read_trace(path)
+        back = read_trace(path, prob)
         assert len(back) == len(res.records)
         for a, b in zip(res.records, back):
             assert a.to_dict() == b.to_dict()
@@ -448,14 +448,14 @@ class TestRunTrace:
 
     def test_read_rejects_non_finite_forward_values_naming_the_line(self, uniform_run,
                                                                     gaussian_run, tmp_path):
-        for (_, _, _, res), field, bad in ((uniform_run, "fx", float("nan")),
-                                           (gaussian_run, "f_refined", float("inf"))):
+        for (prob, _, _, res), field, bad in ((uniform_run, "fx", float("nan")),
+                                              (gaussian_run, "f_refined", float("inf"))):
             rows = [rec.to_dict() for rec in res.records[:5]]
             rows[2][field][0] = bad
             path = tmp_path / f"{field}.jsonl"
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
             with pytest.raises(ValueError, match=f"{field}.jsonl:3: {field} is not finite"):
-                read_trace(path)
+                read_trace(path, prob)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda row: "{not json", r"bad.jsonl:3: not JSON: Expecting property name"),
@@ -475,8 +475,7 @@ class TestRunTrace:
          "bad.jsonl:3: objective_index: expected an integer, got 2.5"),
         (lambda row: json.dumps({**row, "objective_index": 2.0}),
          "bad.jsonl:3: objective_index: expected an integer, got 2.0"),
-        # a refined point without its forward value would be simulated, and
-        # charged to the budget, when the trace is scored
+        # a refined point without its forward value has nothing to score by
         (lambda row: json.dumps({**row, "refined_z": row["x"]}),
          "bad.jsonl:3: refined_z and f_refined must be both null or both present"),
         (lambda row: json.dumps({**row, "f_refined": row["fx"]}),
@@ -487,11 +486,16 @@ class TestRunTrace:
         (lambda row: json.dumps({**row, "refined_z": [float("inf"), *row["x"][1:]],
                                  "f_refined": row["fx"]}),
          "bad.jsonl:3: refined_z is not finite"),
+        # a point of another dimension fails on reading, naming its line
+        (lambda row: json.dumps({**row, "x": row["x"][:1]}),
+         r"bad.jsonl:3: x has shape \(1,\), expected \(20,\)"),
+        (lambda row: json.dumps({**row, "refined_z": row["x"][:1], "f_refined": row["fx"]}),
+         r"bad.jsonl:3: refined_z has shape \(1,\), expected \(20,\)"),
     ], ids=["not-json", "not-an-object", "empty-object", "missing-fx",
             "string-x", "object-x", "null-iteration", "float-emb-index", "bool-iteration",
             "float-objective-index", "integral-float-objective-index",
             "refined-z-without-f-refined", "f-refined-without-refined-z",
-            "non-finite-x", "non-finite-refined-z"])
+            "non-finite-x", "non-finite-refined-z", "short-x", "short-refined-z"])
     def test_read_names_the_line_of_a_malformed_record(self, uniform_run, tmp_path,
                                                        edit, message):
         rows = [json.dumps(rec.to_dict()) for rec in uniform_run[3].records[:5]]
@@ -499,7 +503,16 @@ class TestRunTrace:
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(row + "\n" for row in rows))
         with pytest.raises(ValueError, match=message):
-            read_trace(path)
+            read_trace(path, uniform_run[0])
+
+    @pytest.mark.parametrize("pair", [dict(refined_z=np.zeros(2)),
+                                      dict(f_refined=np.zeros(3))],
+                             ids=["refined-z-only", "f-refined-only"])
+    def test_record_with_one_side_of_the_refined_pair_raises(self, pair):
+        fields = dict(emb_index=0, y=None, x=np.zeros(2), fx=np.zeros(3), refined_z=None,
+                      f_refined=None, iteration=1, objective_index=1)
+        with pytest.raises(ValueError, match="refined_z and f_refined must be both"):
+            SimulationRecord(**{**fields, **pair})
 
 
 class TestGaussianPath:

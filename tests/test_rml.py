@@ -101,7 +101,8 @@ class TestObjective:
         prob = ProblemSpec(sim, GaussianSpec([0.0], [[1.0]]),
                            LikelihoodSpec([0.0], [[1.0]]))
         inst = RMLInstance(1, np.array([2.0]), np.array([0.0]))
-        assert objective(inst, np.array([1.0]), prob) == pytest.approx(
+        x = np.array([1.0])
+        assert objective(inst, x, prob, fx=x.copy()) == pytest.approx(
             -np.log(2 * np.pi) - 1.0)
 
     def test_outside_box_is_neg_inf_without_simulation(self):
@@ -115,7 +116,7 @@ class TestObjective:
         prob = ProblemSpec(sim, BoxPrior([-1, -1], [1, 1]),
                            LikelihoodSpec([0.0, 0.0], np.eye(2)))
         inst = RMLInstance(1, np.zeros(2))
-        assert objective(inst, np.array([2.0, 0.0]), prob) == NEG_INF
+        assert objective(inst, np.array([2.0, 0.0]), prob, fx=np.zeros(2)) == NEG_INF
         assert not calls
 
     def test_fx_overload_bitwise_equal_and_free(self):
@@ -123,10 +124,18 @@ class TestObjective:
         prob, B = linear_problem(rng)
         inst = draw_randomizations(prob, 1, rng)[0]
         x = rng.standard_normal(8)
-        direct = objective(inst, x, prob)
+        direct = objective(inst, x, prob, fx=prob.simulator(x))
         before = prob.simulator.eval_counter
         assert objective(inst, x, prob, fx=B @ x) == direct
         assert prob.simulator.eval_counter == before
+
+    def test_forward_value_is_required(self):
+        rng = np.random.default_rng(4)
+        prob, _ = linear_problem(rng)
+        inst = draw_randomizations(prob, 1, rng)[0]
+        with pytest.raises(TypeError, match="fx"):
+            objective(inst, np.zeros(8), prob)
+        assert prob.simulator.eval_counter == 0
 
 
 # The oracle and the analytic posterior as each was written before they
