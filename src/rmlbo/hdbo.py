@@ -44,7 +44,7 @@ from .seeding import STREAM_ACQ, STREAM_EMBED, STREAM_GPFIT, STREAM_INIT, labele
 REFIT_EVERY_UNTIL = 30   # full hyperparameter search while the ensemble is small
 REFIT_PERIOD = 5         # afterwards, every 5th slot (factor-only updates between)
 ACQ_PROBES = 512
-ACQ_SWEEPS = 50
+ACQ_SWEEPS = 20
 ACQ_RESTARTS = 10
 
 
@@ -265,13 +265,16 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
 
     Ranks ACQ_PROBES probes drawn uniformly from ``rng``, then runs
     coordinate-wise refinement with adaptive step halving from the best
-    ACQ_RESTARTS of them, for at most ACQ_SWEEPS sweeps; returns the best
-    point seen, always inside the box.  The restart points advance in
-    lockstep so each sweep costs one batched UCB call.  Each sweep writes
-    its ``(starts, 2 d, d)`` candidates into one buffer allocated per call,
-    and updates the starts by mask: an improved start takes its best
-    candidate and value (``np.copyto(..., where=improved)``) and keeps its
-    steps, the others keep their point and value and halve their steps.
+    ACQ_RESTARTS of them, for exactly ACQ_SWEEPS sweeps; returns the best
+    point seen, always inside the box.  A step starts at a quarter of the
+    box width and halves at most once per sweep, so at ACQ_SWEEPS <= 37 no
+    step falls below 1e-12 of the width and the search needs no step-floor
+    exit.  The restart points advance in lockstep so each sweep costs one
+    batched UCB call.  Each sweep writes its ``(starts, 2 d, d)`` candidates
+    into one buffer allocated per call, and updates the starts by mask: an
+    improved start takes its best candidate and value
+    (``np.copyto(..., where=improved)``) and keeps its steps, the others
+    keep their point and value and halve their steps.
     """
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
@@ -282,7 +285,6 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     ys = probes[order[:ACQ_RESTARTS]]
     fys = vals[order[:ACQ_RESTARTS]]
     width = upper - lower
-    floor = 1e-12 * width
     # candidate 2j moves coordinate j up by its step, 2j + 1 down; the other
     # coordinates add a zero, and a move never crosses the far bound, so
     # clipping every coordinate equals clipping the moved one.  Each start
@@ -291,7 +293,6 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     eye = np.eye(d)
     moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
     deltas = np.broadcast_to(moves * (0.25 * width), (ACQ_RESTARTS, 2 * d, d)).copy()
-    steps = np.diagonal(deltas[:, ::2], axis1=1, axis2=2)   # a view: (starts, d)
     cands = np.empty((ACQ_RESTARTS, 2 * d, d))
     flat = cands.reshape(-1, d)
     centers = ys[:, None, :]               # a view: follows the updates of ys
@@ -310,8 +311,6 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
         np.copyto(ys, flat[pick], where=improved[:, None])
         np.copyto(fys, pick_val, where=improved)
         deltas *= np.where(improved, 1.0, 0.5)[:, None, None]
-        if (steps < floor).all():
-            break
     # refinement only ever improves on a start's probe value, so the argmax
     # over starts covers the probe champion as well
     return ys[int(np.argmax(fys))].copy()

@@ -34,9 +34,9 @@ def drawn(problem, n_rml, seed=11):
 
 def ref_acquisition_maximize(model, domain, beta, rng, restarts, improved_per_sweep=None):
     """The per-coordinate formulation of the acquisition sweep from the best
-    ``restarts`` probes, kept as the reference; returns the point and the
-    number of sweeps run, and appends each sweep's improved-start mask to
-    ``improved_per_sweep`` when given."""
+    ``restarts`` probes, kept as the reference; returns the point after
+    ``hdbo.ACQ_SWEEPS`` sweeps, and appends each sweep's improved-start mask
+    to ``improved_per_sweep`` when given."""
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     d = lower.size
@@ -49,9 +49,7 @@ def ref_acquisition_maximize(model, domain, beta, rng, restarts, improved_per_sw
     width = upper - lower
     steps = np.broadcast_to(0.25 * width, (take, d)).copy()
     rows = np.arange(take)
-    sweeps = 0
     for _ in range(hdbo.ACQ_SWEEPS):
-        sweeps += 1
         cands = np.repeat(ys[:, None, :], 2 * d, axis=1)
         for j in range(d):
             cands[:, 2 * j, j] = np.minimum(ys[:, j] + steps[:, j], upper[j])
@@ -65,9 +63,7 @@ def ref_acquisition_maximize(model, domain, beta, rng, restarts, improved_per_sw
         ys[improved] = cands[rows, pick][improved]
         fys[improved] = pick_val[improved]
         steps[~improved] *= 0.5
-        if np.all(steps < 1e-12 * width):
-            break
-    return ys[int(np.argmax(fys))].copy(), sweeps
+    return ys[int(np.argmax(fys))].copy()
 
 
 def acquisition_model(n, seed, lower, upper):
@@ -128,16 +124,14 @@ class TestAcquisitionMaximize:
                     seed = 1000 * n + 100 * b + 10 * restarts + int(beta)
                     y = acquisition_maximize(model, (lo, hi), beta,
                                              np.random.default_rng(seed))
-                    ref, _ = ref_acquisition_maximize(model, (lo, hi), beta,
-                                                      np.random.default_rng(seed), restarts)
+                    ref = ref_acquisition_maximize(model, (lo, hi), beta,
+                                                   np.random.default_rng(seed), restarts)
                     assert y.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [0, 25])
     def test_one_ucb_call_for_the_probes_and_one_per_sweep(self, n, monkeypatch):
         lo, hi = ACQ_BOXES[0]
         model = acquisition_model(n, 40, lo, hi)
-        _, sweeps = ref_acquisition_maximize(model, (lo, hi), 2.0,
-                                             np.random.default_rng(9), restarts=4)
         sizes = []
         real_ucb = gp.ucb
 
@@ -148,20 +142,15 @@ class TestAcquisitionMaximize:
         monkeypatch.setattr(gp, "ucb", spy)
         monkeypatch.setattr(hdbo, "ACQ_RESTARTS", 4)
         acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(9))
-        assert len(sizes) == 1 + sweeps
-        assert sizes == [hdbo.ACQ_PROBES] + [4 * 2 * lo.size] * sweeps
-        if n == 0:
-            # a flat UCB never improves: steps halve from 0.25 of the width
-            # until all are below 1e-12 of it, which takes 38 sweeps
-            assert sweeps == 38
+        # every search runs all ACQ_SWEEPS sweeps, a flat UCB (n = 0) that
+        # never improves included
+        assert sizes == [hdbo.ACQ_PROBES] + [4 * 2 * lo.size] * hdbo.ACQ_SWEEPS
 
     def test_every_prediction_goes_through_one_ucb_call_per_sweep(self, monkeypatch):
         # gp.ucb is the boundary the benchmark times under the acquisition:
         # the sweep reaches the surrogate only through it, once per sweep
         lo, hi = ACQ_BOXES[1]
         model = acquisition_model(25, 41, lo, hi)
-        _, sweeps = ref_acquisition_maximize(model, (lo, hi), 2.0,
-                                             np.random.default_rng(3), hdbo.ACQ_RESTARTS)
         calls = {"ucb": 0, "predict": 0}
 
         def spy(name, real):
@@ -173,7 +162,7 @@ class TestAcquisitionMaximize:
         monkeypatch.setattr(gp, "ucb", spy("ucb", gp.ucb))
         monkeypatch.setattr(gp, "predict", spy("predict", gp.predict))
         acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(3))
-        assert calls == {"ucb": 1 + sweeps, "predict": 1 + sweeps}
+        assert calls == {"ucb": 1 + hdbo.ACQ_SWEEPS, "predict": 1 + hdbo.ACQ_SWEEPS}
 
     def test_starts_that_do_not_improve_keep_their_point_and_value(self, monkeypatch):
         # every sweep scores below the probes, so no start ever moves; the
@@ -200,7 +189,7 @@ class TestAcquisitionMaximize:
         # each sweep moves from the same starts with steps halved once more
         eye = np.eye(lo.size)
         moves = np.stack([eye, -eye], axis=1).reshape(2 * lo.size, lo.size)
-        assert len(sweeps) == 38
+        assert len(sweeps) == hdbo.ACQ_SWEEPS
         for s, cands in enumerate(sweeps):
             want = starts[:, None, :] + moves * (0.25 * (hi - lo) * 0.5 ** s)
             want = np.clip(want, lo, hi).reshape(-1, lo.size)
@@ -221,13 +210,32 @@ class TestAcquisitionMaximize:
         for seed in range(3):
             improved, ref_calls, new_calls = [], [], []
             monkeypatch.setattr(gp, "ucb", recording(ref_calls))
-            ref, _ = ref_acquisition_maximize(model, (lo, hi), 2.0,
-                                              np.random.default_rng(seed), 10, improved)
+            ref = ref_acquisition_maximize(model, (lo, hi), 2.0,
+                                           np.random.default_rng(seed), 10, improved)
             monkeypatch.setattr(gp, "ucb", recording(new_calls))
             y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(seed))
             assert any(0 < mask.sum() < 10 for mask in improved)
             assert y.tobytes() == ref.tobytes()
             assert [a.tobytes() for a in new_calls] == [a.tobytes() for a in ref_calls]
+
+    @pytest.mark.parametrize("n", [5, 25, 60, 95])
+    def test_fifty_sweeps_gain_little_over_the_shipped_count(self, n, monkeypatch):
+        # the shipped search is the first ACQ_SWEEPS sweeps of a 50-sweep
+        # one, so the longer search ends no lower; it must end less than
+        # 1e-3 of the target sd higher, far below what the surrogate resolves
+        assert hdbo.ACQ_SWEEPS < 50
+        for b, (lo, hi) in enumerate(ACQ_BOXES):
+            for seed in range(5):
+                model = acquisition_model(n, 100 * n + 10 * b + seed, lo, hi)
+                for beta in (0.0, 2.0):
+                    ys = [acquisition_maximize(model, (lo, hi), beta,
+                                               np.random.default_rng(seed))]
+                    with monkeypatch.context() as m:
+                        m.setattr(hdbo, "ACQ_SWEEPS", 50)
+                        ys.append(acquisition_maximize(model, (lo, hi), beta,
+                                                       np.random.default_rng(seed)))
+                    shipped, longer = gp.ucb(model, np.stack(ys), beta)
+                    assert shipped <= longer <= shipped + 1e-3 * model.target_sd
 
 
 class TestLocalPriorRefine:
