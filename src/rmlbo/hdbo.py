@@ -13,7 +13,9 @@ per objective, each row filled once, right after its record is simulated;
 a slot's GP targets are a column slice of its embedding's rows, and on a box
 prior final selection reads the same table.
 Within an embedding only the first fit searches hyperparameters cold; later
-fits start from the previous fit's hyperparameters.
+fits start from the previous fit's hyperparameters.  Each acquisition ranks
+64 uniform probes by UCB and polishes the best 10 by a compass search of 15
+sweeps: 16 batched UCB calls per acquisition.
 
 With a Gaussian prior each slot additionally takes a closed-form proximal
 step toward the perturbed prior mean (one extra simulation at the refined
@@ -43,8 +45,8 @@ from .seeding import STREAM_ACQ, STREAM_EMBED, STREAM_GPFIT, STREAM_INIT, labele
 
 REFIT_EVERY_UNTIL = 30   # full hyperparameter search while the ensemble is small
 REFIT_PERIOD = 5         # afterwards, every 5th slot (factor-only updates between)
-ACQ_PROBES = 512
-ACQ_SWEEPS = 20
+ACQ_PROBES = 64
+ACQ_SWEEPS = 15
 ACQ_RESTARTS = 10
 
 
@@ -263,10 +265,14 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
                          beta: float, rng: np.random.Generator) -> np.ndarray:
     """Approximate argmax of the UCB over a box.
 
-    Ranks ACQ_PROBES probes drawn uniformly from ``rng``, then runs
+    Ranks ACQ_PROBES (64) probes drawn uniformly from ``rng``, then runs
     coordinate-wise refinement with adaptive step halving from the best
-    ACQ_RESTARTS of them, for exactly ACQ_SWEEPS sweeps; returns the best
-    point seen, always inside the box.  A step starts at a quarter of the
+    ACQ_RESTARTS (10) of them, for exactly ACQ_SWEEPS (15) sweeps; returns
+    the best point seen, always inside the box.  That is 1 + ACQ_SWEEPS = 16
+    UCB calls.  The probes are the first ACQ_PROBES rows of any larger draw
+    from the same stream, so a search from more probes ranks every probe
+    this one ranks, and one of more sweeps from the same probes passes
+    through the point this one returns.  A step starts at a quarter of the
     box width and halves at most once per sweep, so at ACQ_SWEEPS <= 37 no
     step falls below 1e-12 of the width and the search needs no step-floor
     exit.  The restart points advance in lockstep so each sweep costs one

@@ -237,6 +237,40 @@ class TestAcquisitionMaximize:
                     shipped, longer = gp.ucb(model, np.stack(ys), beta)
                     assert shipped <= longer <= shipped + 1e-3 * model.target_sd
 
+    def test_more_probes_gain_little_over_the_shipped_count(self, monkeypatch):
+        # the shipped probes are the first ACQ_PROBES rows of a 512-probe
+        # draw, so a 512-probe search sees them all; it may seed a restart in
+        # another basin, but must end more than 1e-3 of the target sd higher
+        # in at most 4 of the 50-sweep guard's 80 cases
+        assert hdbo.ACQ_PROBES < 512
+        real_ucb = gp.ucb
+        calls = []
+
+        def spy(model, y, beta):
+            calls.append(np.array(y))
+            return real_ucb(model, y, beta)
+
+        wins = 0
+        for n in (5, 25, 60, 95):
+            for b, (lo, hi) in enumerate(ACQ_BOXES):
+                for seed in range(5):
+                    model = acquisition_model(n, 100 * n + 10 * b + seed, lo, hi)
+                    for beta in (0.0, 2.0):
+                        calls.clear()
+                        with monkeypatch.context() as m:
+                            m.setattr(gp, "ucb", spy)
+                            shipped = acquisition_maximize(model, (lo, hi), beta,
+                                                           np.random.default_rng(seed))
+                        wide = np.random.default_rng(seed).uniform(lo, hi, (512, lo.size))
+                        assert calls[0].tobytes() == wide[:hdbo.ACQ_PROBES].tobytes()
+                        with monkeypatch.context() as m:
+                            m.setattr(hdbo, "ACQ_PROBES", 512)
+                            more = acquisition_maximize(model, (lo, hi), beta,
+                                                        np.random.default_rng(seed))
+                        u_shipped, u_more = real_ucb(model, np.stack([shipped, more]), beta)
+                        wins += bool(u_more > u_shipped + 1e-3 * model.target_sd)
+        assert wins <= 4
+
 
 class TestLocalPriorRefine:
     def test_identity_covariance_midpoint(self):
