@@ -14,8 +14,8 @@ a slot's GP targets are a column slice of its embedding's rows, and on a box
 prior final selection reads the same table.
 Within an embedding only the first fit searches hyperparameters cold; later
 fits start from the previous fit's hyperparameters.  Each acquisition ranks
-64 uniform probes by UCB and polishes the best 10 by a compass search of 15
-sweeps: 16 batched UCB calls per acquisition.
+ACQ_PROBES uniform probes by UCB and polishes the best ACQ_RESTARTS by a
+compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
 
 With a Gaussian prior each slot additionally takes a closed-form proximal
 step toward the perturbed prior mean (one extra simulation at the refined
@@ -265,14 +265,14 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
                          beta: float, rng: np.random.Generator) -> np.ndarray:
     """Approximate argmax of the UCB over a box.
 
-    Ranks ACQ_PROBES (64) probes drawn uniformly from ``rng``, then runs
+    Ranks ACQ_PROBES probes drawn uniformly from ``rng``, then runs
     coordinate-wise refinement with adaptive step halving from the best
-    ACQ_RESTARTS (10) of them, for exactly ACQ_SWEEPS (15) sweeps; returns
-    the best point seen, always inside the box.  That is 1 + ACQ_SWEEPS = 16
-    UCB calls.  The probes are the first ACQ_PROBES rows of any larger draw
-    from the same stream, so a search from more probes ranks every probe
-    this one ranks, and one of more sweeps from the same probes passes
-    through the point this one returns.  A step starts at a quarter of the
+    ACQ_RESTARTS of them, for exactly ACQ_SWEEPS sweeps; returns the best
+    point seen, always inside the box.  That is 1 + ACQ_SWEEPS UCB calls.
+    The probes are the first ACQ_PROBES rows of any larger draw from the
+    same stream, so a search from more probes ranks every probe this one
+    ranks, and one of more sweeps from the same probes passes through the
+    point this one returns.  A step starts at a quarter of the
     box width and halves at most once per sweep, so at ACQ_SWEEPS <= 37 no
     step falls below 1e-12 of the width and the search needs no step-floor
     exit.  The restart points advance in lockstep so each sweep costs one

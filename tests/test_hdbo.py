@@ -221,27 +221,15 @@ class TestAcquisitionMaximize:
     @pytest.mark.parametrize("n", [5, 25, 60, 95])
     def test_fifty_sweeps_gain_little_over_the_shipped_count(self, n, monkeypatch):
         # the shipped search is the first ACQ_SWEEPS sweeps of a 50-sweep
-        # one, so the longer search ends no lower; it must end less than
-        # 1e-3 of the target sd higher, far below what the surrogate resolves
+        # one, so the longer search ends no lower; on these cases it must end
+        # less than 1e-3 of the target sd higher.  They hold no long diagonal
+        # climb to a box corner, where the shipped count can stop short by
+        # more (0.3 target sd once in a full bowl-uniform trial).
+        # The shipped probes are the first ACQ_PROBES rows of a 512-probe
+        # draw, so a 512-probe search ranks them all; it may seed a restart
+        # in another basin, which at five training points happens for one
+        # model under both betas, and never with 25 or more
         assert hdbo.ACQ_SWEEPS < 50
-        for b, (lo, hi) in enumerate(ACQ_BOXES):
-            for seed in range(5):
-                model = acquisition_model(n, 100 * n + 10 * b + seed, lo, hi)
-                for beta in (0.0, 2.0):
-                    ys = [acquisition_maximize(model, (lo, hi), beta,
-                                               np.random.default_rng(seed))]
-                    with monkeypatch.context() as m:
-                        m.setattr(hdbo, "ACQ_SWEEPS", 50)
-                        ys.append(acquisition_maximize(model, (lo, hi), beta,
-                                                       np.random.default_rng(seed)))
-                    shipped, longer = gp.ucb(model, np.stack(ys), beta)
-                    assert shipped <= longer <= shipped + 1e-3 * model.target_sd
-
-    def test_more_probes_gain_little_over_the_shipped_count(self, monkeypatch):
-        # the shipped probes are the first ACQ_PROBES rows of a 512-probe
-        # draw, so a 512-probe search sees them all; it may seed a restart in
-        # another basin, but must end more than 1e-3 of the target sd higher
-        # in at most 4 of the 50-sweep guard's 80 cases
         assert hdbo.ACQ_PROBES < 512
         real_ucb = gp.ucb
         calls = []
@@ -250,26 +238,27 @@ class TestAcquisitionMaximize:
             calls.append(np.array(y))
             return real_ucb(model, y, beta)
 
-        wins = 0
-        for n in (5, 25, 60, 95):
-            for b, (lo, hi) in enumerate(ACQ_BOXES):
-                for seed in range(5):
-                    model = acquisition_model(n, 100 * n + 10 * b + seed, lo, hi)
-                    for beta in (0.0, 2.0):
-                        calls.clear()
+        more_probes_higher = 0
+        for b, (lo, hi) in enumerate(ACQ_BOXES):
+            for seed in range(5):
+                model = acquisition_model(n, 100 * n + 10 * b + seed, lo, hi)
+                wide = np.random.default_rng(seed).uniform(lo, hi, (512, lo.size))
+                for beta in (0.0, 2.0):
+                    calls.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(gp, "ucb", spy)
+                        ys = [acquisition_maximize(model, (lo, hi), beta,
+                                                   np.random.default_rng(seed))]
+                    assert calls[0].tobytes() == wide[:hdbo.ACQ_PROBES].tobytes()
+                    for name, value in (("ACQ_SWEEPS", 50), ("ACQ_PROBES", 512)):
                         with monkeypatch.context() as m:
-                            m.setattr(gp, "ucb", spy)
-                            shipped = acquisition_maximize(model, (lo, hi), beta,
-                                                           np.random.default_rng(seed))
-                        wide = np.random.default_rng(seed).uniform(lo, hi, (512, lo.size))
-                        assert calls[0].tobytes() == wide[:hdbo.ACQ_PROBES].tobytes()
-                        with monkeypatch.context() as m:
-                            m.setattr(hdbo, "ACQ_PROBES", 512)
-                            more = acquisition_maximize(model, (lo, hi), beta,
-                                                        np.random.default_rng(seed))
-                        u_shipped, u_more = real_ucb(model, np.stack([shipped, more]), beta)
-                        wins += bool(u_more > u_shipped + 1e-3 * model.target_sd)
-        assert wins <= 4
+                            m.setattr(hdbo, name, value)
+                            ys.append(acquisition_maximize(model, (lo, hi), beta,
+                                                           np.random.default_rng(seed)))
+                    shipped, longer, more = real_ucb(model, np.stack(ys), beta)
+                    assert shipped <= longer <= shipped + 1e-3 * model.target_sd
+                    more_probes_higher += bool(more > shipped + 1e-3 * model.target_sd)
+        assert more_probes_higher <= (2 if n == 5 else 0)
 
 
 class TestLocalPriorRefine:
