@@ -8,6 +8,7 @@ stays testable at desk scale.
 """
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -83,13 +84,13 @@ def _make_link(name: str, d: int, rng: np.random.Generator):
         return (lambda u: np.concatenate([u, [float(u @ u)]])), d + 1
     if name == "rosenbrock-2d":
         if d != 2:
-            raise ValueError("rosenbrock-2d requires d=2")
+            raise ValueError(f"d: rosenbrock-2d requires d=2, got {d}")
         return (lambda u: np.array([1.0 - u[0], 10.0 * (u[1] - u[0] ** 2)])), 2
     if name == "sine-ridge":
         W = rng.standard_normal((2, d))
         phi = rng.uniform(0.0, 2.0 * np.pi, 2)
         return (lambda u: np.sin(W @ u + phi) + 0.3 * (W @ u)), 2
-    raise ValueError(f"unknown ridge link {name!r}")
+    raise ValueError(f"name: unknown ridge link {name!r}")
 
 
 def make_problem(name: str, D: int | None = None, d: int | None = None, seed: int = 0,
@@ -102,24 +103,38 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
     per-catalog default that may be overridden by ``noise_sd``.  Synthetic
     data is ``f(x_true) + noise`` for a seeded ``x_true`` (generated under
     the analysis counter, so fresh problems start at zero budget consumed).
-    ``d`` applies only to the ridge entries and ``m`` only to
-    linear-gaussian (a ridge link fixes its output length); a value that
-    does not apply raises ValueError, as does a ``noise_sd`` that is not
-    positive or whose square is not a positive finite variance.
+    ``D``, ``d``, ``m`` (positive) and ``seed`` (non-negative) are Python
+    or numpy integers, not bools; None keeps a catalog default.  ``d``
+    applies only to the ridge entries and ``m`` only to linear-gaussian (a
+    ridge link fixes its output length).  ``noise_sd`` is a real number, not
+    a bool, whose square is a positive finite variance.  Any other value
+    raises ValueError whose message starts with the argument's name and a
+    colon.
     """
     if name not in _DEFAULTS:
-        raise ValueError(f"unknown problem name {name!r}; catalog: {', '.join(CATALOG)}")
+        raise ValueError(f"name: unknown problem name {name!r}; "
+                         f"catalog: {', '.join(CATALOG)}")
     defaults = _DEFAULTS[name]
-    for key, value in (("d", d), ("m", m)):
-        if value is not None and key not in defaults:
-            raise ValueError(f"{name} takes no {key}, got {value!r}")
+    for key, value in (("D", D), ("d", d), ("m", m)):
+        if value is not None:
+            require_integer(key, value)
+            if key not in defaults:
+                raise ValueError(f"{key}: {name} takes no {key}, got {value!r}")
+    require_integer("seed", seed, minimum=0)
+    if noise_sd is not None:
+        if isinstance(noise_sd, bool) or not isinstance(noise_sd, numbers.Real):
+            raise ValueError(f"noise_sd: expected a positive number, got {noise_sd!r}")
+        try:
+            noise_sd = float(noise_sd)
+        except OverflowError as exc:
+            raise ValueError(f"noise_sd: {exc}") from None
     D = defaults["D"] if D is None else int(D)
     rng = labeled_stream(seed, STREAM_PROBLEM)
 
     if name == "linear-gaussian":
         m = defaults["m"] if m is None else int(m)
         if prior not in (None, "gaussian"):
-            raise ValueError("linear-gaussian supports only a Gaussian prior")
+            raise ValueError("prior: linear-gaussian supports only a Gaussian prior")
         prior = "gaussian"
         B = 0.5 * rng.standard_normal((m, D))
         simulator: SimulatorHandle = LinearSimulator(B)
@@ -128,15 +143,15 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
         cov = q @ np.diag(rng.uniform(0.5, 1.5, D)) @ q.T
         cov = 0.5 * (cov + cov.T)
         prior_spec: BoxPrior | GaussianSpec = GaussianSpec(mu, cov, name="prior covariance")
-        sd = defaults["noise"]["gaussian"] if noise_sd is None else float(noise_sd)
+        sd = defaults["noise"]["gaussian"] if noise_sd is None else noise_sd
         x_true = prior_spec.sample(rng)
     else:
         d = defaults["d"] if d is None else int(d)
         if d > D:
-            raise ValueError(f"active dimension d={d} exceeds D={D}")
+            raise ValueError(f"d: active dimension {d} exceeds D={D}")
         prior = "uniform" if prior is None else prior
         if prior not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown prior kind {prior!r}")
+            raise ValueError(f"prior: unknown prior kind {prior!r}")
         A = _orthonormal_columns(D, d, rng)
         link, m = _make_link(name, d, rng)
         simulator = SyntheticRidgeSimulator(A, link, name, m)
@@ -153,7 +168,7 @@ def make_problem(name: str, D: int | None = None, d: int | None = None, seed: in
             prior_spec = GaussianSpec(np.zeros(D), np.eye(D), name="prior covariance")
             u_target = (np.array([1.0, 1.0]) if name == "rosenbrock-2d"
                         else 0.6 * rng.standard_normal(d))
-        sd = defaults["noise"][prior] if noise_sd is None else float(noise_sd)
+        sd = defaults["noise"][prior] if noise_sd is None else noise_sd
         x_true = A @ u_target
 
     noise_var = _noise_variance(sd)
@@ -170,7 +185,7 @@ def _noise_variance(sd: float) -> float:
     to 0."""
     var = sd * sd
     if not (sd > 0.0 and 0.0 < var < math.inf):
-        raise ValueError(f"noise_sd={sd!r} squares to {var!r}; the noise sd must be "
+        raise ValueError(f"noise_sd: {sd!r} squares to {var!r}; the noise sd must be "
                          f"positive and its square a positive finite variance")
     return var
 
@@ -182,10 +197,9 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     "gaussian"), noise_sd.  ``prior`` may instead be an explicit object
     (kind + dense row-major arrays) and ``likelihood`` an explicit
     {data, obs_cov} pair; both override the generated ingredients.  name is
-    a string; D, d, m (positive) and seed (non-negative) are integers or
-    null, and a d or m that does not apply to the entry is rejected;
-    noise_sd is a positive finite number (not a bool) whose square is
-    positive and finite, or null.
+    a string, and a null field keeps its default; every other catalog field
+    is checked by :func:`make_problem`, whose error becomes a ConfigError
+    naming ``problem.<field>``.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("problem: expected an object")
@@ -197,32 +211,17 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             raise ConfigError(f"problem.{key}: unknown field")
     if not isinstance(cfg["name"], str):
         raise ConfigError(f"problem.name: expected a catalog name, got {cfg['name']!r}")
-    applies = _DEFAULTS.get(cfg["name"], {})
-    for key, minimum in (("D", 1), ("d", 1), ("m", 1), ("seed", 0)):
-        if cfg.get(key) is not None:
-            require_integer(f"problem.{key}", cfg[key], minimum)
-            if key in ("d", "m") and applies and key not in applies:
-                raise ConfigError(f"problem.{key}: {cfg['name']} takes no {key}")
-    noise_sd = cfg.get("noise_sd")
-    if noise_sd is not None:
-        if isinstance(noise_sd, bool) or not isinstance(noise_sd, (int, float)):
-            raise ConfigError(f"problem.noise_sd: expected a positive number or null, "
-                              f"got {noise_sd!r}")
-        try:
-            _noise_variance(float(noise_sd))
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(f"problem.noise_sd: {exc}") from None
     prior_cfg = cfg.get("prior")
     if not isinstance(prior_cfg, (str, dict, type(None))):
         raise ConfigError(f"problem.prior: expected a kind or an object, got {prior_cfg!r}")
     prior_kind = ("gaussian" if prior_cfg.get("kind") == "gaussian" else "uniform") \
         if isinstance(prior_cfg, dict) else prior_cfg
     try:
-        problem = make_problem(cfg["name"], D=cfg.get("D"), d=cfg.get("d"),
-                               seed=cfg.get("seed") or 0, prior=prior_kind,
-                               noise_sd=noise_sd, m=cfg.get("m"))
+        problem = make_problem(cfg["name"], prior=prior_kind, **{
+            key: cfg[key] for key in ("D", "d", "m", "seed", "noise_sd")
+            if cfg.get(key) is not None})
     except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+        raise ConfigError(f"problem.{exc}") from exc
     if isinstance(prior_cfg, dict):
         try:
             problem = ProblemSpec(problem.simulator, prior_from_dict(prior_cfg),
@@ -373,40 +372,17 @@ class MethodCurve:
                     f"trial {t} curve for {self.name} is not non-increasing")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentReport:
-    """Seeded benchmark output: one curve block per method."""
+    """Seeded benchmark output: one curve block per method.  Field order
+    (and ``MethodCurve``'s) is the key order of compare's report.json."""
 
-    methods: list
     checkpoints: list[int]
     trials: int
     seed: int
     wall_clock_s: float
     config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "checkpoints": self.checkpoints,
-            "trials": self.trials,
-            "seed": self.seed,
-            "wall_clock_s": self.wall_clock_s,
-            "config": self.config,
-            "methods": [
-                {
-                    "name": m.name,
-                    "budgets": m.budgets,
-                    "trial_curves": m.trial_curves.tolist(),
-                    "avg_curve": m.avg_curve.tolist(),
-                    "final_neg_mean_returns": m.final_neg_mean_returns.tolist(),
-                    "maximizers": m.maximizers.tolist(),
-                    "objective_values": m.objective_values.tolist(),
-                    "n_evals": m.n_evals,
-                    "wall_clock_s": m.wall_clock_s,
-                    "projections": None if m.projections is None else m.projections.tolist(),
-                }
-                for m in self.methods
-            ],
-        }
+    methods: list
 
 
 def trial_seed(seed: int, trial: int) -> int:

@@ -34,6 +34,7 @@ from .hdbo import (
     _is_integer,
     atomic_write,
     embedding_slots,
+    jsonable,
     require_integer,
     write_trace,
 )
@@ -57,7 +58,7 @@ _DEFAULTS = {
 
 
 def _atomic_write_json(path: str, payload) -> None:
-    atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, default=jsonable) + "\n")
 
 
 def _blas_threads() -> dict:
@@ -250,10 +251,10 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
         "mean_return": mean_ret,
         "n_evals": result.n_evals,
         "analysis_evals": problem.simulator.analysis_counter,
-        "objective_values": result.values.tolist(),
-        "maximizers": result.maximizers.tolist(),
-        "instances": [inst.to_dict() for inst in instances],
-        "embeddings": [emb.to_dict() for emb in result.embeddings],
+        "objective_values": result.values,
+        "maximizers": result.maximizers,
+        "instances": instances,
+        "embeddings": result.embeddings,
         "wall_clock_s": elapsed,
         "blas_threads": _blas_threads(),
     }
@@ -289,7 +290,7 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
     summary_path = os.path.join(out_dir, "summary.csv")
     atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     report_path = os.path.join(out_dir, "report.json")
-    _atomic_write_json(report_path, {**report.to_dict(), "blas_threads": _blas_threads()})
+    _atomic_write_json(report_path, {**jsonable(report), "blas_threads": _blas_threads()})
     print(f"curves: {curves_path}")
     print(f"summary: {summary_path}")
     print(f"report: {report_path}")

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Embedding:
-    """Fixed projection matrix (D x d_e, unit-norm rows) plus its y-domain."""
+    """Fixed projection matrix (D x d_e, unit-norm rows) plus its y-domain.
+    Field order is the key order of report.json's embeddings."""
 
-    matrix: np.ndarray
     index: int
+    matrix: np.ndarray
     y_lower: np.ndarray
     y_upper: np.ndarray
 
@@ -30,14 +31,6 @@ class Embedding:
     def contains(self, y: np.ndarray) -> bool:
         y = np.asarray(y, dtype=float)
         return bool(np.all(y >= self.y_lower) and np.all(y <= self.y_upper))
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "matrix": self.matrix.tolist(),
-            "y_lower": self.y_lower.tolist(),
-            "y_upper": self.y_upper.tolist(),
-        }
 
 
 def sample_embedding(input_dim: int, embed_dim: int, rng: np.random.Generator,

@@ -27,7 +27,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class SimulationRecord:
     ``refined_z``/``f_refined`` are present exactly when the run has a
     Gaussian prior (either alone raises ValueError: a refined point needs
     its forward value to be scored).  ``objective_index`` is the 1-based
-    objective active when the point was selected.
+    objective active when the point was selected.  The fields, in order,
+    are the keys of a trace line.
     """
 
     emb_index: int
@@ -163,22 +164,11 @@ class SimulationRecord:
             return self.refined_z, self.f_refined
         return self.x, self.fx
 
-    def to_dict(self) -> dict:
-        return {
-            "emb_index": self.emb_index,
-            "y": None if self.y is None else self.y.tolist(),
-            "x": self.x.tolist(),
-            "fx": self.fx.tolist(),
-            "refined_z": None if self.refined_z is None else self.refined_z.tolist(),
-            "f_refined": None if self.f_refined is None else self.f_refined.tolist(),
-            "iteration": self.iteration,
-            "objective_index": self.objective_index,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationRecord":
-        """Record from :meth:`to_dict`'s form; an index or iteration that is
-        not an integer (a float or a bool) raises ValueError naming its key."""
+        """Record from its JSON form (a trace line); an index or iteration
+        that is not an integer (a float or a bool) raises ValueError naming
+        its key."""
         for key in ("emb_index", "iteration", "objective_index"):
             if not _is_integer(d[key]):
                 raise ValueError(f"{key}: expected an integer, got {d[key]!r}")
@@ -217,9 +207,22 @@ def atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def jsonable(obj):
+    """``json.dumps`` default hook for every output: a dataclass becomes a
+    dict of its fields in declaration order (unlike ``dataclasses.asdict``,
+    arrays are not deep-copied first), and a numpy array or scalar becomes
+    its ``tolist()``."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_trace(records, path) -> None:
-    """Write a trace as JSON lines, one simulation record per line."""
-    atomic_write(path, "".join(json.dumps(rec.to_dict()) + "\n" for rec in records))
+    """Write a trace as JSON lines, one simulation record per line, its
+    keys in ``SimulationRecord``'s field order."""
+    atomic_write(path, "".join(json.dumps(rec, default=jsonable) + "\n" for rec in records))
 
 
 def read_trace(path, problem: ProblemSpec) -> list:

@@ -18,7 +18,8 @@ from .problems import NEG_INF, GaussianSpec, ProblemSpec, chol_spd, solve_spd
 @dataclass(frozen=True)
 class RMLInstance:
     """One randomized objective: perturbed data, and perturbed prior mean
-    when the prior is Gaussian (``prior_mean_n`` is None for box priors)."""
+    when the prior is Gaussian (``prior_mean_n`` is None for box priors).
+    The fields, in order, are the keys of report.json's instances."""
 
     index: int
     data_n: np.ndarray
@@ -29,13 +30,6 @@ class RMLInstance:
         if self.prior_mean_n is not None:
             object.__setattr__(self, "prior_mean_n",
                                np.atleast_1d(np.asarray(self.prior_mean_n, dtype=float)))
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "data_n": self.data_n.tolist(),
-            "prior_mean_n": None if self.prior_mean_n is None else self.prior_mean_n.tolist(),
-        }
 
 
 def draw_randomizations(problem: ProblemSpec, n_rml: int,

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from rmlbo import bench
 from rmlbo.baselines import per_objective_local_search, random_design
-from rmlbo.hdbo import RunAborted
+from rmlbo.hdbo import RunAborted, jsonable
 from rmlbo.rml import draw_randomizations
 from rmlbo.seeding import STREAM_RANDOMIZE, labeled_stream
 
@@ -41,7 +43,7 @@ class TestRandomDesign:
         a = random_design(prob, insts, 20, np.random.default_rng(3))
         b = random_design(prob, insts, 20, np.random.default_rng(3))
         for r1, r2 in zip(a.records, b.records):
-            assert r1.to_dict() == r2.to_dict()
+            assert json.dumps(r1, default=jsonable) == json.dumps(r2, default=jsonable)
 
     def test_gaussian_prior_draws_feasible_candidates(self):
         prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0, prior="gaussian")
@@ -95,7 +97,7 @@ class TestPerObjectiveLocalSearch:
         a = per_objective_local_search(prob, insts, 40, np.random.default_rng(9))
         b = per_objective_local_search(prob, insts, 40, np.random.default_rng(9))
         for r1, r2 in zip(a.records, b.records):
-            assert r1.to_dict() == r2.to_dict()
+            assert json.dumps(r1, default=jsonable) == json.dumps(r2, default=jsonable)
 
     def test_box_prior_candidates_always_feasible(self):
         prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rmlbo import baselines, bench, hdbo
-from rmlbo.hdbo import ConfigError, HDBOConfig, RMLResult
+from rmlbo.hdbo import ConfigError, HDBOConfig, RMLResult, jsonable
 from rmlbo.problems import NEG_INF, BoxPrior, GaussianSpec
 from rmlbo.rml import draw_randomizations, objective
 from rmlbo.seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
@@ -53,7 +53,7 @@ class TestMakeProblem:
             assert diff < 1e-10
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown problem name"):
+        with pytest.raises(ValueError, match="^name: unknown problem name"):
             bench.make_problem("elliptic")
 
     @pytest.mark.parametrize("name, key", [
@@ -62,15 +62,41 @@ class TestMakeProblem:
     def test_argument_that_does_not_apply_is_rejected(self, name, key):
         # a ridge link fixes the output length, and linear-gaussian has no
         # active dimension; None keeps the catalog default
-        with pytest.raises(ValueError, match=f"^{name} takes no {key}"):
+        with pytest.raises(ValueError, match=f"^{key}: {name} takes no {key}"):
             bench.make_problem(name, **{key: 4})
         bench.make_problem(name, **{key: None})
 
     @pytest.mark.parametrize("name", ["quadratic-bowl", "linear-gaussian"])
     @pytest.mark.parametrize("sd", [1e170, 1e-170, -0.5])
     def test_noise_sd_must_square_to_a_positive_finite_variance(self, name, sd):
-        with pytest.raises(ValueError, match="noise_sd=.* squares to"):
+        with pytest.raises(ValueError, match="^noise_sd: .* squares to"):
             bench.make_problem(name, seed=0, noise_sd=sd)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("quadratic-bowl", "D", 12.7), ("quadratic-bowl", "d", 2.9),
+        ("quadratic-bowl", "D", True), ("quadratic-bowl", "D", 0),
+        ("quadratic-bowl", "D", np.float64(12.0)), ("quadratic-bowl", "d", 0),
+        ("quadratic-bowl", "d", 101), ("rosenbrock-2d", "d", 3),
+        ("linear-gaussian", "m", 4.5), ("linear-gaussian", "m", False),
+        ("sine-ridge", "seed", -1), ("sine-ridge", "seed", 2.0), ("sine-ridge", "seed", None),
+        ("quadratic-bowl", "noise_sd", True), ("quadratic-bowl", "noise_sd", "0.1"),
+        ("linear-gaussian", "noise_sd", [0.1]),
+        pytest.param("linear-gaussian", "noise_sd", 10 ** 400, id="noise_sd-10**400"),
+        ("linear-gaussian", "noise_sd", float("nan")),
+        ("linear-gaussian", "prior", "uniform"), ("sine-ridge", "prior", "laplace")])
+    def test_invalid_argument_raises_naming_it(self, name, key, value):
+        # the problem block's rules live here, so a library call is checked
+        # as the CLI is: nothing is truncated or coerced
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            bench.make_problem(name, **{key: value})
+
+    @pytest.mark.parametrize("kwargs", [dict(D=np.int64(12), d=np.int32(2), seed=np.int64(3)),
+                                        dict(noise_sd=np.float32(0.5)), dict(noise_sd=1)])
+    def test_numpy_integers_and_real_numbers_are_accepted(self, kwargs):
+        ref = bench.make_problem("quadratic-bowl", **{
+            k: (int(v) if isinstance(v, np.integer) else float(v)) for k, v in kwargs.items()})
+        prob = bench.make_problem("quadratic-bowl", **kwargs)
+        assert prob.likelihood.data.tobytes() == ref.likelihood.data.tobytes()
 
     def test_generation_is_seeded_and_budget_free(self):
         a = bench.make_problem("sine-ridge", seed=5)
@@ -217,7 +243,7 @@ class TestBudgetCurve:
         methods = [bench.random_design_method(20)]
         a = bench.budget_curve(prob, insts, methods, [10, 20], trials=2, seed=9)
         b = bench.budget_curve(prob, insts, methods, [10, 20], trials=2, seed=9)
-        da, db = a.to_dict(), b.to_dict()
+        da, db = (json.loads(json.dumps(r, default=jsonable)) for r in (a, b))
         for m in (da, db):
             for entry in m["methods"]:
                 entry.pop("wall_clock_s")

@@ -349,6 +349,40 @@ class TestCompare:
         assert "methods:" in err and message in err
 
 
+class TestOutputKeyOrder:
+    """trace.jsonl and report.json take their key order from the field order
+    of the dataclasses they serialize; a reordered field would change the
+    interchange format, so the order is pinned here."""
+
+    @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
+    def test_run_trace_and_report_keys(self, tmp_path, prior):
+        cfg = {**BOWL, "problem": {**BOWL["problem"], "prior": prior}}
+        out = tmp_path / "r"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        for line in (out / "trace.jsonl").read_text().splitlines():
+            assert list(json.loads(line)) == [
+                "emb_index", "y", "x", "fx", "refined_z", "f_refined", "iteration",
+                "objective_index"]
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "config", "method", "seed", "mean_return", "n_evals", "analysis_evals",
+            "objective_values", "maximizers", "instances", "embeddings", "wall_clock_s",
+            "blas_threads"]
+        assert list(report["instances"][0]) == ["index", "data_n", "prior_mean_n"]
+        assert list(report["embeddings"][0]) == ["index", "matrix", "y_lower", "y_upper"]
+
+    def test_compare_report_keys(self, tmp_path):
+        cfg = {**BOWL, "methods": ["random-design"], "trials": 1}
+        out = tmp_path / "c"
+        assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["checkpoints", "trials", "seed", "wall_clock_s", "config",
+                                "methods", "blas_threads"]
+        assert list(report["methods"][0]) == [
+            "name", "budgets", "trial_curves", "avg_curve", "final_neg_mean_returns",
+            "maximizers", "objective_values", "n_evals", "wall_clock_s", "projections"]
+
+
 class TestLocalSearchBudget:
     # 20 evaluations cannot give each of 30 objectives one
     @pytest.mark.parametrize("command, override", [

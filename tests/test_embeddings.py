@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlbo.embeddings import Embedding, lift, sample_embedding
+from rmlbo.hdbo import jsonable
 from rmlbo.problems import BoxPrior, GaussianSpec
 
 
@@ -102,10 +103,10 @@ class TestLift:
         assert np.allclose(lift(emb, y, prior), emb.matrix @ y)
 
     def test_round_trip_serialization(self):
-        # to_dict is the report's embeddings format: it survives JSON and
-        # holds the object's fields exactly
+        # the jsonable form is the report's embeddings format: it survives
+        # JSON and holds the object's fields exactly
         emb = sample_embedding(6, 2, np.random.default_rng(4), index=3)
-        back = json.loads(json.dumps(emb.to_dict()))
+        back = json.loads(json.dumps(emb, default=jsonable))
         assert back["index"] == 3
         for name in ("matrix", "y_lower", "y_upper"):
             assert np.asarray(back[name]).tobytes() == getattr(emb, name).tobytes()

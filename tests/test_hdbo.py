@@ -12,6 +12,7 @@ from rmlbo.hdbo import (
     RunAborted,
     SimulationRecord,
     acquisition_maximize,
+    jsonable,
     local_prior_refine,
     read_trace,
     run_hdbo_rml,
@@ -416,7 +417,7 @@ class TestRunTrace:
         res2 = run_hdbo_rml(bowl_problem(), insts, cfg)
         assert len(res.records) == len(res2.records)
         for a, b in zip(res.records, res2.records):
-            assert a.to_dict() == b.to_dict()
+            assert json.dumps(a, default=jsonable) == json.dumps(b, default=jsonable)
 
     @pytest.mark.parametrize("run", ["uniform_run", "gaussian_run"])
     def test_initial_points_are_uniform_draws_of_the_init_stream(self, run, request):
@@ -464,7 +465,7 @@ class TestRunTrace:
         back = read_trace(path, prob)
         assert len(back) == len(res.records)
         for a, b in zip(res.records, back):
-            assert a.to_dict() == b.to_dict()
+            assert json.dumps(a, default=jsonable) == json.dumps(b, default=jsonable)
 
     def test_box_prior_target_equals_the_objective_bits(self, uniform_run):
         # gp_target is the likelihood term alone; the objective's box check
@@ -481,7 +482,7 @@ class TestRunTrace:
                                                                     gaussian_run, tmp_path):
         for (prob, _, _, res), field, bad in ((uniform_run, "fx", float("nan")),
                                               (gaussian_run, "f_refined", float("inf"))):
-            rows = [rec.to_dict() for rec in res.records[:5]]
+            rows = [json.loads(json.dumps(rec, default=jsonable)) for rec in res.records[:5]]
             rows[2][field][0] = bad
             path = tmp_path / f"{field}.jsonl"
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -529,7 +530,7 @@ class TestRunTrace:
             "non-finite-x", "non-finite-refined-z", "short-x", "short-refined-z"])
     def test_read_names_the_line_of_a_malformed_record(self, uniform_run, tmp_path,
                                                        edit, message):
-        rows = [json.dumps(rec.to_dict()) for rec in uniform_run[3].records[:5]]
+        rows = [json.dumps(rec, default=jsonable) for rec in uniform_run[3].records[:5]]
         rows[2] = edit(json.loads(rows[2]))
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(row + "\n" for row in rows))

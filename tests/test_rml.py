@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from rmlbo.hdbo import jsonable
 from rmlbo.problems import (
     NEG_INF,
     BoxPrior,
@@ -86,9 +87,9 @@ class TestDrawRandomizations:
         rng = np.random.default_rng(3)
         prob, _ = linear_problem(rng)
         inst = draw_randomizations(prob, 1, rng)[0]
-        # to_dict is the report's instances format: it survives JSON and holds
-        # the object's fields exactly
-        back = json.loads(json.dumps(inst.to_dict()))
+        # the jsonable form is the report's instances format: it survives
+        # JSON and holds the object's fields exactly
+        back = json.loads(json.dumps(inst, default=jsonable))
         assert back["index"] == inst.index
         assert np.asarray(back["data_n"]).tobytes() == inst.data_n.tobytes()
         assert np.asarray(back["prior_mean_n"]).tobytes() == inst.prior_mean_n.tobytes()
