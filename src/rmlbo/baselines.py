@@ -12,6 +12,7 @@ from .hdbo import (
     RunAborted,
     SimulationRecord,
     _check_instances,
+    require_integer,
     select_maximizers,
 )
 from .problems import ProblemSpec, SimulatorError
@@ -20,10 +21,9 @@ from .rml import objective
 
 def random_design(problem: ProblemSpec, instances, budget_N: int,
                   rng: np.random.Generator) -> RMLResult:
-    """Evaluate ``budget_N`` independent prior draws and select per-objective
-    maximizers over the shared pool."""
-    if budget_N < 1:
-        raise ValueError("budget_N must be >= 1")
+    """Evaluate ``budget_N`` (a positive integer) independent prior draws and
+    select per-objective maximizers over the shared pool."""
+    require_integer("budget_N", budget_N)
     _check_instances(instances, problem)
     n_rml = len(instances)
     records = []
@@ -44,8 +44,10 @@ class _BudgetExhausted(Exception):
 
 
 def check_local_search_budget(budget_N: int, n_rml: int) -> None:
-    """Raise ConfigError unless the budget gives every objective at least
-    one evaluation."""
+    """Raise ConfigError unless both counts are positive integers and the
+    budget gives every objective at least one evaluation."""
+    require_integer("budget_N", budget_N)
+    require_integer("n_rml", n_rml)
     if budget_N < n_rml:
         raise ConfigError(f"budget_N={budget_N} cannot cover {n_rml} objectives")
 

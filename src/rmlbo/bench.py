@@ -12,6 +12,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .hdbo import (
     HDBOConfig,
     RMLResult,
     SimulationRecord,
+    _is_integer,
     read_trace,
     run_hdbo_rml,
     require_integer,
@@ -259,16 +261,12 @@ def mean_return(result: RMLResult, instances, problem: ProblemSpec) -> float:
     return float(np.mean(result.values))
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """A named optimizer with the uniform signature
     ``run(problem, instances, seed) -> RMLResult``."""
 
     name: str
-    runner: object
-
-    def run(self, problem, instances, seed: int) -> RMLResult:
-        return self.runner(problem, instances, seed)
+    run: Callable[..., RMLResult]
 
 
 def hdbo_method(config: HDBOConfig) -> Method:
@@ -291,10 +289,8 @@ def trace_method(path, name: str) -> Method:
     candidates.  The trace is adopted through the standard final selection,
     so third-party optimizers compare on equal footing."""
 
-    def runner(problem, instances, seed):
-        return select_maximizers(read_trace(path, problem), instances, problem)
-
-    return Method(name, runner)
+    return Method(name, lambda problem, instances, seed: select_maximizers(
+        read_trace(path, problem), instances, problem))
 
 
 def oracle_rml_result(problem: ProblemSpec, instances) -> RMLResult:
@@ -316,6 +312,21 @@ def oracle_rml_result(problem: ProblemSpec, instances) -> RMLResult:
             emb_index=-1, y=None, x=x, fx=fx, refined_z=None, f_refined=None,
             iteration=i + 1, objective_index=inst.index))
     return RMLResult(maximizers=maximizers, values=values, records=records, n_evals=0)
+
+
+def require_checkpoints(checkpoints) -> list[int]:
+    """``checkpoints`` as a list of Python ints; raises ConfigError unless it
+    is a non-empty, strictly increasing sequence of Python or numpy integers
+    (not bools) of at least 1."""
+    try:
+        cps = list(checkpoints)
+    except TypeError:
+        cps = []
+    if (not cps or any(not _is_integer(c) or c < 1 for c in cps)
+            or any(b <= a for a, b in zip(cps, cps[1:]))):
+        raise ConfigError(
+            "checkpoints: expected a strictly increasing list of positive integers")
+    return [int(c) for c in cps]
 
 
 def default_checkpoints(budget_N: int) -> list[int]:
@@ -398,13 +409,11 @@ def budget_curve(problem: ProblemSpec, instances, methods, checkpoints,
     Each trial is one full-budget run; checkpoint values are replayed from
     its candidate-value table.  Only the first trial's result is kept, for
     the method's maximizers and their projections ``maximizers @ A``;
-    nothing is simulated outside the methods' runs.
+    nothing is simulated outside the methods' runs.  ``checkpoints`` and
+    ``trials`` follow :func:`require_checkpoints` and ``require_integer``.
     """
-    checkpoints = [int(c) for c in checkpoints]
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    checkpoints = require_checkpoints(checkpoints)
+    require_integer("trials", trials)
     t_start = time.perf_counter()
     entries = []
     for method in methods:
@@ -461,8 +470,9 @@ def project_active(samples, A, problem: ProblemSpec):
 
 
 def prior_landscape(problem: ProblemSpec, n_samples: int, rng: np.random.Generator):
-    """Fresh prior samples projected into the active subspace with
-    log-posterior colors (offline analysis mode)."""
+    """``n_samples`` (a positive integer) fresh prior samples projected into
+    the active subspace with log-posterior colors (offline analysis mode)."""
+    require_integer("n_samples", n_samples)
     A = getattr(problem.simulator, "active_matrix", None)
     xs = np.stack([problem.prior.sample(rng) for _ in range(n_samples)])
     coords, logpost = project_active(xs, A, problem)

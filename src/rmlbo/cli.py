@@ -31,7 +31,6 @@ from .hdbo import (
     ConfigError,
     HDBOConfig,
     RunAborted,
-    _is_integer,
     atomic_write,
     embedding_slots,
     jsonable,
@@ -147,12 +146,7 @@ def resolve_config(cfg: dict) -> dict:
             raise ConfigError(
                 f"methods: unknown method {entry!r}; choose from {METHOD_NAMES}")
     if resolved["checkpoints"] is not None:
-        cps = resolved["checkpoints"]
-        if (not isinstance(cps, list) or not cps
-                or any(not _is_integer(c) or c < 1 for c in cps)
-                or any(b <= a for a, b in zip(cps, cps[1:]))):
-            raise ConfigError(
-                "checkpoints: expected a strictly increasing list of positive integers")
+        bench.require_checkpoints(resolved["checkpoints"])
     return resolved
 
 
@@ -164,12 +158,10 @@ def _hdbo_config(resolved: dict, d_e) -> HDBOConfig:
 
 def _embedding_dim(resolved: dict, problem) -> int:
     """``d_e``, or when it is null the problem's active dimension + 1,
-    capped at D (3 when the active dimension is unknown)."""
+    capped at D.  Every catalog simulator exposes its active subspace."""
     if resolved["d_e"] is not None:
         return resolved["d_e"]
-    A = getattr(problem.simulator, "active_matrix", None)
-    d = 2 if A is None else int(A.shape[1])
-    return min(d + 1, problem.input_dim)
+    return min(problem.simulator.active_matrix.shape[1] + 1, problem.input_dim)
 
 
 def _method(entry, resolved: dict, problem) -> bench.Method:
@@ -198,14 +190,8 @@ def _single_method(resolved: dict, problem) -> bench.Method:
         return _method(resolved["method"], resolved, problem)
     if getattr(problem.simulator, "matrix", None) is None:
         raise ConfigError("method: oracle RML requires a linear simulator exposing its matrix")
-
-    def oracle(problem, instances, seed):
-        try:
-            return bench.oracle_rml_result(problem, instances)
-        except ValueError as exc:
-            raise ConfigError(f"method: {exc}") from exc
-
-    return bench.Method("oracle-rml", oracle)
+    return bench.Method("oracle-rml", lambda problem, instances, seed:
+                        bench.oracle_rml_result(problem, instances))
 
 
 def _draw_instances(problem, resolved: dict):
@@ -299,10 +285,7 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
 
 def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
     problem = bench.problem_from_config(resolved["problem"])
-    A = getattr(problem.simulator, "active_matrix", None)
-    if A is None:
-        raise ConfigError("problem: active subspace unavailable; landscape export "
-                          "requires a synthetic problem")
+    A = problem.simulator.active_matrix
     method = _single_method(resolved, problem)
     instances = _draw_instances(problem, resolved)
 
@@ -313,7 +296,7 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
                   "\n".join(bench.projections_csv_lines(coords, logpost)) + "\n")
     print(f"landscape ({coords.shape[0]} prior samples): {landscape_path}")
 
-    if getattr(problem.simulator, "matrix", None) is not None and problem.has_gaussian_prior:
+    if getattr(problem.simulator, "matrix", None) is not None:
         oracle = bench.oracle_rml_result(problem, instances)
         o_coords, o_logpost = bench.project_active(oracle.maximizers, A, problem)
         oracle_path = os.path.join(out_dir, "oracle_samples.csv")

@@ -333,6 +333,46 @@ class TestBudgetCurve:
             bench.budget_curve(prob, insts, [bench.random_design_method(10)],
                                [10, 10], trials=1, seed=0)
 
+    @pytest.mark.parametrize("call, name", [
+        *[(lambda p, i, cps=cps: bench.budget_curve(
+            p, i, [bench.random_design_method(20)], cps, trials=1, seed=0), "checkpoints")
+          for cps in ([10.7, 20.2], [True, 20], [0, 20], [-5, 20], [], "10,20")],
+        *[(lambda p, i, t=t: bench.budget_curve(
+            p, i, [bench.random_design_method(20)], [10, 20], trials=t, seed=0), "trials")
+          for t in (True, 2.5, 0)],
+        (lambda p, i: bench.prior_landscape(p, True, np.random.default_rng(0)), "n_samples"),
+        (lambda p, i: bench.prior_landscape(p, 0, np.random.default_rng(0)), "n_samples"),
+        (lambda p, i: baselines.random_design(p, i, True, np.random.default_rng(0)),
+         "budget_N"),
+        (lambda p, i: baselines.check_local_search_budget(7.5, 3), "budget_N"),
+        (lambda p, i: baselines.check_local_search_budget(10, 2.5), "n_rml")],
+        ids=[*(f"checkpoints={c}" for c in ("floats", "bool", "zero", "negative", "empty",
+                                            "string")),
+             "trials=True", "trials=2.5", "trials=0", "n_samples=True", "n_samples=0",
+             "random-design-budget_N=True", "local-search-budget_N=7.5",
+             "local-search-n_rml=2.5"])
+    def test_library_counts_follow_the_integer_rule(self, small_setup, call, name):
+        # nothing is truncated, coerced or skipped: the library checks a
+        # count as the CLI does
+        prob, insts = small_setup
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            call(prob, insts)
+
+    def test_tuple_and_numpy_checkpoints_give_the_report_of_a_list(self, small_setup):
+        prob, insts = small_setup
+        methods = [bench.random_design_method(20)]
+
+        def report_bytes(checkpoints):
+            report = json.loads(json.dumps(bench.budget_curve(
+                prob, insts, methods, checkpoints, trials=2, seed=9), default=jsonable))
+            for block in (report, *report["methods"]):
+                block.pop("wall_clock_s")
+            return json.dumps(report)
+
+        want = report_bytes([10, 20])
+        assert report_bytes((10, 20)) == want
+        assert report_bytes(np.array([10, 20])) == want
+
 
 class TestExternalTraces:
     def test_trace_round_trip_reproduces_selection(self, small_setup, tmp_path):

@@ -192,6 +192,32 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["n_evals"] == 0
 
+    def test_failed_oracle_solve_exits_3_in_every_command(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a normal system that fails to factor is a runtime failure, not a
+        # config error: the config passed every check
+        def failing(*args):
+            raise ValueError("normal matrix is not positive definite")
+
+        monkeypatch.setattr("rmlbo.rml._solve_normal", failing)
+        path = write_config(tmp_path, {**LINEAR, "prior_samples": 50})
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--set", 'method="oracle-rml"',
+                     "--out", str(out)]) == 3
+        assert "runtime failure: normal matrix" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert main(["export-landscape", "--config", path, "--out", str(tmp_path / "e")]) == 3
+        assert "runtime failure: normal matrix" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "oracle_samples.csv").exists()
+
+    def test_decreasing_checkpoints_exit_2_before_writing(self, tmp_path, capsys):
+        # run never reads checkpoints, but every command checks the whole config
+        path = write_config(tmp_path, {**BOWL, "checkpoints": [5, 3]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert "checkpoints: expected a strictly increasing list" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_single_cell_csv(self, tmp_path):
