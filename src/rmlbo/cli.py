@@ -284,6 +284,10 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
 
 
 def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
+    """Write the prior landscape, the oracle's samples (linear simulators
+    only) and the method's samples.  All three projections are computed
+    before any file is written, so a failed oracle solve or method run
+    leaves no partial output set."""
     problem = bench.problem_from_config(resolved["problem"])
     A = problem.simulator.active_matrix
     method = _single_method(resolved, problem)
@@ -291,27 +295,25 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
 
     rng = labeled_stream(resolved["seed"], STREAM_LANDSCAPE)
     _, coords, logpost = bench.prior_landscape(problem, resolved["prior_samples"], rng)
-    landscape_path = os.path.join(out_dir, "landscape.csv")
-    atomic_write(landscape_path,
-                  "\n".join(bench.projections_csv_lines(coords, logpost)) + "\n")
-    print(f"landscape ({coords.shape[0]} prior samples): {landscape_path}")
-
+    oracle = None
     if getattr(problem.simulator, "matrix", None) is not None:
-        oracle = bench.oracle_rml_result(problem, instances)
-        o_coords, o_logpost = bench.project_active(oracle.maximizers, A, problem)
-        oracle_path = os.path.join(out_dir, "oracle_samples.csv")
-        atomic_write(oracle_path,
-                      "\n".join(bench.projections_csv_lines(o_coords, o_logpost)) + "\n")
-        print(f"oracle samples: {oracle_path}")
+        oracle = bench.project_active(bench.oracle_rml_result(problem, instances).maximizers,
+                                      A, problem)
+    result = method.run(problem, instances, resolved["seed"])
+    samples = bench.project_active(result.maximizers, A, problem)
+
+    def write(name, projection):
+        path = os.path.join(out_dir, name)
+        atomic_write(path, "\n".join(bench.projections_csv_lines(*projection)) + "\n")
+        return path
+
+    print(f"landscape ({coords.shape[0]} prior samples): "
+          f"{write('landscape.csv', (coords, logpost))}")
+    if oracle is not None:
+        print(f"oracle samples: {write('oracle_samples.csv', oracle)}")
     else:
         print("warning: oracle samples unavailable (nonlinear simulator)", file=sys.stderr)
-
-    result = method.run(problem, instances, resolved["seed"])
-    m_coords, m_logpost = bench.project_active(result.maximizers, A, problem)
-    method_path = os.path.join(out_dir, "method_samples.csv")
-    atomic_write(method_path,
-                  "\n".join(bench.projections_csv_lines(m_coords, m_logpost)) + "\n")
-    print(f"method samples ({resolved['method']}): {method_path}")
+    print(f"method samples ({resolved['method']}): {write('method_samples.csv', samples)}")
     return 0
 
 

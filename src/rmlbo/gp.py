@@ -316,14 +316,17 @@ def fit(inputs, targets, rng: np.random.Generator,
     Without ``init`` it runs FIT_RESTARTS log-uniform starts.  With ``init``
     it starts from ``init`` mapped to those coordinates and clipped into
     this fit's bounds, plus one log-uniform start.  The model records the
-    search's ``nfev`` and ``failed_starts``.  A kernel matrix that fails to
-    factor at any evaluation raises the factorization ValueError.
+    search's ``nfev`` and ``failed_starts``; the evidence is evaluated
+    exactly ``nfev`` times, since the winner's ``o`` comes from its own
+    evaluation.  A kernel matrix that fails to factor at any evaluation
+    raises the factorization ValueError.
     """
     inputs, targets, sqdist, z, mean, sd = _training_set(inputs, targets)
     diam = _input_diameter(inputs)
+    log_o_at = {}   # the maximizing log o at every theta the search evaluates
 
     def neg_lml(theta):
-        lml, (g0, g1), _ = _concentrated(sqdist, z, theta)
+        lml, (g0, g1), log_o_at[tuple(theta)] = _concentrated(sqdist, z, theta)
         return -lml, (-g0, -g1)
 
     bounds = (
@@ -344,7 +347,7 @@ def fit(inputs, targets, rng: np.random.Generator,
     results = [_search(neg_lml, theta0, bounds, FIT_MAXITER) for theta0 in starts]
     best = min(results, key=lambda res: res[1])[0]
     log_l, log_ratio = best
-    log_o = _concentrated(sqdist, z, best)[2]
+    log_o = log_o_at[best]   # the winner was evaluated, so no further pass
     params = KernelParams(log_o, log_l, log_ratio + 2.0 * log_o)
     model = _assemble(inputs, targets, sqdist, z, mean, sd, params)
     model.nfev = sum(res[2] for res in results)

@@ -13,7 +13,10 @@ per objective, each row filled once, right after its record is simulated;
 a slot's GP targets are a column slice of its embedding's rows, and on a box
 prior final selection reads the same table.
 Within an embedding only the first fit searches hyperparameters cold; later
-fits start from the previous fit's hyperparameters.  Each acquisition ranks
+full searches start from the previous full search's hyperparameters.  A full
+search runs while the training set has fewer than REFIT_EVERY_UNTIL points
+and on every REFIT_PERIOD-th slot after that; the slots between refactor at
+the latest searched hyperparameters.  Each acquisition ranks
 ACQ_PROBES uniform probes by UCB and polishes the best ACQ_RESTARTS by a
 compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
 
@@ -43,8 +46,8 @@ from .problems import (
 from .rml import RMLInstance, objective
 from .seeding import STREAM_ACQ, STREAM_EMBED, STREAM_GPFIT, STREAM_INIT, labeled_stream
 
-REFIT_EVERY_UNTIL = 30   # full hyperparameter search while the ensemble is small
-REFIT_PERIOD = 5         # afterwards, every 5th slot (factor-only updates between)
+REFIT_EVERY_UNTIL = 15   # full hyperparameter search below 15 training points
+REFIT_PERIOD = 10        # afterwards, every 10th slot (factor-only updates between)
 ACQ_PROBES = 64
 ACQ_SWEEPS = 15
 ACQ_RESTARTS = 10

@@ -208,7 +208,8 @@ class TestRun:
         assert list(out.iterdir()) == []
         assert main(["export-landscape", "--config", path, "--out", str(tmp_path / "e")]) == 3
         assert "runtime failure: normal matrix" in capsys.readouterr().err
-        assert not (tmp_path / "e" / "oracle_samples.csv").exists()
+        # every projection is computed before the first file is written
+        assert list((tmp_path / "e").iterdir()) == []
 
     def test_decreasing_checkpoints_exit_2_before_writing(self, tmp_path, capsys):
         # run never reads checkpoints, but every command checks the whole config
@@ -433,6 +434,19 @@ class TestExportLandscape:
         assert main(["export-landscape", "--config", path, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "landscape.csv").exists()
+
+    def test_simulator_failure_mid_run_exits_3_before_writing(self, tmp_path, capsys,
+                                                              monkeypatch, fail_after):
+        # the 50 prior samples take 50 analysis calls; the method's run
+        # fails on its 11th call, after the oracle's projection is computed
+        real = bench.problem_from_config
+        monkeypatch.setattr(bench, "problem_from_config",
+                            lambda cfg: fail_after(real(cfg), 60))
+        path = write_config(tmp_path, {**LINEAR, "prior_samples": 50})
+        out = tmp_path / "e"
+        assert main(["export-landscape", "--config", path, "--out", str(out)]) == 3
+        assert "runtime failure: simulator failed mid-run" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_linear_problem_produces_all_three_files(self, tmp_path):
         cfg = {**LINEAR, "prior_samples": 200, "budget_N": 40}

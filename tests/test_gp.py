@@ -754,6 +754,26 @@ class TestFit:
             starts[0], [init.log_lengthscale,
                         init.log_noise_var - 2.0 * init.log_outputscale])
 
+    def test_fit_evaluates_the_evidence_nfev_times(self, monkeypatch):
+        # the winner's outputscale comes from the search's own evaluation,
+        # so no evidence pass follows the search, cold or warm
+        calls = []
+        real_concentrated = gp._concentrated
+
+        def spy(sqdist, z, theta):
+            calls.append(theta)
+            return real_concentrated(sqdist, z, theta)
+
+        monkeypatch.setattr(gp, "_concentrated", spy)
+        rng = np.random.default_rng(27)
+        X = rng.uniform(-1, 1, (20, 2))
+        z = np.sin(3 * X[:, 0]) + X[:, 1]
+        cold = gp.fit(X, z, rng)
+        assert len(calls) == cold.nfev > 0
+        calls.clear()
+        warm = gp.fit(X, z, rng, init=cold.params)
+        assert len(calls) == warm.nfev > 0
+
     def test_noise_free_quadratic_fits_keep_the_relative_floor(self):
         # exact quadratic targets, as the linear-gaussian problem produces:
         # the evidence pushes the noise to its floor, which must stay

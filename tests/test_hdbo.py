@@ -593,9 +593,9 @@ class TestDataSharing:
         expected = [m - 1 for _ in range(cfg.K) for m in range(cfg.n0 + 1, slots + 1)]
         assert sizes == expected
 
-    def test_refit_cadence_full_then_every_fifth(self, monkeypatch):
-        # full hyperparameter search while the training set is below 30
-        # points, afterwards every 5th slot with factor-only fits between;
+    def test_refit_cadence_full_below_fifteen_then_every_tenth(self, monkeypatch):
+        # full hyperparameter search while the training set is below 15
+        # points, afterwards every 10th slot with factor-only fits between;
         # the slot index is the spied training size plus one
         full_slots, factor_slots = [], []
         real_fit = gp.fit
@@ -615,8 +615,44 @@ class TestDataSharing:
         insts = drawn(prob, 2)
         cfg = HDBOConfig(n_rml=2, budget_N=40, K=1, d_e=2, n0=3, seed=0)
         run_hdbo_rml(prob, insts, cfg)
-        assert full_slots == list(range(4, 31)) + [35, 40]
-        assert factor_slots == [31, 32, 33, 34, 36, 37, 38, 39]
+        assert full_slots == list(range(4, 16)) + [25, 35]
+        assert factor_slots == list(range(16, 25)) + list(range(26, 35)) + list(range(36, 41))
+
+    def test_hyperparameters_chain_through_full_fits_within_an_embedding(self, monkeypatch):
+        # the first full fit of each embedding is cold, each later full fit
+        # starts from the previous full fit's hyperparameters, and every
+        # factor-only fit reuses the latest full fit's, so no hyperparameters
+        # carry over from one embedding to the next
+        calls = []   # (kind, the params passed in, the params fitted)
+        real_fit = gp.fit
+        real_fit_with = gp.fit_with_params
+
+        def spy_fit(inputs, targets, rng, init=None):
+            model = real_fit(inputs, targets, rng, init=init)
+            calls.append(("full", init, model.params))
+            return model
+
+        def spy_fit_with(inputs, targets, params):
+            calls.append(("factor", params, params))
+            return real_fit_with(inputs, targets, params)
+
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit", spy_fit)
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit_with_params", spy_fit_with)
+        prob = bowl_problem(D=8, d=2)
+        insts = drawn(prob, 2)
+        cfg = HDBOConfig(n_rml=2, budget_N=80, K=2, d_e=2, n0=3, seed=0)
+        run_hdbo_rml(prob, insts, cfg)
+        per_embedding = hdbo.embedding_slots(cfg, prob) - cfg.n0
+        assert len(calls) == cfg.K * per_embedding
+        for k in range(cfg.K):
+            own = calls[k * per_embedding:(k + 1) * per_embedding]
+            kinds = [kind for kind, _, _ in own]
+            assert kinds[0] == "full" and kinds.count("full") == 14
+            assert kinds.count("factor") == per_embedding - 14
+            latest = None
+            for kind, given, fitted in own:
+                assert given is latest
+                latest = fitted
 
     def test_each_target_computed_once_per_record_and_objective(self, monkeypatch):
         # gp_target scores every (record, objective) pair of the run exactly
