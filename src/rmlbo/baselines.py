@@ -7,15 +7,13 @@ its final-selection logic, so comparisons isolate search quality.
 import numpy as np
 
 from .hdbo import (
-    ConfigError,
     RMLResult,
     RunAborted,
     SimulationRecord,
     _check_instances,
-    require_integer,
     select_maximizers,
 )
-from .problems import ProblemSpec, SimulatorError
+from .problems import ConfigError, ProblemSpec, SimulatorError, require_integer
 from .rml import objective
 
 

@@ -17,25 +17,25 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .hdbo import (
-    ConfigError,
     HDBOConfig,
     RMLResult,
     SimulationRecord,
-    _is_integer,
     read_trace,
     run_hdbo_rml,
-    require_integer,
     select_maximizers,
     with_seed,
 )
 from .baselines import per_objective_local_search, random_design
 from .problems import (
     BoxPrior,
+    ConfigError,
     GaussianSpec,
     LikelihoodSpec,
     ProblemSpec,
     SimulatorHandle,
+    _is_integer,
     prior_from_dict,
+    require_integer,
 )
 from .rml import objective, oracle_linear_rml
 from .seeding import STREAM_PROBLEM, STREAM_TRIAL, labeled_seed, labeled_stream

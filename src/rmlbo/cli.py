@@ -28,15 +28,14 @@ import numpy as np
 from . import bench
 from .baselines import check_local_search_budget
 from .hdbo import (
-    ConfigError,
     HDBOConfig,
     RunAborted,
     atomic_write,
     embedding_slots,
     jsonable,
-    require_integer,
     write_trace,
 )
+from .problems import ConfigError, require_integer
 from .rml import draw_randomizations
 from .seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
 

@@ -13,12 +13,13 @@ per objective, each row filled once, right after its record is simulated;
 a slot's GP targets are a column slice of its embedding's rows, and on a box
 prior final selection reads the same table.
 Within an embedding only the first fit searches hyperparameters cold; later
-full searches start from the previous full search's hyperparameters.  A full
-search runs while the training set has fewer than REFIT_EVERY_UNTIL points
-and on every REFIT_PERIOD-th slot after that; the slots between refactor at
-the latest searched hyperparameters.  Each acquisition ranks
-ACQ_PROBES uniform probes by UCB and polishes the best ACQ_RESTARTS by a
-compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
+full searches start from the previous full search's hyperparameters.  A slot
+searches once its count n of finite training targets has grown by a
+1/REFIT_DIVISOR share since the embedding's latest search at n_s points
+(6 n >= 7 n_s, in integers; n_s is 0 before the first search); the other
+slots refactor at the latest searched hyperparameters.  Each acquisition
+ranks ACQ_PROBES uniform probes by UCB and polishes the best ACQ_RESTARTS by
+a compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
 
 With a Gaussian prior each slot additionally takes a closed-form proximal
 step toward the perturbed prior mean (one extra simulation at the refined
@@ -38,23 +39,21 @@ from . import gp
 from .embeddings import Embedding, lift, sample_embedding
 from .problems import (
     NEG_INF,
+    ConfigError,
     GaussianSpec,
     ProblemSpec,
     SimulatorError,
+    _is_integer,
+    require_integer,
     solve_spd,
 )
 from .rml import RMLInstance, objective
 from .seeding import STREAM_ACQ, STREAM_EMBED, STREAM_GPFIT, STREAM_INIT, labeled_stream
 
-REFIT_EVERY_UNTIL = 15   # full hyperparameter search below 15 training points
-REFIT_PERIOD = 10        # afterwards, every 10th slot (factor-only updates between)
+REFIT_DIVISOR = 6   # search once the training set has grown by 1/REFIT_DIVISOR
 ACQ_PROBES = 64
 ACQ_SWEEPS = 15
 ACQ_RESTARTS = 10
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 class RunAborted(RuntimeError):
@@ -63,20 +62,6 @@ class RunAborted(RuntimeError):
     def __init__(self, message, records):
         super().__init__(message)
         self.records = records
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-_AT_LEAST = {0: "a non-negative integer", 1: "a positive integer"}
-
-
-def require_integer(name: str, value, minimum: int = 1) -> None:
-    """Raise ConfigError naming ``name`` unless ``value`` is a Python or numpy
-    integer (not a bool) of at least ``minimum`` (0 or 1)."""
-    if not _is_integer(value) or value < minimum:
-        raise ConfigError(f"{name}: expected {_AT_LEAST[minimum]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -468,7 +453,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
     slots = rows.shape[0]
     ys = np.empty((slots, emb.embed_dim))   # the inputs, shared by every objective
     params = None
-    last_full_fit = -REFIT_PERIOD
+    searched_at = 0     # training points of the latest search; the first slot searches
     for m in range(1, slots + 1):
         nprime = ((m - 1) % config.n_rml) + 1
         inst = instances[nprime - 1]
@@ -479,11 +464,10 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
             finite = np.isfinite(train_z)
             train_y = ys[:m - 1][finite]
             train_z = train_z[finite]
-            full = train_z.size < REFIT_EVERY_UNTIL or (m - last_full_fit) >= REFIT_PERIOD
-            if full:
+            if REFIT_DIVISOR * train_z.size >= (REFIT_DIVISOR + 1) * searched_at:
                 model = gp.fit(train_y, train_z, fit_rng, init=params)
                 params = model.params
-                last_full_fit = m
+                searched_at = train_z.size
             else:
                 model = gp.fit_with_params(train_y, train_z, params)
             y = acquisition_maximize(model, (emb.y_lower, emb.y_upper), config.beta, acq_rng)

@@ -19,6 +19,7 @@ Conventions:
     point can never win an argmax.
 """
 
+import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -37,6 +38,24 @@ class SimulatorError(RuntimeError):
     def __init__(self, message, x):
         super().__init__(message)
         self.x = np.asarray(x, dtype=float)
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_AT_LEAST = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+def require_integer(name: str, value, minimum: int = 1) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is a Python or numpy
+    integer (not a bool) of at least ``minimum`` (0 or 1)."""
+    if not _is_integer(value) or value < minimum:
+        raise ConfigError(f"{name}: expected {_AT_LEAST[minimum]}, got {value!r}")
 
 
 def _point(x, dim: int, name: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import NEG_INF, GaussianSpec, ProblemSpec, chol_spd, solve_spd
+from .problems import NEG_INF, GaussianSpec, ProblemSpec, chol_spd, require_integer, solve_spd
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,14 @@ class RMLInstance:
 
 def draw_randomizations(problem: ProblemSpec, n_rml: int,
                         rng: np.random.Generator) -> list[RMLInstance]:
-    """Draw the ``n_rml`` randomized instances for a problem.
+    """Draw the ``n_rml`` (a positive integer) randomized instances for a problem.
 
     Data perturbations use the lower-Cholesky convention
     ``data + L xi`` with ``xi`` standard normal drawn coordinate-ascending;
     Gaussian prior means are perturbed the same way.  No simulator
     evaluations are consumed and the output is fully determined by ``rng``.
     """
-    if n_rml < 1:
-        raise ValueError("n_rml must be >= 1")
+    require_integer("n_rml", n_rml)
     gaussian = problem.has_gaussian_prior
     instances = []
     for n in range(1, n_rml + 1):

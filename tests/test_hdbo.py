@@ -593,10 +593,12 @@ class TestDataSharing:
         expected = [m - 1 for _ in range(cfg.K) for m in range(cfg.n0 + 1, slots + 1)]
         assert sizes == expected
 
-    def test_refit_cadence_full_below_fifteen_then_every_tenth(self, monkeypatch):
-        # full hyperparameter search while the training set is below 15
-        # points, afterwards every 10th slot with factor-only fits between;
-        # the slot index is the spied training size plus one
+    def test_refit_searches_once_the_training_set_has_grown_by_a_sixth(self, monkeypatch):
+        # a slot searches hyperparameters when its n training points satisfy
+        # 6 n >= 7 n_s, n_s the size at the latest search (0 before the
+        # first), and refactors at the searched hyperparameters otherwise;
+        # no target overflows here, so the slot index is the spied training
+        # size plus one
         full_slots, factor_slots = [], []
         real_fit = gp.fit
         real_fit_with = gp.fit_with_params
@@ -615,8 +617,8 @@ class TestDataSharing:
         insts = drawn(prob, 2)
         cfg = HDBOConfig(n_rml=2, budget_N=40, K=1, d_e=2, n0=3, seed=0)
         run_hdbo_rml(prob, insts, cfg)
-        assert full_slots == list(range(4, 16)) + [25, 35]
-        assert factor_slots == list(range(16, 25)) + list(range(26, 35)) + list(range(36, 41))
+        assert full_slots == [4, 5, 6, 7, 8, 10, 12, 14, 17, 20, 24, 28, 33, 39]
+        assert factor_slots == sorted(set(range(4, 41)) - set(full_slots))
 
     def test_hyperparameters_chain_through_full_fits_within_an_embedding(self, monkeypatch):
         # the first full fit of each embedding is cold, each later full fit
@@ -744,6 +746,51 @@ class TestDataSharing:
         for (got_y, got_z), (want_y, want_z) in zip(fitted, expected):
             assert got_y.tobytes() == want_y.tobytes()
             assert got_z.tobytes() == want_z.tobytes()
+
+    def test_refit_rule_counts_finite_training_points_not_slots(self, monkeypatch):
+        # with targets that overflow, a slot's training set is smaller than
+        # its slot index says and differs between objectives; the rule
+        # compares the finite counts: a factor-only fit has 6 n < 7 n_s, and
+        # every search after an embedding's first has 6 n >= 7 n_s, where n_s
+        # is the size at that embedding's latest search
+        fits = []   # (kind, training size), embedding after embedding
+        real_fit = gp.fit
+        real_fit_with = gp.fit_with_params
+
+        def spy_fit(inputs, targets, rng, **kwargs):
+            fits.append(("full", np.asarray(targets).size))
+            return real_fit(inputs, targets, rng, **kwargs)
+
+        def spy_fit_with(inputs, targets, params):
+            fits.append(("factor", np.asarray(targets).size))
+            return real_fit_with(inputs, targets, params)
+
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit", spy_fit)
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit_with_params", spy_fit_with)
+        prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
+        inner = prob.simulator._fn
+        prob.simulator._fn = lambda x: np.full(3, 1e200) if x[0] > 0.3 else inner(x)
+        insts = drawn(prob, 2)
+        cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            run_hdbo_rml(prob, insts, cfg)
+        per_embedding = hdbo.embedding_slots(cfg, prob) - cfg.n0
+        assert len(fits) == cfg.K * per_embedding
+        seen = {"full": 0, "factor": 0, "short": 0}
+        for k in range(cfg.K):
+            own = fits[k * per_embedding:(k + 1) * per_embedding]
+            assert own[0][0] == "full"
+            searched_at = own[0][1]
+            for slot, (kind, n) in enumerate(own[1:], start=cfg.n0 + 2):
+                if kind == "full":
+                    assert 6 * n >= 7 * searched_at
+                    searched_at = n
+                else:
+                    assert 6 * n < 7 * searched_at
+                seen[kind] += 1
+                seen["short"] += n < slot - 1
+        # both kinds follow the first search, and overflowing records were left out
+        assert seen["full"] > 0 and seen["factor"] > 0 and seen["short"] > 0
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["bowl", "overflowing-bowl"])
     def test_box_run_selects_from_the_table_select_maximizers_scores(self, overflow):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import rmlbo
+from rmlbo import hdbo, problems
 from rmlbo.hdbo import jsonable
 from rmlbo.problems import (
     NEG_INF,
     BoxPrior,
+    ConfigError,
     GaussianSpec,
     LikelihoodSpec,
     ProblemSpec,
@@ -76,6 +79,26 @@ class TestDrawRandomizations:
         before = prob.simulator.eval_counter
         draw_randomizations(prob, 20, rng)
         assert prob.simulator.eval_counter == before
+
+    @pytest.mark.parametrize("n_rml", [True, 2.5, "3", 0])
+    def test_count_that_is_not_a_positive_integer_is_a_config_error(self, n_rml):
+        prob, _ = linear_problem(np.random.default_rng(2))
+        with pytest.raises(ConfigError, match=r"^n_rml: "):
+            draw_randomizations(prob, n_rml, np.random.default_rng(0))
+
+    def test_numpy_integer_count_draws_the_same_instances(self):
+        prob, _ = linear_problem(np.random.default_rng(2))
+        a = draw_randomizations(prob, np.int64(3), np.random.default_rng(4))
+        b = draw_randomizations(prob, 3, np.random.default_rng(4))
+        assert [i.index for i in a] == [i.index for i in b] == [1, 2, 3]
+        for x, y in zip(a, b):
+            assert x.data_n.tobytes() == y.data_n.tobytes()
+            assert x.prior_mean_n.tobytes() == y.prior_mean_n.tobytes()
+
+    def test_config_error_is_one_class_everywhere(self):
+        # the integer rule lives in problems; hdbo and the package re-export it
+        assert rmlbo.ConfigError is hdbo.ConfigError is problems.ConfigError
+        assert hdbo.require_integer is problems.require_integer
 
     def test_indices_are_one_based_and_unique(self):
         rng = np.random.default_rng(2)
