@@ -11,9 +11,9 @@ Both fits, :func:`fit` and :func:`fit_with_params`, train on exactly the
 rows they are given: one checked and standardized training set and its one
 squared-distance matrix.  Both fits and both evidence functions raise the
 same ValueError on a count mismatch.
-Every factorization goes through one Cholesky call, which raises the one
-``ValueError("kernel matrix factorization failed: ...")`` that both
-evidence functions and both fits let through.
+Every factorization goes through the package's one Cholesky,
+:func:`rmlbo.problems.chol_spd`, whose ``ValueError("kernel matrix
+factorization failed: ...")`` both evidence functions and both fits let through.
 
 The fitter concentrates the outputscale out of the evidence (the
 "concentrated likelihood" of kriging: Jones, Schonlau & Welch, J. Global
@@ -96,6 +96,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
+
+from .problems import chol_spd
 
 NOISE_FLOOR = 1e-8
 TARGET_SD_FLOOR = 1e-8
@@ -203,21 +205,12 @@ def _kernel_matrix(sqdist: np.ndarray, lengthscale: float,
     return k
 
 
-def _cholesky(kn: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``kn`` (zero above the diagonal).  A matrix
-    that fails to factor raises the module's one factorization ValueError."""
-    chol, info = lapack.dpotrf(kn, lower=1)
-    if info != 0:
-        raise ValueError(f"kernel matrix factorization failed: dpotrf failed with info={info}")
-    return chol
-
-
 def _factor(sqdist: np.ndarray, z: np.ndarray, lengthscale: float, noise_var: float,
             outputscale: float | None = None):
     """``K + noise * I`` in a new array, its lower factor and ``alpha``."""
     kn = _kernel_matrix(sqdist, lengthscale, outputscale)
     kn.flat[::z.size + 1] += noise_var
-    chol = _cholesky(kn)
+    chol = chol_spd(kn, "kernel matrix")
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
     return kn, chol, alpha
 

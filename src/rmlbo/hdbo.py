@@ -445,11 +445,12 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
     trace and filling row ``m - 1`` of ``rows``, the embedding's rows of the
     likelihood table, once slot ``m``'s record is simulated.  Every slot's
     GP trains on all earlier records of the embedding whose target under the
-    active objective is finite (a finite simulator output can overflow it)."""
+    active objective is finite (a finite simulator output can overflow it);
+    an initial slot, or one with no such record, takes the next uniform draw
+    of the embedding's initial-point stream and fits nothing."""
     init_rng = labeled_stream(config.seed, STREAM_INIT, k)
     acq_rng = labeled_stream(config.seed, STREAM_ACQ, k)
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
-    init_pts = init_rng.uniform(emb.y_lower, emb.y_upper, (config.n0, emb.embed_dim))
     slots = rows.shape[0]
     ys = np.empty((slots, emb.embed_dim))   # the inputs, shared by every objective
     params = None
@@ -457,11 +458,11 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
     for m in range(1, slots + 1):
         nprime = ((m - 1) % config.n_rml) + 1
         inst = instances[nprime - 1]
-        if m <= config.n0:
-            y = init_pts[m - 1]
+        train_z = rows[:m - 1, nprime - 1]
+        finite = np.isfinite(train_z)
+        if m <= config.n0 or not finite.any():
+            y = init_rng.uniform(emb.y_lower, emb.y_upper)
         else:
-            train_z = rows[:m - 1, nprime - 1]
-            finite = np.isfinite(train_z)
             train_y = ys[:m - 1][finite]
             train_z = train_z[finite]
             if REFIT_DIVISOR * train_z.size >= (REFIT_DIVISOR + 1) * searched_at:

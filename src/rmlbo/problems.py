@@ -11,9 +11,10 @@ of either prior reject a point whose shape is not ``(dim,)``.  No other
 module branches on the prior's kind to evaluate, clip or draw.
 
 Conventions:
-  * all SPD solves go through cached lower Cholesky factors, never an
-    explicit inverse, and a matrix that fails to factor is an error: there
-    is no jitter retry;
+  * :func:`chol_spd` factors every SPD matrix, the GP's kernel matrix
+    included, and a failed factorization raises: there is no jitter retry;
+  * solves go through lower factors (:func:`solve_spd`); ``rml`` alone
+    solves against the identity, for a prior precision and a covariance;
   * out-of-support log densities are the IEEE ``-inf`` sentinel, which
     propagates through sums (``-inf + finite == -inf``) so an infeasible
     point can never win an argmax.
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import lapack
 
 NEG_INF = float("-inf")
 
@@ -70,18 +71,16 @@ def _point(x, dim: int, name: str) -> np.ndarray:
 
 
 def chol_spd(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix.
-
-    A failed factorization is a ``ValueError`` naming the matrix; a
-    semidefinite matrix is not rescued by added jitter.
-    """
+    """Lower, Fortran-ordered Cholesky factor of an SPD matrix (``dpotrf``).
+    A failed factorization raises ``ValueError("<name> factorization failed:
+    dpotrf failed with info=<info>")``; no jitter rescues a semidefinite one."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} is not positive definite") from None
+    chol, info = lapack.dpotrf(mat, lower=1)
+    if info != 0:
+        raise ValueError(f"{name} factorization failed: dpotrf failed with info={info}")
+    return chol
 
 
 class GaussianSpec:
@@ -108,7 +107,8 @@ class GaussianSpec:
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
             raise ValueError(f"{name} is not symmetric within 1e-12 relative tolerance")
         self.cov = cov
-        self.chol = chol_spd(cov, name=name)
+        # C-ordered, as sample's GEMV and logpdf's transposed dtrtrs expect
+        self.chol = np.ascontiguousarray(chol_spd(cov, name=name))
         self.name = name
         self._log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
         self._proximal = {}
@@ -201,8 +201,8 @@ class SimulatorHandle:
     """
 
     def __init__(self, fn, input_dim: int, output_dim: int, name: str = "simulator"):
-        if input_dim < 1 or output_dim < 1:
-            raise ValueError("simulator dimensions must be positive")
+        require_integer("input_dim", input_dim)
+        require_integer("output_dim", output_dim)
         self._fn = fn
         self.input_dim = int(input_dim)
         self.output_dim = int(output_dim)
@@ -307,4 +307,7 @@ def prior_from_dict(d: dict) -> "BoxPrior | GaussianSpec":
 
 def solve_spd(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` given the lower Cholesky factor of A."""
-    return cho_solve((chol, True), np.asarray(b, dtype=float), check_finite=False)
+    x, info = lapack.dpotrs(chol, np.asarray(b, dtype=float), lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs failed with info={info}")
+    return x

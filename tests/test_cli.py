@@ -33,6 +33,10 @@ LINEAR = {
     "seed": 1,
 }
 
+# problem fields whose matrix is singular (semidefinite)
+SINGULAR_PRIOR = {"kind": "gaussian", "mean": [0] * 12, "cov": np.ones((12, 12)).tolist()}
+SINGULAR_LIKELIHOOD = {"data": [0, 0, 0], "obs_cov": np.diag([1, 1, 0]).tolist()}
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -197,7 +201,7 @@ class TestRun:
         # a normal system that fails to factor is a runtime failure, not a
         # config error: the config passed every check
         def failing(*args):
-            raise ValueError("normal matrix is not positive definite")
+            raise ValueError("normal matrix factorization failed: dpotrf failed with info=1")
 
         monkeypatch.setattr("rmlbo.rml._solve_normal", failing)
         path = write_config(tmp_path, {**LINEAR, "prior_samples": 50})
@@ -517,14 +521,21 @@ class TestConfigPlumbing:
         ("prior", {"kind": "box", "lower": [[-1] * 12], "upper": [[1] * 12]}),
         ("prior", {"kind": "gaussian", "mean": [[0] * 12], "cov": np.eye(12).tolist()}),
         ("likelihood", {"data": [[0, 0, 0]], "obs_cov": np.eye(3).tolist()}),
-        ("prior", {"kind": "gaussian", "mean": [0] * 12, "cov": np.ones((12, 12)).tolist()}),
-        ("likelihood", {"data": [0, 0, 0], "obs_cov": np.diag([1, 1, 0]).tolist()})])
+        ("prior", SINGULAR_PRIOR), ("likelihood", SINGULAR_LIKELIHOOD)])
     def test_bad_problem_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         base = LINEAR if field == "m" else BOWL
         cfg = {**base, "problem": {**base["problem"], field: value}}
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
-        assert f"problem.{field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"problem.{field}" in err
+        # a singular matrix fails in chol_spd, with its one message
+        if value is SINGULAR_PRIOR:
+            assert "problem.prior: prior covariance factorization failed: " \
+                "dpotrf failed with info=2" in err
+        if value is SINGULAR_LIKELIHOOD:
+            assert "problem.likelihood: obs_cov factorization failed: " \
+                "dpotrf failed with info=3" in err
 
     @pytest.mark.parametrize("base, field", [(BOWL, "m"), (LINEAR, "d")],
                              ids=["m-on-bowl", "d-on-linear"])

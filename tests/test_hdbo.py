@@ -792,6 +792,57 @@ class TestDataSharing:
         # both kinds follow the first search, and overflowing records were left out
         assert seen["full"] > 0 and seen["factor"] > 0 and seen["short"] > 0
 
+    def test_slot_without_a_finite_target_takes_the_next_initial_draw(self, monkeypatch):
+        # while every earlier record of its embedding overflows the active
+        # objective's likelihood, a slot has nothing to fit: it takes the
+        # next uniform draw of the embedding's initial-point stream and fits
+        # nothing, so the embedding's first fit is still its cold search and
+        # the run still spends its whole budget
+        fits = []   # (kind, init), embedding after embedding
+        real_fit = gp.fit
+        real_fit_with = gp.fit_with_params
+
+        def spy_fit(inputs, targets, rng, init=None):
+            fits.append(("full", init))
+            return real_fit(inputs, targets, rng, init=init)
+
+        def spy_fit_with(inputs, targets, params):
+            fits.append(("factor", params))
+            return real_fit_with(inputs, targets, params)
+
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit", spy_fit)
+        monkeypatch.setattr("rmlbo.hdbo.gp.fit_with_params", spy_fit_with)
+        prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
+        inner = prob.simulator._fn
+        prob.simulator._fn = lambda x: np.full(3, 1e200) if x[0] > -0.5 else inner(x)
+        insts = drawn(prob, 2)
+        cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
+        with pytest.warns(RuntimeWarning):
+            res = run_hdbo_rml(prob, insts, cfg)
+            drawn_slots, gp_slots = 0, []
+            for k, emb in enumerate(res.embeddings):
+                init = labeled_stream(cfg.seed, STREAM_INIT, k)
+                init.uniform(emb.y_lower, emb.y_upper, (cfg.n0, cfg.d_e))
+                own = [rec for rec in res.records if rec.emb_index == emb.index]
+                gp_slots.append(0)
+                for rec in own[cfg.n0:]:
+                    inst = insts[rec.objective_index - 1]
+                    earlier = own[:rec.iteration - 1]
+                    if any(np.isfinite(hdbo.gp_target(inst, r, prob)) for r in earlier):
+                        gp_slots[-1] += 1
+                    else:
+                        want = init.uniform(emb.y_lower, emb.y_upper)
+                        assert rec.y.tobytes() == want.tobytes()
+                        drawn_slots += 1
+        assert res.n_evals == prob.simulator.eval_counter == 40
+        assert drawn_slots > 0
+        assert len(fits) == sum(gp_slots)
+        start = 0
+        for count in gp_slots:
+            assert count > 0
+            assert fits[start] == ("full", None)
+            start += count
+
     @pytest.mark.parametrize("overflow", [False, True], ids=["bowl", "overflowing-bowl"])
     def test_box_run_selects_from_the_table_select_maximizers_scores(self, overflow):
         # a box-prior run selects from its likelihood table; rescoring its

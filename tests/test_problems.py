@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.linalg import solve_triangular
 from rmlbo.problems import (
     NEG_INF,
     BoxPrior,
+    ConfigError,
     GaussianSpec,
     LikelihoodSpec,
     ProblemSpec,
@@ -78,7 +81,8 @@ class TestMahalanobis:
             mahalanobis_sq(np.ones(3), np.eye(2), name="obs_cov")
 
     def test_non_spd_matrix_is_hard_error(self):
-        with pytest.raises(ValueError, match="not positive definite"):
+        with pytest.raises(ValueError, match="^covariance factorization failed: "
+                                             "dpotrf failed with info=2$"):
             mahalanobis_sq(np.ones(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
@@ -87,7 +91,8 @@ class TestCholSpd:
         # rank-deficient PSD matrix: no jitter is added to rescue it
         v = np.array([1.0, 2.0])
         mat = np.outer(v, v)
-        with pytest.raises(ValueError, match="gram is not positive definite"):
+        with pytest.raises(ValueError, match="^gram factorization failed: "
+                                             "dpotrf failed with info=2$"):
             chol_spd(mat, name="gram")
 
     def test_names_offender_on_failure(self):
@@ -311,6 +316,20 @@ class TestSimulatorHandle:
         b = sim(x)
         assert a.tobytes() == b.tobytes()
         assert sim.eval_counter == 2
+
+    @pytest.mark.parametrize("arg", ["input_dim", "output_dim"])
+    @pytest.mark.parametrize("bad", [2.5, True, "3", 0], ids=["2.5", "True", "str", "0"])
+    def test_dimension_that_is_not_a_positive_integer_is_rejected(self, arg, bad):
+        # the one integer rule: a float, a bool or a string is no dimension
+        dims = {"input_dim": 2, "output_dim": 2, arg: bad}
+        message = f"^{arg}: expected a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=message):
+            SimulatorHandle(lambda x: x.copy(), **dims)
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        sim = SimulatorHandle(lambda x: x[:1].copy(), np.int64(2), np.int32(1))
+        assert (sim.input_dim, sim.output_dim) == (2, 1)
+        assert sim(np.ones(2)).tobytes() == np.ones(1).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_output_raises_and_is_not_counted(self, bad):
