@@ -11,7 +11,9 @@ the shared ensemble and its UCB acquisition proposes the next point.
 The run keeps one table of likelihood terms, a row per record and a column
 per objective, each row filled once, right after its record is simulated;
 a slot's GP targets are a column slice of its embedding's rows, and on a box
-prior final selection reads the same table.
+prior final selection reads the same table.  A Gaussian-prior run selects
+by rescoring refined points instead, so it fills only the entries a later
+slot's GP reads and leaves the others NaN.
 Within an embedding only the first fit searches hyperparameters cold; later
 full searches start from the previous full search's hyperparameters.  A slot
 searches once its count n of finite training targets has grown by a
@@ -356,8 +358,7 @@ def select_maximizers(records, instances, problem: ProblemSpec) -> RMLResult:
     table = np.empty((len(records), len(instances)))
     for r, rec in enumerate(records):
         cand_x, cand_f = rec.candidate()
-        for i, inst in enumerate(instances):
-            table[r, i] = objective(inst, cand_x, problem, fx=cand_f)
+        table[r] = [objective(inst, cand_x, problem, fx=cand_f) for inst in instances]
     return _select(records, table)
 
 
@@ -420,7 +421,8 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     ]
 
     records: list[SimulationRecord] = []
-    # row r: every objective's likelihood term at record r's lifted point
+    # row r: every objective's likelihood term at record r's lifted point,
+    # NaN where nothing reads it (_read_until)
     likelihoods = np.empty((config.K * slots, len(instances)))
     try:
         for k, emb in enumerate(embeddings):
@@ -439,11 +441,23 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     return result
 
 
+def _read_until(slots: int, n_rml: int, gaussian: bool) -> list:
+    """Per objective, the slot of an embedding from which on nothing reads
+    its likelihood entries.  A box run selects from every entry
+    (``slots + 1``); a Gaussian run reads entry (slot m, objective i) only as
+    a GP target of a later slot where objective i is active, so up to i's
+    last active slot (0 when it has none)."""
+    if not gaussian:
+        return [slots + 1] * n_rml
+    return [max(range(i, slots + 1, n_rml), default=0) for i in range(1, n_rml + 1)]
+
+
 def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian: bool,
                    records: list, rows: np.ndarray) -> None:
     """Sequential pass over one embedding's slots, appending to the shared
     trace and filling row ``m - 1`` of ``rows``, the embedding's rows of the
-    likelihood table, once slot ``m``'s record is simulated.  Every slot's
+    likelihood table, once slot ``m``'s record is simulated; an entry
+    :func:`_read_until` says nothing reads is left NaN.  Every slot's
     GP trains on all earlier records of the embedding whose target under the
     active objective is finite (a finite simulator output can overflow it);
     an initial slot, or one with no such record, takes the next uniform draw
@@ -452,6 +466,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
     acq_rng = labeled_stream(config.seed, STREAM_ACQ, k)
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
     slots = rows.shape[0]
+    until = _read_until(slots, config.n_rml, gaussian)
     ys = np.empty((slots, emb.embed_dim))   # the inputs, shared by every objective
     params = None
     searched_at = 0     # training points of the latest search; the first slot searches
@@ -482,7 +497,8 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
                                fx=fx, refined_z=refined_z, f_refined=f_refined,
                                iteration=m, objective_index=nprime)
         ys[m - 1] = rec.y
-        rows[m - 1] = [gp_target(each, rec, problem) for each in instances]
+        rows[m - 1] = [gp_target(each, rec, problem) if m < last else np.nan
+                       for each, last in zip(instances, until)]
         records.append(rec)
 
 

@@ -7,8 +7,9 @@ density, ``GaussianSpec.logpdf``) that every other module builds on.
 Each prior owns its rules: ``logpdf(x, mean=None)`` (a box's is 0 inside
 and -inf outside, with no mean to recenter), ``clip(x)`` into its support
 (all of R^D for a Gaussian) and ``sample(rng)``.  ``logpdf`` and ``clip``
-of either prior reject a point whose shape is not ``(dim,)``.  No other
-module branches on the prior's kind to evaluate, clip or draw.
+of either prior, and ``BoxPrior.contains``, reject a point whose shape is
+not ``(dim,)``.  No other module branches on the prior's kind to evaluate,
+clip or draw.
 
 Conventions:
   * :func:`chol_spd` factors every SPD matrix, the GP's kernel matrix
@@ -111,6 +112,10 @@ class GaussianSpec:
         self.chol = np.ascontiguousarray(chol_spd(cov, name=name))
         self.name = name
         self._log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        # logpdf's constants: the normalizer (the first two terms of its
+        # left-to-right sum) and the Fortran-ordered view of the factor
+        self._norm = self.dim * LOG_2PI + self._log_det
+        self._chol_f = self.chol.T
         self._proximal = {}
 
     @property
@@ -135,11 +140,13 @@ class GaussianSpec:
         while keeping this covariance and its factor."""
         r = _point(x, self.dim, self.name) - (self.mean if mean is None else mean)
         # solve L w = r as L^T's transposed system: the Fortran-ordered view
-        # of this C-ordered factor, exactly what solve_triangular runs
-        w, info = lapack.dtrtrs(self.chol.T, r, lower=0, trans=1, overwrite_b=1)
+        # of this C-ordered factor, exactly what solve_triangular runs.  The
+        # flags (lower=0, trans=1) are positional: the wrapper's keyword
+        # parsing costs more than the copy of r that overwrite_b would save
+        w, info = lapack.dtrtrs(self._chol_f, r, 0, 1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-        return -0.5 * (self.dim * LOG_2PI + self._log_det + float(w @ w))
+        return -0.5 * (self._norm + float(w @ w))
 
     def clip(self, x) -> np.ndarray:
         """The support is all of R^D: ``x`` as a float array, unchanged."""
@@ -172,14 +179,19 @@ class BoxPrior:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((x >= self.lower).all() and (x <= self.upper).all())
+    def contains(self, x) -> bool:
+        """Whether every coordinate of the point ``x`` lies in its closed
+        interval; a NaN coordinate lies in none."""
+        x = _point(x, self.dim, "box prior")
+        # a ufunc reduce, not ndarray.all(), which runs through numpy's
+        # Python-level _methods wrapper
+        return bool(np.logical_and.reduce(x >= self.lower)
+                    and np.logical_and.reduce(x <= self.upper))
 
     def logpdf(self, x, mean=None) -> float:
         """Unnormalized log density: 0 inside the box, -inf outside.  A box
         has no mean to recenter, so ``mean`` is ignored."""
-        return 0.0 if self.contains(_point(x, self.dim, "box prior")) else NEG_INF
+        return 0.0 if self.contains(x) else NEG_INF
 
     def clip(self, x) -> np.ndarray:
         return np.clip(_point(x, self.dim, "box prior"), self.lower, self.upper)

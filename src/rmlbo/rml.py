@@ -63,8 +63,7 @@ def objective(instance: RMLInstance, x, problem: ProblemSpec, fx) -> float:
     inside the box, -inf outside; a prior term of -inf is returned without
     reading ``fx``.
     """
-    x = np.asarray(x, dtype=float)
-    if problem.has_gaussian_prior and instance.prior_mean_n is None:
+    if instance.prior_mean_n is None and problem.has_gaussian_prior:
         raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
     prior_term = problem.prior.logpdf(x, mean=instance.prior_mean_n)
     if prior_term == NEG_INF:

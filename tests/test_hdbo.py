@@ -700,6 +700,43 @@ class TestDataSharing:
         for got, want in zip(fitted, expected):
             assert got.tobytes() == want.tobytes()
 
+    def test_gaussian_run_scores_only_the_targets_a_later_slot_reads(self, monkeypatch):
+        # a Gaussian run selects by rescoring refined points, so it scores
+        # entry (slot m, objective i) only when objective i is active in a
+        # later slot of the same embedding; scoring every entry, as a box run
+        # does, gives the same trace and selection bit for bit
+        prob = bowl_problem(prior="gaussian")
+        insts = drawn(prob, 5)
+        cfg = HDBOConfig(n_rml=5, budget_N=48, K=2, d_e=3, n0=3, seed=5)
+        slots = hdbo.embedding_slots(cfg, prob)
+        real_target = hdbo.gp_target
+
+        def counted_run():
+            pairs = []
+
+            def spy_target(inst, rec, problem):
+                pairs.append((rec.emb_index, rec.iteration, inst.index))
+                return real_target(inst, rec, problem)
+
+            monkeypatch.setattr("rmlbo.hdbo.gp_target", spy_target)
+            return pairs, run_hdbo_rml(prob, insts, cfg)
+
+        pairs, res = counted_run()
+        read = {(k, m, i) for k in range(1, cfg.K + 1) for m in range(1, slots + 1)
+                for i in range(1, cfg.n_rml + 1)
+                if any((j - 1) % cfg.n_rml + 1 == i for j in range(m + 1, slots + 1))}
+        assert sorted(pairs) == sorted(read)
+        assert (slots, len(pairs)) == (12, cfg.K * 45)   # of K * 60 entries
+
+        monkeypatch.setattr(hdbo, "_read_until",
+                            lambda slots, n_rml, gaussian: [slots + 1] * n_rml)
+        all_pairs, full = counted_run()
+        assert len(all_pairs) == cfg.K * slots * cfg.n_rml
+        assert [json.dumps(r, default=jsonable) for r in res.records] == \
+            [json.dumps(r, default=jsonable) for r in full.records]
+        for name in ("candidate_values", "values", "maximizers"):
+            assert getattr(res, name).tobytes() == getattr(full, name).tobytes()
+
     def test_records_whose_target_overflows_are_left_out_of_the_fit(self, monkeypatch):
         # a finite forward value of 1e200 overflows the likelihood to -inf;
         # such a record stays in the trace but out of that objective's fits,

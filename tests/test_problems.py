@@ -282,6 +282,10 @@ class TestLogPrior:
             prior.logpdf(point)
         with pytest.raises(ValueError, match=message):
             prior.clip(point)
+        if kind == "box":   # the box test behind logpdf checks the point itself
+            with pytest.raises(ValueError, match=message):
+                prior.contains(point)
+            assert prior.contains(np.full(12, 0.5))
         assert prior.logpdf(np.full(12, 0.5)) > NEG_INF
         assert prior.clip(np.full(12, 0.5)).shape == (12,)
 

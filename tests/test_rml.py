@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 import rmlbo
@@ -160,6 +161,129 @@ class TestObjective:
         with pytest.raises(TypeError, match="fx"):
             objective(inst, np.zeros(8), prob)
         assert prob.simulator.eval_counter == 0
+
+
+# The scalar scoring path as it was written before its constants were hoisted:
+# the normalizer summed and the factor transposed on every call, the box test
+# by ndarray.all(), and the objective converting its point itself.  The
+# module must agree with it bit for bit.
+
+def ref_gaussian_logpdf(spec, x, mean=None):
+    r = np.asarray(x, dtype=float) - (spec.mean if mean is None else mean)
+    w, info = lapack.dtrtrs(spec.chol.T, r, lower=0, trans=1, overwrite_b=1)
+    assert info == 0
+    return -0.5 * (spec.dim * problems.LOG_2PI + spec.log_det() + float(w @ w))
+
+
+def ref_objective(instance, x, problem, fx):
+    x = np.asarray(x, dtype=float)
+    prior = problem.prior
+    if problem.has_gaussian_prior:
+        prior_term = ref_gaussian_logpdf(prior, x, mean=instance.prior_mean_n)
+    else:
+        inside = bool((x >= prior.lower).all() and (x <= prior.upper).all())
+        prior_term = 0.0 if inside else NEG_INF
+    if prior_term == NEG_INF:
+        return NEG_INF
+    return ref_gaussian_logpdf(problem.likelihood.gaussian, instance.data_n, mean=fx) \
+        + prior_term
+
+
+def box_points(prior, rng):
+    """Points inside a box, on its faces and corners, just and far outside
+    it, and with NaN coordinates."""
+    lo, hi = prior.lower, prior.upper
+    inside = [prior.sample(rng) for _ in range(6)]
+    faces = [lo.copy(), hi.copy(), np.where(np.arange(lo.size) % 2, lo, hi)]
+    for j in (0, lo.size - 1):
+        for bound in (lo, hi):
+            x = prior.sample(rng)
+            x[j] = bound[j]
+            faces.append(x)
+    outside = []
+    for j in (0, lo.size // 2):
+        for bound, away in ((lo, -np.inf), (hi, np.inf)):
+            x = prior.sample(rng)
+            x[j] = np.nextafter(bound[j], away)
+            outside.append(x)
+    outside.append(3.0 * hi)
+    nan = [np.full(lo.size, np.nan)]
+    for j in (0, lo.size - 1):
+        x = prior.sample(rng)
+        x[j] = np.nan
+        nan.append(x)
+    x = 3.0 * hi
+    x[1] = np.nan
+    nan.append(x)
+    return inside + faces + outside + nan
+
+
+def scored_points(problem, rng):
+    """(point, forward value) pairs: a box's points of every kind, or draws
+    around a Gaussian prior at several scales; a NaN point borrows the
+    forward value of its NaN-free clip."""
+    if problem.has_gaussian_prior:
+        points = [problem.prior.sample(rng) * scale for scale in (0.1, 1.0, 1.0, 5.0, 40.0)]
+    else:
+        points = box_points(problem.prior, rng)
+    return [(x, problem.simulator(problem.prior.clip(np.nan_to_num(x)))) for x in points]
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+SCORING_PROBLEMS = {
+    "box-bowl": lambda: rmlbo.make_problem("quadratic-bowl", D=12, d=2, seed=3),
+    "gaussian-bowl": lambda: rmlbo.make_problem("quadratic-bowl", D=12, d=2, seed=3,
+                                                prior="gaussian"),
+    "gaussian-linear": lambda: linear_problem(np.random.default_rng(31))[0],
+}
+
+
+class TestScoringMatchesPreviousFormulas:
+    @pytest.mark.parametrize("kind", list(SCORING_PROBLEMS))
+    def test_objective_matches_reference_bit_for_bit(self, kind):
+        prob = SCORING_PROBLEMS[kind]()
+        rng = np.random.default_rng(8)
+        insts = draw_randomizations(prob, 4, rng)
+        if prob.has_gaussian_prior:   # the perturbed means differ from the prior's
+            assert all(not np.array_equal(inst.prior_mean_n, prob.prior.mean)
+                       for inst in insts)
+        points = scored_points(prob, rng)
+        values = []
+        for x, fx in points:
+            for inst in insts:
+                got = objective(inst, x, prob, fx=fx)
+                assert same_bits(got, ref_objective(inst, x, prob, fx))
+                assert type(got) is float
+                values.append(got)
+        finite = np.isfinite(values)
+        assert finite.any()
+        if not prob.has_gaussian_prior:   # 6 inside points, 7 face points, 5 out, 4 NaN
+            assert finite.sum() == 13 * len(insts)
+
+    @pytest.mark.parametrize("kind", list(SCORING_PROBLEMS))
+    def test_selection_table_matches_reference_bit_for_bit(self, kind):
+        # every record's candidate is scored once per objective into the
+        # table; a Gaussian record's candidate is its refined point
+        prob = SCORING_PROBLEMS[kind]()
+        rng = np.random.default_rng(9)
+        insts = draw_randomizations(prob, 3, rng)
+        points = scored_points(prob, rng)
+        records = []
+        for it, (x, fx) in enumerate(points, start=1):
+            refined = (None, None)
+            if prob.has_gaussian_prior:
+                z = prob.prior.sample(rng)
+                refined = (z, prob.simulator(z))
+            records.append(hdbo.SimulationRecord(-1, None, x, fx, *refined, it, 1))
+        result = hdbo.select_maximizers(records, insts, prob)
+        want = np.array([[ref_objective(inst, cand_x, prob, cand_f) for inst in insts]
+                         for cand_x, cand_f in (rec.candidate() for rec in records)])
+        want[np.isnan(want)] = NEG_INF
+        assert result.candidate_values.tobytes() == want.tobytes()
+        assert result.values.tobytes() == want.max(axis=0).tobytes()
 
 
 # The oracle and the analytic posterior as each was written before they
