@@ -130,12 +130,17 @@ def resolve_config(cfg: dict) -> dict:
             f"method: unknown method {resolved['method']!r}; choose from {METHOD_NAMES}")
     if not isinstance(resolved["methods"], list) or not resolved["methods"]:
         raise ConfigError("methods: expected a non-empty list")
+    names = set()
     for entry in resolved["methods"]:
         if isinstance(entry, dict):
             # external candidate trace in the JSON-lines record format
             if "trace" not in entry or "name" not in entry:
                 raise ConfigError(
                     "methods: a trace entry needs both 'name' and 'trace' fields")
+            for key in entry:
+                if key not in ("name", "trace"):
+                    raise ConfigError(f"methods: unknown field '{key}' in a trace entry; "
+                                      f"it takes only 'name' and 'trace'")
             if not (isinstance(entry["name"], str) and isinstance(entry["trace"], str)):
                 raise ConfigError(f"methods: a trace entry's name and trace must be strings, "
                                   f"got {entry!r}")
@@ -144,6 +149,11 @@ def resolve_config(cfg: dict) -> dict:
         elif entry not in METHOD_NAMES:
             raise ConfigError(
                 f"methods: unknown method {entry!r}; choose from {METHOD_NAMES}")
+        # curves.csv and summary.csv key their rows by method name
+        name = entry["name"] if isinstance(entry, dict) else entry
+        if name in names:
+            raise ConfigError(f"methods: method name {name!r} appears more than once")
+        names.add(name)
     if resolved["checkpoints"] is not None:
         bench.require_checkpoints(resolved["checkpoints"])
     return resolved

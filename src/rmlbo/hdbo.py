@@ -9,11 +9,9 @@ in their data/prior-mean perturbations, which are free to apply to a cached
 forward value.  A GP is fitted per step to the active objective's view of
 the shared ensemble and its UCB acquisition proposes the next point.
 The run keeps one table of likelihood terms, a row per record and a column
-per objective, each row filled once, right after its record is simulated;
-a slot's GP targets are a column slice of its embedding's rows, and on a box
-prior final selection reads the same table.  A Gaussian-prior run selects
-by rescoring refined points instead, so it fills only the entries a later
-slot's GP reads and leaves the others NaN.
+per objective, each row filled in full, right after its record is simulated,
+with either prior; a slot's GP targets are a column slice of its embedding's
+rows, and on a box prior final selection reads the same table.
 Within an embedding only the first fit searches hyperparameters cold; later
 full searches start from the previous full search's hyperparameters.  A slot
 searches once its count n of finite training targets has grown by a
@@ -421,8 +419,7 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     ]
 
     records: list[SimulationRecord] = []
-    # row r: every objective's likelihood term at record r's lifted point,
-    # NaN where nothing reads it (_read_until)
+    # row r: every objective's likelihood term at record r's lifted point
     likelihoods = np.empty((config.K * slots, len(instances)))
     try:
         for k, emb in enumerate(embeddings):
@@ -441,32 +438,20 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     return result
 
 
-def _read_until(slots: int, n_rml: int, gaussian: bool) -> list:
-    """Per objective, the slot of an embedding from which on nothing reads
-    its likelihood entries.  A box run selects from every entry
-    (``slots + 1``); a Gaussian run reads entry (slot m, objective i) only as
-    a GP target of a later slot where objective i is active, so up to i's
-    last active slot (0 when it has none)."""
-    if not gaussian:
-        return [slots + 1] * n_rml
-    return [max(range(i, slots + 1, n_rml), default=0) for i in range(1, n_rml + 1)]
-
-
 def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian: bool,
                    records: list, rows: np.ndarray) -> None:
     """Sequential pass over one embedding's slots, appending to the shared
     trace and filling row ``m - 1`` of ``rows``, the embedding's rows of the
-    likelihood table, once slot ``m``'s record is simulated; an entry
-    :func:`_read_until` says nothing reads is left NaN.  Every slot's
-    GP trains on all earlier records of the embedding whose target under the
-    active objective is finite (a finite simulator output can overflow it);
-    an initial slot, or one with no such record, takes the next uniform draw
-    of the embedding's initial-point stream and fits nothing."""
+    likelihood table, with every objective's target once slot ``m``'s record
+    is simulated.  Every slot's GP trains on all earlier records of the
+    embedding whose target under the active objective is finite (a finite
+    simulator output can overflow it); an initial slot, or one with no such
+    record, takes the next uniform draw of the embedding's initial-point
+    stream and fits nothing."""
     init_rng = labeled_stream(config.seed, STREAM_INIT, k)
     acq_rng = labeled_stream(config.seed, STREAM_ACQ, k)
     fit_rng = labeled_stream(config.seed, STREAM_GPFIT, k)
     slots = rows.shape[0]
-    until = _read_until(slots, config.n_rml, gaussian)
     ys = np.empty((slots, emb.embed_dim))   # the inputs, shared by every objective
     params = None
     searched_at = 0     # training points of the latest search; the first slot searches
@@ -497,8 +482,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
                                fx=fx, refined_z=refined_z, f_refined=f_refined,
                                iteration=m, objective_index=nprime)
         ys[m - 1] = rec.y
-        rows[m - 1] = [gp_target(each, rec, problem) if m < last else np.nan
-                       for each, last in zip(instances, until)]
+        rows[m - 1] = [gp_target(each, rec, problem) for each in instances]
         records.append(rec)
 
 

@@ -183,10 +183,11 @@ class BoxPrior:
         """Whether every coordinate of the point ``x`` lies in its closed
         interval; a NaN coordinate lies in none."""
         x = _point(x, self.dim, "box prior")
-        # a ufunc reduce, not ndarray.all(), which runs through numpy's
-        # Python-level _methods wrapper
-        return bool(np.logical_and.reduce(x >= self.lower)
-                    and np.logical_and.reduce(x <= self.upper))
+        # count_nonzero is one direct C call: ndarray.all() runs through
+        # numpy's Python-level _methods wrapper and a ufunc reduce pays for
+        # its set-up.  A NaN compares False, so it is not counted.
+        return bool(np.count_nonzero(x >= self.lower) == x.size
+                    and np.count_nonzero(x <= self.upper) == x.size)
 
     def logpdf(self, x, mean=None) -> float:
         """Unnormalized log density: 0 inside the box, -inf outside.  A box

@@ -258,6 +258,23 @@ class TestCompare:
         assert main(["compare", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "simulated-annealing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", [
+        ["random-design", "random-design"],
+        ["random-design", {"name": "random-design", "trace": "t.jsonl"}]],
+        ids=["built-in-twice", "trace-named-like-a-built-in"])
+    def test_repeated_method_name_exits_2_before_writing(self, tmp_path, capsys, methods):
+        # curves.csv and summary.csv key their rows by name, so a name may
+        # appear once; the trace path is relative to tmp_path, where it exists
+        (tmp_path / "t.jsonl").write_text("")
+        methods = [{**entry, "trace": str(tmp_path / entry["trace"])}
+                   if isinstance(entry, dict) else entry for entry in methods]
+        path = write_config(tmp_path, {**BOWL, "methods": methods, "trials": 1})
+        out = tmp_path / "c"
+        assert main(["compare", "--config", path, "--out", str(out)]) == 2
+        assert ("methods: method name 'random-design' appears more than once"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_sampler_config_error_exits_2_before_any_method_runs(self, tmp_path, capsys,
                                                                   monkeypatch):
         # n0=30 leaves no BO slot of the 24 per embedding; the baselines
@@ -367,17 +384,22 @@ class TestCompare:
         ({"name": "x", "trace": "no.jsonl"}, "trace file not found"),
         ({"name": "x", "trace": "."}, "trace file not found"),
         ({"name": "x", "trace": 0}, "must be strings"),
-        ({"name": 5, "trace": "t.jsonl"}, "must be strings")],
-        ids=["missing", "directory", "trace-not-a-string", "name-not-a-string"])
+        ({"name": 5, "trace": "t.jsonl"}, "must be strings"),
+        ({"name": "x", "trace": "t.jsonl", "foo": 1},
+         "unknown field 'foo' in a trace entry")],
+        ids=["missing", "directory", "trace-not-a-string", "name-not-a-string",
+             "unknown-key"])
     def test_missing_trace_file_exits_2(self, tmp_path, capsys, entry, message):
         # paths are relative to tmp_path, where t.jsonl exists and . is a directory
         (tmp_path / "t.jsonl").write_text("")
         entry = {key: str(tmp_path / value) if key == "trace" and isinstance(value, str)
                  else value for key, value in entry.items()}
         path = write_config(tmp_path, {**BOWL, "methods": [entry]})
-        assert main(["compare", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["compare", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "methods:" in err and message in err
+        assert not out.exists()
 
 
 class TestOutputKeyOrder:
