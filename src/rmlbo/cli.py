@@ -9,9 +9,10 @@ Three subcommands, all driven by a JSON config file plus repeatable
   export-landscape  active-subspace projections; writes landscape.csv,
                     method_samples.csv and (linear problems) oracle_samples.csv
 
-Exit codes: 0 success, 2 config validation failure, 3 runtime failure (with
-whatever partial trace exists flushed to disk; an aborted ``run`` also
-writes a partial report marked ``"aborted": true``).  Every output is written
+Exit codes: 0 success, 2 config validation failure (found before the output
+directory is created), 3 runtime failure (with whatever partial trace exists
+flushed to disk; an aborted ``run`` also writes a partial report marked
+``"aborted": true``).  Every output is written
 atomically (temp file + rename) and every run is reconstructible from the
 config snapshot and seed stored in its report.
 """
@@ -212,6 +213,7 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     problem = bench.problem_from_config(resolved["problem"])
     method = _single_method(resolved, problem)
     instances = _draw_instances(problem, resolved)
+    os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.jsonl")
     report_path = os.path.join(out_dir, "report.json")
     started = time.perf_counter()
@@ -268,6 +270,7 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
     instances = _draw_instances(problem, resolved)
     checkpoints = resolved["checkpoints"] or bench.default_checkpoints(resolved["budget_N"])
     methods = [_method(entry, resolved, problem) for entry in resolved["methods"]]
+    os.makedirs(out_dir, exist_ok=True)
     report = bench.budget_curve(problem, instances, methods, checkpoints,
                                 resolved["trials"], resolved["seed"])
     report.config = resolved
@@ -301,6 +304,7 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
     A = problem.simulator.active_matrix
     method = _single_method(resolved, problem)
     instances = _draw_instances(problem, resolved)
+    os.makedirs(out_dir, exist_ok=True)
 
     rng = labeled_stream(resolved["seed"], STREAM_LANDSCAPE)
     _, coords, logpost = bench.prior_landscape(problem, resolved["prior_samples"], rng)
@@ -351,7 +355,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set, args.seed)
         resolved = resolve_config(cfg)
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
             return cmd_run(resolved, args.out)
         if args.command == "compare":

@@ -117,7 +117,7 @@ def embedding_slots(config: HDBOConfig, problem: ProblemSpec) -> int:
     return slots
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulationRecord:
     """One simulator evaluation in the shared ensemble.
 
@@ -348,15 +348,45 @@ def select_maximizers(records, instances, problem: ProblemSpec) -> RMLResult:
     Candidates are refined points when present, lifted points otherwise;
     objective values come from cached forward values (no simulator calls).
     Each (record, objective) pair is scored once into the result's
-    ``candidate_values``.  A NaN value never wins, and ties break toward
-    the earliest record.
+    ``candidate_values``: on a box prior as its likelihood term plus the
+    record's one prior term (see :func:`_select_in_box`), on a Gaussian
+    prior through :func:`objective`, whose prior term depends on each
+    objective's perturbed mean.  A NaN value never wins, and ties break
+    toward the earliest record.
     """
     if not records:
         raise ValueError("cannot select maximizers from an empty trace")
+    if not problem.has_gaussian_prior:
+        return _select_in_box(records, instances, problem)
     table = np.empty((len(records), len(instances)))
     for r, rec in enumerate(records):
         cand_x, cand_f = rec.candidate()
         table[r] = [objective(inst, cand_x, problem, fx=cand_f) for inst in instances]
+    return _select(records, table)
+
+
+def _select_in_box(records, instances, problem: ProblemSpec,
+                   likelihoods: np.ndarray | None = None) -> RMLResult:
+    """Box-prior selection, :func:`objective`'s values bit for bit with one
+    box test per record instead of one per pair.  A record whose candidate
+    lies outside the box gets a row of -inf and its likelihood is never
+    evaluated, as ``objective`` returns early; inside, entry ``[r, i]`` is
+    objective ``i + 1``'s likelihood term at the candidate's forward value
+    plus the prior term 0.0, which turns -0.0 into 0.0 as ``objective``
+    does.  ``likelihoods``, when given, holds those likelihood terms,
+    already evaluated at the records' candidates."""
+    table = np.full((len(records), len(instances)), NEG_INF)
+    gaussian = problem.likelihood.gaussian
+    for r, rec in enumerate(records):
+        cand_x, cand_f = rec.candidate()
+        prior_term = problem.prior.logpdf(cand_x)
+        if prior_term == NEG_INF:
+            continue
+        if likelihoods is None:
+            table[r] = [gaussian.logpdf(inst.data_n, mean=cand_f) + prior_term
+                        for inst in instances]
+        else:
+            table[r] = likelihoods[r] + prior_term
     return _select(records, table)
 
 
@@ -431,9 +461,9 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     if gaussian:
         result = select_maximizers(records, instances, problem)
     else:
-        # a lifted point lies in the box, so its objective is the likelihood
-        # plus a prior term of 0.0, which also turns -0.0 into 0.0
-        result = _select(records, likelihoods + 0.0)
+        # the table holds every likelihood term at the lifted points, which
+        # are the candidates of a box run
+        result = _select_in_box(records, instances, problem, likelihoods)
     result.embeddings = embeddings
     return result
 

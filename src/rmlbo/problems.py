@@ -231,7 +231,10 @@ class SimulatorHandle:
             raise ValueError(
                 f"{self.name} expects input of shape ({self.input_dim},), got {x.shape}")
         try:
-            out = np.asarray(self._fn(x), dtype=float).reshape(self.output_dim)
+            out = np.asarray(self._fn(x), dtype=float)
+            # reshape would wrap even a (m,) array in a view that pins its base
+            if out.shape != (self.output_dim,):
+                out = out.reshape(self.output_dim)
         except Exception as exc:
             raise SimulatorError(f"{self.name} failed at input {x!r}: {exc}", x) from exc
         if not np.isfinite(out).all():

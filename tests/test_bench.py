@@ -289,16 +289,25 @@ class TestBudgetCurve:
             assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
 
     def test_one_trial_scores_each_pair_once(self, small_setup, monkeypatch):
+        # a box-prior trial evaluates each (record, objective) pair's
+        # likelihood once and each record's prior term once, all during
+        # selection; the curves replay the table and score nothing
         prob, insts = small_setup
-        calls = {"select": 0, "curve": 0}
+        zero = {"likelihood": 0, "prior": 0, "objective": 0}
+        calls = {"select": dict(zero), "curve": dict(zero)}
         phase = ["select"]
 
-        def counting(*args, **kwargs):
-            calls[phase[0]] += 1
-            return objective(*args, **kwargs)
+        def counting(kind, real):
+            def call(*args, **kwargs):
+                calls[phase[0]][kind] += 1
+                return real(*args, **kwargs)
+            return call
 
+        lik = prob.likelihood.gaussian
+        monkeypatch.setattr(lik, "logpdf", counting("likelihood", lik.logpdf))
+        monkeypatch.setattr(BoxPrior, "logpdf", counting("prior", BoxPrior.logpdf))
         for module in (hdbo, bench, baselines):
-            monkeypatch.setattr(module, "objective", counting)
+            monkeypatch.setattr(module, "objective", counting("objective", objective))
         real_curve = bench.best_so_far_curve
 
         def curve(*args, **kwargs):
@@ -311,7 +320,9 @@ class TestBudgetCurve:
         monkeypatch.setattr(bench, "best_so_far_curve", curve)
         bench.budget_curve(prob, insts, [bench.random_design_method(30)], [10, 30],
                            trials=1, seed=4)
-        assert calls == {"select": 30 * len(insts), "curve": 0}
+        assert calls == {"select": {"likelihood": 30 * len(insts), "prior": 30,
+                                    "objective": 0},
+                         "curve": zero}
 
     def test_projections_are_the_first_maximizers_times_the_active_matrix(self, small_setup):
         # budget_curve projects without scoring, so it makes no analysis call

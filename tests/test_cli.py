@@ -289,7 +289,7 @@ class TestCompare:
         assert main(["compare", "--config", path, "--out", str(out)]) == 2
         assert "n0=30" in capsys.readouterr().err
         assert ran == []
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_external_trace_entry_joins_comparison(self, tmp_path):
         # record a run, then compare against its trace as a third-party method
@@ -446,7 +446,23 @@ class TestLocalSearchBudget:
         out = tmp_path / "o"
         assert main([command, "--config", path, "--set", override, "--out", str(out)]) == 2
         assert "budget_N=20 cannot cover 30 objectives" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    # each error is found after resolve_config, against the problem or the
+    # methods; the output directory is created only once they pass
+    @pytest.mark.parametrize("command, override, message", [
+        ("compare", "problem.D=0", "problem.D: expected a positive integer, got 0"),
+        ("run", "n0=30", "n0=30"),
+        ("compare", "n0=30", "n0=30"),
+        ("compare", 'methods=["oracle-rml"]', "'oracle-rml' is not a budgeted method")],
+        ids=["compare-D-0", "run-n0", "compare-n0", "compare-oracle"])
+    def test_error_found_after_resolving_creates_no_directory(self, tmp_path, capsys,
+                                                              command, override, message):
+        path = write_config(tmp_path, BOWL)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--set", override, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExportLandscape:
@@ -578,7 +594,7 @@ class TestConfigPlumbing:
         out = tmp_path / "x"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert "problem.noise_sd: " in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_numeric_noise_sd_is_accepted(self, tmp_path):
         # a JSON integer is a number too: 1 and 1.0 give the same run

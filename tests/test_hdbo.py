@@ -847,9 +847,10 @@ class TestDataSharing:
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["bowl", "overflowing-bowl"])
     def test_box_run_selects_from_the_table_select_maximizers_scores(self, overflow):
-        # a box-prior run selects from its likelihood table; rescoring its
-        # trace through the objective gives the same table, bit for bit,
-        # including the -inf entries of forward values that overflow
+        # a box-prior run selects from its likelihood table; scoring each
+        # (record, objective) pair of its trace through the objective gives
+        # the same table, bit for bit, including the -inf entries of forward
+        # values that overflow, and the same first maxima
         if overflow:
             prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
             inner = prob.simulator._fn
@@ -860,12 +861,16 @@ class TestDataSharing:
         cfg = HDBOConfig(n_rml=3, budget_N=40, K=2, d_e=2, n0=3, seed=0)
         with pytest.warns(RuntimeWarning, match="overflow") if overflow else nullcontext():
             res = run_hdbo_rml(prob, insts, cfg)
-            want = select_maximizers(res.records, insts, prob)
+            want = np.array([[objective(inst, rec.x, prob, fx=rec.fx) for inst in insts]
+                             for rec in res.records])
+        want[np.isnan(want)] = -np.inf
+        best = np.argmax(want, axis=0)
         assert np.isneginf(res.candidate_values).any() == overflow
-        assert res.candidate_values.tobytes() == want.candidate_values.tobytes()
-        assert res.values.tobytes() == want.values.tobytes()
-        assert res.maximizers.tobytes() == want.maximizers.tobytes()
-        assert res.n_evals == want.n_evals
+        assert res.candidate_values.tobytes() == want.tobytes()
+        assert res.values.tobytes() == want.max(axis=0).tobytes()
+        assert res.maximizers.tobytes() == \
+            np.array([res.records[r].x for r in best]).tobytes()
+        assert res.n_evals == cfg.budget_N
 
     @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
     def test_only_gaussian_selection_scores_the_objective(self, monkeypatch, prior):

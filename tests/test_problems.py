@@ -335,6 +335,24 @@ class TestSimulatorHandle:
         assert (sim.input_dim, sim.output_dim) == (2, 1)
         assert sim(np.ones(2)).tobytes() == np.ones(1).tobytes()
 
+    def test_output_of_the_output_shape_is_kept(self):
+        # a float (m,) output is returned itself, not a view that pins it;
+        # m values of another shape are reshaped to (m,)
+        outs = []
+        sim = SimulatorHandle(lambda x: outs.append(2.0 * x) or outs[-1], 2, 2)
+        assert sim(np.array([1.0, 2.0])) is outs[-1]
+        column = SimulatorHandle(lambda x: x.reshape(2, 1), 2, 2)
+        assert column(np.array([1.0, 2.0])).tobytes() == np.array([1.0, 2.0]).tobytes()
+        scalar = SimulatorHandle(lambda x: x @ x, 2, 1)
+        assert scalar(np.array([1.0, 2.0])).shape == (1,)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_output_of_the_wrong_size_raises_and_is_not_counted(self, size):
+        sim = SimulatorHandle(lambda x: np.zeros(size), 2, 2)
+        with pytest.raises(SimulatorError, match="failed at input"):
+            sim(np.zeros(2))
+        assert sim.eval_counter == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_output_raises_and_is_not_counted(self, bad):
         sim = SimulatorHandle(lambda x: np.array([x[0], bad if x[1] > 0 else 0.0]), 2, 2)

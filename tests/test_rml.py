@@ -1,4 +1,6 @@
 import json
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -271,6 +273,12 @@ class TestScoringMatchesPreviousFormulas:
         rng = np.random.default_rng(9)
         insts = draw_randomizations(prob, 3, rng)
         points = scored_points(prob, rng)
+        overflowing = not prob.has_gaussian_prior
+        if overflowing:
+            # forward values whose likelihood overflows to -inf, inside the
+            # box and outside it, where the likelihood is never evaluated
+            big = np.full(prob.output_dim, 1e200)
+            points += [(prob.prior.sample(rng), big), (3.0 * prob.prior.upper, big)]
         records = []
         for it, (x, fx) in enumerate(points, start=1):
             refined = (None, None)
@@ -278,12 +286,21 @@ class TestScoringMatchesPreviousFormulas:
                 z = prob.prior.sample(rng)
                 refined = (z, prob.simulator(z))
             records.append(hdbo.SimulationRecord(-1, None, x, fx, *refined, it, 1))
-        result = hdbo.select_maximizers(records, insts, prob)
-        want = np.array([[ref_objective(inst, cand_x, prob, cand_f) for inst in insts]
-                         for cand_x, cand_f in (rec.candidate() for rec in records)])
+        with pytest.warns(RuntimeWarning, match="overflow") if overflowing else nullcontext():
+            result = hdbo.select_maximizers(records, insts, prob)
+            want = np.array([[ref_objective(inst, cand_x, prob, cand_f) for inst in insts]
+                             for cand_x, cand_f in (rec.candidate() for rec in records)])
         want[np.isnan(want)] = NEG_INF
         assert result.candidate_values.tobytes() == want.tobytes()
         assert result.values.tobytes() == want.max(axis=0).tobytes()
+        if overflowing:
+            assert np.isneginf(result.candidate_values[-2:]).all()
+            # the record outside the box raises no overflow warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outside = hdbo.select_maximizers(records[:-2] + records[-1:], insts, prob)
+            assert outside.candidate_values.tobytes() == \
+                np.delete(want, -2, axis=0).tobytes()
 
 
 # The oracle and the analytic posterior as each was written before they
