@@ -10,11 +10,13 @@ Three subcommands, all driven by a JSON config file plus repeatable
                     method_samples.csv and (linear problems) oracle_samples.csv
 
 Exit codes: 0 success, 2 config validation failure (found before the output
-directory is created), 3 runtime failure (with whatever partial trace exists
-flushed to disk; an aborted ``run`` also writes a partial report marked
-``"aborted": true``).  Every output is written
-atomically (temp file + rename) and every run is reconstructible from the
-config snapshot and seed stored in its report.
+directory is created), 3 runtime failure.  ``run`` creates the directory
+before its method runs, so an aborted run flushes its partial trace there and
+a partial report marked ``"aborted": true``; ``compare`` and
+``export-landscape`` write nothing partial and create the directory only once
+every result is computed, so their runtime failure leaves no directory.
+Every output is written atomically (temp file + rename) and every run is
+reconstructible from the config snapshot and seed stored in its report.
 """
 
 import argparse
@@ -270,11 +272,11 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
     instances = _draw_instances(problem, resolved)
     checkpoints = resolved["checkpoints"] or bench.default_checkpoints(resolved["budget_N"])
     methods = [_method(entry, resolved, problem) for entry in resolved["methods"]]
-    os.makedirs(out_dir, exist_ok=True)
     report = bench.budget_curve(problem, instances, methods, checkpoints,
                                 resolved["trials"], resolved["seed"])
     report.config = resolved
 
+    os.makedirs(out_dir, exist_ok=True)
     curves_path = os.path.join(out_dir, "curves.csv")
     atomic_write(curves_path, "\n".join(bench.curves_csv_lines(report)) + "\n")
     summary_lines = ["method,final_neg_mean_return_mean,final_neg_mean_return_sd"]
@@ -298,13 +300,12 @@ def cmd_compare(resolved: dict, out_dir: str) -> int:
 def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
     """Write the prior landscape, the oracle's samples (linear simulators
     only) and the method's samples.  All three projections are computed
-    before any file is written, so a failed oracle solve or method run
-    leaves no partial output set."""
+    before the output directory is created, so a failed oracle solve or
+    method run leaves no directory."""
     problem = bench.problem_from_config(resolved["problem"])
     A = problem.simulator.active_matrix
     method = _single_method(resolved, problem)
     instances = _draw_instances(problem, resolved)
-    os.makedirs(out_dir, exist_ok=True)
 
     rng = labeled_stream(resolved["seed"], STREAM_LANDSCAPE)
     _, coords, logpost = bench.prior_landscape(problem, resolved["prior_samples"], rng)
@@ -314,6 +315,7 @@ def cmd_export_landscape(resolved: dict, out_dir: str) -> int:
                                       A, problem)
     result = method.run(problem, instances, resolved["seed"])
     samples = bench.project_active(result.maximizers, A, problem)
+    os.makedirs(out_dir, exist_ok=True)
 
     def write(name, projection):
         path = os.path.join(out_dir, name)

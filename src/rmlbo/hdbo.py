@@ -44,6 +44,7 @@ from .problems import (
     ProblemSpec,
     SimulatorError,
     _is_integer,
+    _point,
     require_integer,
     solve_spd,
 )
@@ -374,17 +375,22 @@ def _select_in_box(records, instances, problem: ProblemSpec,
     objective ``i + 1``'s likelihood term at the candidate's forward value
     plus the prior term 0.0, which turns -0.0 into 0.0 as ``objective``
     does.  ``likelihoods``, when given, holds those likelihood terms,
-    already evaluated at the records' candidates."""
+    already evaluated at the records' candidates; otherwise each in-box
+    record's row is one stack call of the likelihood's ``logpdf``."""
     table = np.full((len(records), len(instances)), NEG_INF)
     gaussian = problem.likelihood.gaussian
+    if likelihoods is None:
+        # each data vector checked as a point, so a wrong length names the
+        # likelihood instead of failing to stack
+        data = np.array([_point(inst.data_n, gaussian.dim, gaussian.name)
+                         for inst in instances])
     for r, rec in enumerate(records):
         cand_x, cand_f = rec.candidate()
         prior_term = problem.prior.logpdf(cand_x)
         if prior_term == NEG_INF:
             continue
         if likelihoods is None:
-            table[r] = [gaussian.logpdf(inst.data_n, mean=cand_f) + prior_term
-                        for inst in instances]
+            table[r] = gaussian.logpdf(data, mean=cand_f) + prior_term
         else:
             table[r] = likelihoods[r] + prior_term
     return _select(records, table)

@@ -8,8 +8,10 @@ Each prior owns its rules: ``logpdf(x, mean=None)`` (a box's is 0 inside
 and -inf outside, with no mean to recenter), ``clip(x)`` into its support
 (all of R^D for a Gaussian) and ``sample(rng)``.  ``logpdf`` and ``clip``
 of either prior, and ``BoxPrior.contains``, reject a point whose shape is
-not ``(dim,)``.  No other module branches on the prior's kind to evaluate,
-clip or draw.
+not ``(dim,)``.  Against a given mean, ``GaussianSpec.logpdf`` also scores
+a ``(k, dim)`` stack of points, each entry bit for bit its scalar value;
+box-prior selection scores a record's objectives so.  No other module
+branches on the prior's kind to evaluate, clip or draw.
 
 Conventions:
   * :func:`chol_spd` factors every SPD matrix, the GP's kernel matrix
@@ -135,10 +137,19 @@ class GaussianSpec:
             self._proximal[eta] = chol
         return chol
 
-    def logpdf(self, x, mean=None) -> float:
+    def logpdf(self, x, mean=None) -> float | np.ndarray:
         """Log density at the point ``x``; ``mean`` recenters the density
-        while keeping this covariance and its factor."""
-        r = _point(x, self.dim, self.name) - (self.mean if mean is None else mean)
+        while keeping this covariance and its factor.
+
+        Against a given ``mean``, ``x`` may also be a ``(k, dim)`` stack of
+        points: the result is then an array of their ``k`` log densities,
+        entry ``i`` equal to ``logpdf(x[i], mean)`` bit for bit."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):   # _point's own test: a point converts once
+            if x.ndim == 2 and mean is not None:
+                return self._logpdf_rows(x, mean)
+            x = _point(x, self.dim, self.name)
+        r = x - (self.mean if mean is None else mean)
         # solve L w = r as L^T's transposed system: the Fortran-ordered view
         # of this C-ordered factor, exactly what solve_triangular runs.  The
         # flags (lower=0, trans=1) are positional: the wrapper's keyword
@@ -147,6 +158,24 @@ class GaussianSpec:
         if info != 0:
             raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
         return -0.5 * (self._norm + float(w @ w))
+
+    def _logpdf_rows(self, x, mean) -> np.ndarray:
+        """The stack form of :meth:`logpdf`, one solve per row.  A single
+        multi-column dtrtrs would multiply by reciprocal pivots where the
+        one-column solve divides, and so move the last bits; the normalizer
+        add and the scaling are the scalar form's IEEE operations, taken
+        elementwise."""
+        if x.shape[1] != self.dim:
+            raise ValueError(f"points of shape {x.shape} against {self.name} "
+                             f"of dimension {self.dim}")
+        r = x - mean
+        sq = np.empty(len(r))
+        for i, row in enumerate(r):
+            w, info = lapack.dtrtrs(self._chol_f, row, 0, 1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+            sq[i] = w @ w
+        return -0.5 * (self._norm + sq)
 
     def clip(self, x) -> np.ndarray:
         """The support is all of R^D: ``x`` as a float array, unchanged."""

@@ -291,7 +291,9 @@ class TestBudgetCurve:
     def test_one_trial_scores_each_pair_once(self, small_setup, monkeypatch):
         # a box-prior trial evaluates each (record, objective) pair's
         # likelihood once and each record's prior term once, all during
-        # selection; the curves replay the table and score nothing
+        # selection; the curves replay the table and score nothing.  A
+        # record's likelihood terms come from one stack call, so each call
+        # counts the values it returns, one per scored pair
         prob, insts = small_setup
         zero = {"likelihood": 0, "prior": 0, "objective": 0}
         calls = {"select": dict(zero), "curve": dict(zero)}
@@ -299,8 +301,9 @@ class TestBudgetCurve:
 
         def counting(kind, real):
             def call(*args, **kwargs):
-                calls[phase[0]][kind] += 1
-                return real(*args, **kwargs)
+                value = real(*args, **kwargs)
+                calls[phase[0]][kind] += np.size(value)
+                return value
             return call
 
         lik = prob.likelihood.gaussian

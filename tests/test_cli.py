@@ -212,8 +212,8 @@ class TestRun:
         assert list(out.iterdir()) == []
         assert main(["export-landscape", "--config", path, "--out", str(tmp_path / "e")]) == 3
         assert "runtime failure: normal matrix" in capsys.readouterr().err
-        # every projection is computed before the first file is written
-        assert list((tmp_path / "e").iterdir()) == []
+        # every projection is computed before the output directory is created
+        assert not (tmp_path / "e").exists()
 
     def test_decreasing_checkpoints_exit_2_before_writing(self, tmp_path, capsys):
         # run never reads checkpoints, but every command checks the whole config
@@ -355,6 +355,24 @@ class TestCompare:
         assert main(["compare", "--config", cmp_cfg, "--out", str(tmp_path / "cmp")]) == 3
         assert "short.jsonl:1: x has shape (1,), expected (12,)" in capsys.readouterr().err
 
+    def test_runtime_failure_creates_no_directory(self, tmp_path, capsys):
+        # compare writes nothing partial, so the directory is created only
+        # once every method has run; here random design runs, then the
+        # external trace's third line fails to read
+        run_cfg = write_config(tmp_path, BOWL, "run.json")
+        out = tmp_path / "donor"
+        assert main(["run", "--config", run_cfg, "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        rows[2]["x"] = rows[2]["x"][:-1]
+        trace = tmp_path / "short.jsonl"
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        methods = ["random-design", {"name": "ext", "trace": str(trace)}]
+        cmp_cfg = write_config(tmp_path, {**BOWL, "methods": methods, "trials": 1}, "cmp.json")
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--config", cmp_cfg, "--out", str(cmp_out)]) == 3
+        assert "short.jsonl:3: x has shape (11,), expected (12,)" in capsys.readouterr().err
+        assert not cmp_out.exists()
+
     @pytest.mark.parametrize("prior, field", [("uniform", "fx"), ("gaussian", "f_refined")])
     def test_external_trace_with_a_short_forward_value_exits_3_naming_it(
             self, tmp_path, capsys, prior, field):
@@ -488,7 +506,7 @@ class TestExportLandscape:
         out = tmp_path / "e"
         assert main(["export-landscape", "--config", path, "--out", str(out)]) == 3
         assert "runtime failure: simulator failed mid-run" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_linear_problem_produces_all_three_files(self, tmp_path):
         cfg = {**LINEAR, "prior_samples": 200, "budget_N": 40}

@@ -939,6 +939,22 @@ class TestSelectMaximizers:
         assert curve == [np.inf, -float(np.mean(result.values)),
                          -float(np.mean(result.values))]
 
+    @pytest.mark.parametrize("short", [[1], [0, 1]], ids=["one-instance", "every-instance"])
+    def test_data_of_the_wrong_length_names_the_likelihood(self, short):
+        # a box-prior record's likelihood terms are one call on the stacked
+        # data; a data vector of the wrong length names the likelihood's
+        # covariance instead of failing to stack
+        prob = bowl_problem(D=6, d=2)
+        insts = drawn(prob, 2)
+        m = prob.output_dim
+        for i in short:
+            insts[i] = RMLInstance(index=i + 1, data_n=insts[i].data_n[:-1])
+        x = np.full(6, 0.05)
+        recs = [SimulationRecord(-1, None, x, prob.simulator(x), None, None, 1, 1)]
+        with pytest.raises(ValueError, match=rf"^point of shape \({m - 1},\) against "
+                                             rf"obs_cov of dimension {m}$"):
+            select_maximizers(recs, insts, prob)
+
     def test_empty_trace_rejected(self):
         prob = bowl_problem(D=6, d=2)
         with pytest.raises(ValueError, match="empty trace"):

@@ -166,6 +166,37 @@ class TestLogGaussianDensity:
             assert np.float64(spec.logpdf(x, mean=mean)).tobytes() == \
                 np.float64(reference(x, mean)).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 25), st.booleans(),
+           st.sampled_from([1.0, 1e3, 1e80, 1e160]), st.randoms(use_true_random=False))
+    def test_stack_matches_the_scalar_form_bit_for_bit(self, dim, k, dense, scale, pyrng):
+        # entry i of a stack call is logpdf(x[i], mean), whose bits depend on
+        # the one-column solve; -0.0 residuals and a scale of 1e160, where
+        # w @ w overflows to inf and the density to -inf, are included
+        rng = np.random.default_rng(pyrng.randrange(2 ** 32))
+        if dense:
+            a = rng.standard_normal((dim, dim))
+            cov = a @ a.T + 0.5 * np.eye(dim)
+        else:
+            cov = np.diag(rng.uniform(0.1, 3.0, dim))
+        spec = GaussianSpec(rng.standard_normal(dim), cov, name="obs_cov")
+        mean = rng.standard_normal(dim)
+        mean[rng.random(dim) < 0.3] = 0.0
+        x = rng.standard_normal((k, dim)) * scale
+        x[rng.random((k, dim)) < 0.2] = -0.0
+        x[0] = scale
+        with np.errstate(over="ignore"):
+            got = spec.logpdf(x, mean=mean)
+            want = np.array([spec.logpdf(row, mean=mean) for row in x])
+        assert got.dtype == np.float64 and got.shape == (k,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if scale == 1e160:
+            assert got[0] == NEG_INF
+        for width in {dim - 1, dim + 1} - {0}:
+            with pytest.raises(ValueError, match=rf"points of shape \({k}, {width}\) "
+                                                 rf"against obs_cov of dimension {dim}"):
+                spec.logpdf(np.zeros((k, width)), mean=mean)
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianSpec([0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]))
