@@ -1,39 +1,46 @@
 """Budget-matched comparison methods.
 
-Both baselines emit the same trace format as the main optimizer and reuse
-its final-selection logic, so comparisons isolate search quality.
+Both baselines simulate and record through one helper (:func:`_record`, on the
+sampler's abort rule), emit the sampler's trace format and reuse its
+final-selection logic, so comparisons isolate search quality.
 """
+
+from contextlib import suppress
 
 import numpy as np
 
 from .hdbo import (
     RMLResult,
-    RunAborted,
     SimulationRecord,
     _check_instances,
+    _simulate,
     select_maximizers,
 )
-from .problems import ConfigError, ProblemSpec, SimulatorError, require_integer
+from .problems import ConfigError, ProblemSpec, require_integer
 from .rml import objective
+
+
+def _record(problem: ProblemSpec, x, records: list, objective_index: int) -> np.ndarray:
+    """Simulate ``x`` and append it to ``records`` as record ``len(records) + 1``,
+    with no embedding and no refined point; returns its forward value."""
+    fx = _simulate(problem, x, records)
+    records.append(SimulationRecord(emb_index=-1, y=None, x=x, fx=fx, refined_z=None,
+                                    f_refined=None, iteration=len(records) + 1,
+                                    objective_index=objective_index))
+    return fx
 
 
 def random_design(problem: ProblemSpec, instances, budget_N: int,
                   rng: np.random.Generator) -> RMLResult:
     """Evaluate ``budget_N`` (a positive integer) independent prior draws and
-    select per-objective maximizers over the shared pool."""
+    select per-objective maximizers over the shared pool; record ``i`` is
+    attributed to objective ``((i - 1) mod n_rml) + 1``."""
     require_integer("budget_N", budget_N)
     _check_instances(instances, problem)
     n_rml = len(instances)
     records = []
-    try:
-        for i in range(1, budget_N + 1):
-            x = problem.prior.sample(rng)
-            fx = problem.simulator(x)
-            records.append(SimulationRecord(
-                emb_index=-1, y=None, x=x, fx=fx, refined_z=None, f_refined=None,
-                iteration=i, objective_index=((i - 1) % n_rml) + 1))
-    except SimulatorError as exc:
-        raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
+    for _ in range(budget_N):
+        _record(problem, problem.prior.sample(rng), records, len(records) % n_rml + 1)
     return select_maximizers(records, instances, problem)
 
 
@@ -52,14 +59,11 @@ def check_local_search_budget(budget_N: int, n_rml: int) -> None:
 
 def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
                                rng: np.random.Generator) -> RMLResult:
-    """Independent simplex search per objective on an even budget split.
-
-    Each objective gets ``budget_N // n_rml`` evaluations of a Nelder-Mead
-    search started from a prior draw; no information flows between the
-    searches.  Box-prior candidates are clipped into the support before
-    simulation.  Selection then scans the combined trace with the shared
-    argmax logic.
-    """
+    """Independent simplex search per objective on an even budget split:
+    each objective gets ``budget_N // n_rml`` evaluations of a Nelder-Mead
+    search started from a prior draw, its points clipped into the prior's
+    support before simulation; no information flows between the searches.
+    Selection then scans the combined trace with the shared argmax logic."""
     # imported here, not at module level: no sampler run needs it, and it
     # adds ~0.06 s of set-up and ~11 MiB to every process that imports rmlbo
     from scipy.optimize import minimize
@@ -68,32 +72,18 @@ def per_objective_local_search(problem: ProblemSpec, instances, budget_N: int,
     n_rml = len(instances)
     check_local_search_budget(budget_N, n_rml)
     per_objective = budget_N // n_rml
-    streams = rng.spawn(n_rml)
     records = []
-    iteration = 0
-    for inst, stream in zip(instances, streams):
-        used = 0
+    for inst, stream in zip(instances, rng.spawn(n_rml)):
+        stop = len(records) + per_objective   # inst's share ends at this trace length
 
         def run_one(x):
-            nonlocal used, iteration
-            if used >= per_objective:
+            if len(records) >= stop:
                 raise _BudgetExhausted
             x = problem.prior.clip(x)
-            fx = problem.simulator(x)
-            used += 1
-            iteration += 1
-            records.append(SimulationRecord(
-                emb_index=-1, y=None, x=x, fx=fx, refined_z=None, f_refined=None,
-                iteration=iteration, objective_index=inst.index))
-            return -objective(inst, x, problem, fx=fx)
+            return -objective(inst, x, problem, fx=_record(problem, x, records, inst.index))
 
-        x0 = problem.prior.sample(stream)
-        try:
-            minimize(run_one, x0, method="Nelder-Mead",
+        with suppress(_BudgetExhausted):
+            minimize(run_one, problem.prior.sample(stream), method="Nelder-Mead",
                      options={"maxiter": 10 * per_objective, "maxfev": 10 * per_objective,
                               "xatol": 1e-12, "fatol": 1e-12})
-        except _BudgetExhausted:
-            pass
-        except SimulatorError as exc:
-            raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
     return select_maximizers(records, instances, problem)

@@ -337,9 +337,11 @@ def default_checkpoints(budget_N: int) -> list[int]:
 
 def best_so_far_curve(result: RMLResult, checkpoints) -> tuple[list[int], list[float]]:
     """Negative mean return of the best-so-far selection at each checkpoint,
-    replayed from the result's candidate-value table (no objective calls).
-    Checkpoints that no complete record fits inside are skipped with a
-    warning."""
+    replayed from the result's candidate-value table (no objective calls;
+    a result without one raises ValueError).  Checkpoints that no complete
+    record fits inside are skipped with a warning."""
+    if result.candidate_values is None:
+        raise ValueError("result has no candidate-value table: it was not built from a trace")
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")

@@ -24,7 +24,8 @@ a compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
 With a Gaussian prior each slot additionally takes a closed-form proximal
 step toward the perturbed prior mean (one extra simulation at the refined
 point), and the final per-objective selection considers refined points
-only; with a box prior selection scans the lifted points.
+only; with a box prior selection scans the lifted points.  A simulator
+failure aborts the run, or a baseline, with its trace so far (:func:`_simulate`).
 """
 
 import json
@@ -434,6 +435,15 @@ def _check_instances(instances, problem: ProblemSpec) -> None:
                 f"instance {inst.index} carries a prior mean but the prior is uniform")
 
 
+def _simulate(problem: ProblemSpec, x: np.ndarray, records: list) -> np.ndarray:
+    """``problem``'s forward value at ``x``; a simulator failure aborts the
+    method as :class:`RunAborted`, carrying ``records``, its trace so far."""
+    try:
+        return problem.simulator(x)
+    except SimulatorError as exc:
+        raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
+
+
 def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResult:
     """Run the full optimization and select one maximizer per objective.
 
@@ -457,12 +467,9 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     records: list[SimulationRecord] = []
     # row r: every objective's likelihood term at record r's lifted point
     likelihoods = np.empty((config.K * slots, len(instances)))
-    try:
-        for k, emb in enumerate(embeddings):
-            _run_embedding(problem, instances, config, emb, k, gaussian, records,
-                           likelihoods[k * slots:(k + 1) * slots])
-    except SimulatorError as exc:
-        raise RunAborted(f"simulator failed mid-run: {exc}", records) from exc
+    for k, emb in enumerate(embeddings):
+        _run_embedding(problem, instances, config, emb, k, gaussian, records,
+                       likelihoods[k * slots:(k + 1) * slots])
 
     if gaussian:
         result = select_maximizers(records, instances, problem)
@@ -509,11 +516,11 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
                 model = gp.fit_with_params(train_y, train_z, params)
             y = acquisition_maximize(model, (emb.y_lower, emb.y_upper), config.beta, acq_rng)
         x = lift(emb, y, problem.prior)
-        fx = problem.simulator(x)
+        fx = _simulate(problem, x, records)
         refined_z = f_refined = None
         if gaussian:
             refined_z = local_prior_refine(x, inst, problem.prior, config.prox_eta)
-            f_refined = problem.simulator(refined_z)
+            f_refined = _simulate(problem, refined_z, records)
         rec = SimulationRecord(emb_index=emb.index, y=np.asarray(y, dtype=float), x=x,
                                fx=fx, refined_z=refined_z, f_refined=f_refined,
                                iteration=m, objective_index=nprime)

@@ -53,6 +53,13 @@ class TestRandomDesign:
             assert np.isfinite(prob.prior.logpdf(x))
 
 
+    def test_objective_indices_cycle_through_the_objectives(self):
+        prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0)
+        insts = drawn(prob, 3)
+        res = random_design(prob, insts, 10, np.random.default_rng(0))
+        assert [rec.objective_index for rec in res.records] == [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]
+
+
 class TestPerObjectiveLocalSearch:
     def test_budget_split_and_cap(self):
         prob = bench.make_problem("quadratic-bowl", D=15, d=2, seed=0)
@@ -128,8 +135,29 @@ class TestAbort:
             per_objective_local_search(prob, insts, 20, np.random.default_rng(0))
         assert len(err.value.records) == 5
 
+    def test_local_search_abort_inside_a_later_objective_keeps_its_numbering(self, fail_after):
+        # objective 1 spends its 10 evaluations, objective 2 fails after 3
+        prob = fail_after(bench.make_problem("quadratic-bowl", D=8, d=2, seed=0), 13)
+        insts = drawn(prob, 2)
+        with pytest.raises(RunAborted, match="simulator failed mid-run") as err:
+            per_objective_local_search(prob, insts, 20, np.random.default_rng(0))
+        records = err.value.records
+        assert [rec.iteration for rec in records] == list(range(1, 14))
+        assert [rec.objective_index for rec in records] == [1] * 10 + [2] * 3
+
 
 class TestTraceInterchangeability:
+    @pytest.mark.parametrize("method", [random_design, per_objective_local_search],
+                             ids=["random-design", "local-search"])
+    @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
+    def test_complete_trace_numbers_records_in_order(self, method, prior):
+        prob = bench.make_problem("quadratic-bowl", D=8, d=2, seed=0, prior=prior)
+        insts = drawn(prob, 3)
+        res = method(prob, insts, 31, np.random.default_rng(5))
+        assert [rec.iteration for rec in res.records] == list(range(1, res.n_evals + 1))
+        assert all(rec.emb_index == -1 and rec.y is None and rec.refined_z is None
+                   for rec in res.records)
+
     def test_baseline_traces_feed_the_metrics_pipeline(self):
         prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
         insts = drawn(prob, 3)

@@ -388,6 +388,20 @@ class TestBudgetCurve:
         assert report_bytes(np.array([10, 20])) == want
 
 
+    def test_result_without_a_table_is_rejected(self):
+        # the linear oracle's result is not built from a trace
+        prob = bench.make_problem("linear-gaussian", seed=0)
+        insts = drawn(prob, 3)
+        oracle = bench.oracle_rml_result(prob, insts)
+        assert oracle.candidate_values is None
+        with pytest.raises(ValueError, match="no candidate-value table"):
+            bench.best_so_far_curve(oracle, [1, 2])
+        method = bench.Method("oracle-rml", lambda problem, instances, seed:
+                              bench.oracle_rml_result(problem, instances))
+        with pytest.raises(ValueError, match="not built from a trace"):
+            bench.budget_curve(prob, insts, [method], [1, 2], trials=1, seed=0)
+
+
 class TestExternalTraces:
     def test_trace_round_trip_reproduces_selection(self, small_setup, tmp_path):
         from rmlbo.hdbo import select_maximizers, write_trace
