@@ -39,8 +39,10 @@ def random_design(problem: ProblemSpec, instances, budget_N: int,
     _check_instances(instances, problem)
     n_rml = len(instances)
     records = []
-    for _ in range(budget_N):
-        _record(problem, problem.prior.sample(rng), records, len(records) % n_rml + 1)
+    # the draws do not depend on any result: one generator call for the whole
+    # design, each record's x a row of the block
+    for x in problem.prior.sample(rng, budget_N):
+        _record(problem, x, records, len(records) % n_rml + 1)
     return select_maximizers(records, instances, problem)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .hdbo import (
     HDBOConfig,
     RMLResult,
-    SimulationRecord,
     read_trace,
     run_hdbo_rml,
     select_maximizers,
@@ -296,22 +295,18 @@ def trace_method(path, name: str) -> Method:
 def oracle_rml_result(problem: ProblemSpec, instances) -> RMLResult:
     """Exact per-objective maximizers for a linear simulator with a
     Gaussian prior.  Forward values come from the stored matrix, so no
-    simulator evaluations are consumed (``n_evals`` is 0)."""
+    simulator evaluations are consumed: ``n_evals`` is 0 and the trace is
+    empty."""
     B = getattr(problem.simulator, "matrix", None)
     if B is None:
         raise ValueError("oracle RML requires a linear simulator exposing its matrix")
     maximizers = np.zeros((len(instances), problem.input_dim))
     values = np.zeros(len(instances))
-    records = []
     for i, inst in enumerate(instances):
         x = oracle_linear_rml(B, inst, problem)
-        fx = B @ x
         maximizers[i] = x
-        values[i] = objective(inst, x, problem, fx=fx)
-        records.append(SimulationRecord(
-            emb_index=-1, y=None, x=x, fx=fx, refined_z=None, f_refined=None,
-            iteration=i + 1, objective_index=inst.index))
-    return RMLResult(maximizers=maximizers, values=values, records=records, n_evals=0)
+        values[i] = objective(inst, x, problem, fx=B @ x)
+    return RMLResult(maximizers=maximizers, values=values, records=[], n_evals=0)
 
 
 def require_checkpoints(checkpoints) -> list[int]:
@@ -476,7 +471,7 @@ def prior_landscape(problem: ProblemSpec, n_samples: int, rng: np.random.Generat
     the active subspace with log-posterior colors (offline analysis mode)."""
     require_integer("n_samples", n_samples)
     A = getattr(problem.simulator, "active_matrix", None)
-    xs = np.stack([problem.prior.sample(rng) for _ in range(n_samples)])
+    xs = problem.prior.sample(rng, n_samples)
     coords, logpost = project_active(xs, A, problem)
     return xs, coords, logpost
 

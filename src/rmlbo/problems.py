@@ -6,12 +6,16 @@ density, ``GaussianSpec.logpdf``) that every other module builds on.
 
 Each prior owns its rules: ``logpdf(x, mean=None)`` (a box's is 0 inside
 and -inf outside, with no mean to recenter), ``clip(x)`` into its support
-(all of R^D for a Gaussian) and ``sample(rng)``.  ``logpdf`` and ``clip``
-of either prior, and ``BoxPrior.contains``, reject a point whose shape is
-not ``(dim,)``.  Against a given mean, ``GaussianSpec.logpdf`` also scores
-a ``(k, dim)`` stack of points, each entry bit for bit its scalar value;
-box-prior selection scores a record's objectives so.  No other module
-branches on the prior's kind to evaluate, clip or draw.
+(all of R^D for a Gaussian) and ``sample(rng, size=None)``.  ``sample``
+draws one point, or with ``size`` a ``(size, dim)`` block in one generator
+call, whose row ``i`` is bit for bit the ``i``-th of ``size`` successive
+one-point draws and after which the generator is in the same state.
+``logpdf`` and ``clip`` of either prior, and ``BoxPrior.contains``, reject
+a point whose shape is not ``(dim,)``.  Against a given mean,
+``GaussianSpec.logpdf`` also scores a ``(k, dim)`` stack of points, each
+entry bit for bit its scalar value; box-prior selection scores a record's
+objectives so.  No other module branches on the prior's kind to evaluate,
+clip or draw.
 
 Conventions:
   * :func:`chol_spd` factors every SPD matrix, the GP's kernel matrix
@@ -181,9 +185,16 @@ class GaussianSpec:
         """The support is all of R^D: ``x`` as a float array, unchanged."""
         return _point(x, self.dim, self.name)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
-        return self.mean + self.chol @ rng.standard_normal(self.dim)
+        if size is None:
+            return self.mean + self.chol @ rng.standard_normal(self.dim)
+        # one GEMV per row: a single GEMM z @ L^T sums in another order and
+        # moves the last bits of a dense factor's rows
+        z = rng.standard_normal((size, self.dim))
+        for row in z:
+            row[:] = self.mean + self.chol @ row
+        return z
 
 
 @dataclass(frozen=True)
@@ -224,10 +235,13 @@ class BoxPrior:
         return 0.0 if self.contains(x) else NEG_INF
 
     def clip(self, x) -> np.ndarray:
-        return np.clip(_point(x, self.dim, "box prior"), self.lower, self.upper)
+        # np.clip's bits, NaN and signed zeros included, without the cost of
+        # its Python-level wrapper
+        return np.minimum(np.maximum(_point(x, self.dim, "box prior"), self.lower), self.upper)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        return rng.uniform(self.lower, self.upper,
+                           None if size is None else (size, self.dim))
 
 
 class SimulatorHandle:

@@ -5,7 +5,7 @@ import pytest
 
 from rmlbo import bench
 from rmlbo.baselines import per_objective_local_search, random_design
-from rmlbo.hdbo import RunAborted, jsonable
+from rmlbo.hdbo import RunAborted, SimulationRecord, jsonable, select_maximizers
 from rmlbo.rml import draw_randomizations
 from rmlbo.seeding import STREAM_RANDOMIZE, labeled_stream
 
@@ -14,7 +14,33 @@ def drawn(problem, n_rml, seed=11):
     return draw_randomizations(problem, n_rml, labeled_stream(seed, STREAM_RANDOMIZE))
 
 
+def single_draw_design(problem, instances, budget_N, rng):
+    """Random design as one prior draw per record: the block draw's reference."""
+    records = []
+    for _ in range(budget_N):
+        x = problem.prior.sample(rng)
+        records.append(SimulationRecord(
+            emb_index=-1, y=None, x=x, fx=problem.simulator(x), refined_z=None,
+            f_refined=None, iteration=len(records) + 1,
+            objective_index=len(records) % len(instances) + 1))
+    return select_maximizers(records, instances, problem)
+
+
 class TestRandomDesign:
+    @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
+    def test_block_draw_matches_single_draws_bit_for_bit(self, prior):
+        prob = bench.make_problem("quadratic-bowl", D=12, d=2, seed=0, prior=prior)
+        insts = drawn(prob, 3)
+        got = random_design(prob, insts, 40, np.random.default_rng(9))
+        ref = single_draw_design(prob, insts, 40, np.random.default_rng(9))
+        assert len(got.records) == len(ref.records) == 40
+        for a, b in zip(got.records, ref.records):
+            assert json.dumps(a, default=jsonable) == json.dumps(b, default=jsonable)
+            np.testing.assert_array_equal(a.x.view(np.uint64), b.x.view(np.uint64))
+            np.testing.assert_array_equal(a.fx.view(np.uint64), b.fx.view(np.uint64))
+        np.testing.assert_array_equal(got.candidate_values.view(np.uint64),
+                                      ref.candidate_values.view(np.uint64))
+
     def test_single_candidate_shared_by_all_objectives(self):
         prob = bench.make_problem("quadratic-bowl", D=10, d=2, seed=0)
         insts = drawn(prob, 4)

@@ -189,12 +189,20 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["n_evals"] == 2 * 2 * (48 // 4)
 
-    def test_oracle_method_on_linear_problem(self, tmp_path):
+    def test_oracle_method_on_linear_problem(self, tmp_path, capsys):
         path = write_config(tmp_path, {**LINEAR, "method": "oracle-rml"})
         out = tmp_path / "o"
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["n_evals"] == 0
+        # the oracle simulates nothing, so its trace holds no record, and a
+        # compare that adopts the trace has nothing to select from
+        trace = out / "trace.jsonl"
+        assert trace.exists() and trace.read_bytes() == b""
+        entry = json.dumps([{"name": "ext", "trace": str(trace)}])
+        assert main(["compare", "--config", path, "--set", "trials=1",
+                     "--set", f"methods={entry}", "--out", str(tmp_path / "c")]) == 3
+        assert "cannot select maximizers from an empty trace" in capsys.readouterr().err
 
     def test_failed_oracle_solve_exits_3_in_every_command(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -342,6 +342,46 @@ class TestLogPrior:
         x = prior.sample(rng)
         assert prior.logpdf(x) == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["box", "dense", "diagonal"]), st.integers(1, 8),
+           st.integers(1, 50), st.integers(0, 2 ** 31 - 1))
+    def test_block_draw_rows_are_successive_single_draws(self, kind, dim, size, seed):
+        # row i of sample(rng, size) is the i-th of size one-point draws, bit
+        # for bit, and the generator ends in the same state
+        gen = np.random.default_rng(seed)
+        if kind == "box":
+            lower = gen.uniform(-5.0, 5.0, dim)
+            prior = BoxPrior(lower, lower + gen.uniform(0.1, 10.0, dim))
+        else:
+            a = gen.standard_normal((dim, dim))
+            cov = (a @ a.T + dim * np.eye(dim) if kind == "dense"
+                   else np.diag(gen.uniform(0.1, 10.0, dim)))
+            prior = GaussianSpec(gen.standard_normal(dim), cov)
+        block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = prior.sample(block_rng, size)
+        singles = np.array([prior.sample(single_rng) for _ in range(size)])
+        assert block.shape == (size, dim)
+        np.testing.assert_array_equal(block.view(np.uint64), singles.view(np.uint64))
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_box_clip_keeps_np_clip_bits(self):
+        # NaN, signed zeros, infinities, values on a bound and one ulp outside
+        lower = np.array([0.0, -0.0, -1.0, -1.0, 2.5])
+        upper = np.array([1.0, 1.0, 0.0, -0.0, 3.0])
+        box = BoxPrior(lower, upper)
+        values = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5, 3.0,
+                  np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+                  np.nextafter(2.5, 0.0), np.nextafter(3.0, 4.0), 0.5, 2.75]
+        for v in values:
+            x = np.full(5, v)
+            np.testing.assert_array_equal(box.clip(x).view(np.uint64),
+                                          np.clip(x, lower, upper).view(np.uint64))
+        for x in (lower, upper, np.array([-0.0, 0.0, -0.0, 0.0, np.nan])):
+            np.testing.assert_array_equal(box.clip(x).view(np.uint64),
+                                          np.clip(x, lower, upper).view(np.uint64))
+        with pytest.raises(ValueError, match=r"point of shape \(4,\) against box prior"):
+            box.clip(np.zeros(4))
+
 
 class TestSimulatorHandle:
     def test_deterministic_and_counts_once_per_call(self):
