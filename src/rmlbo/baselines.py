@@ -39,8 +39,8 @@ def random_design(problem: ProblemSpec, instances, budget_N: int,
     _check_instances(instances, problem)
     n_rml = len(instances)
     records = []
-    # the draws do not depend on any result: one generator call for the whole
-    # design, each record's x a row of the block
+    # the draws do not depend on any result: the whole design as one block
+    # (one generator call on a box prior), each record's x a row of it
     for x in problem.prior.sample(rng, budget_N):
         _record(problem, x, records, len(records) % n_rml + 1)
     return select_maximizers(records, instances, problem)

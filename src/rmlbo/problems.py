@@ -7,9 +7,10 @@ density, ``GaussianSpec.logpdf``) that every other module builds on.
 Each prior owns its rules: ``logpdf(x, mean=None)`` (a box's is 0 inside
 and -inf outside, with no mean to recenter), ``clip(x)`` into its support
 (all of R^D for a Gaussian) and ``sample(rng, size=None)``.  ``sample``
-draws one point, or with ``size`` a ``(size, dim)`` block in one generator
-call, whose row ``i`` is bit for bit the ``i``-th of ``size`` successive
-one-point draws and after which the generator is in the same state.
+draws one point, or with ``size`` a ``(size, dim)`` block whose row ``i``
+is bit for bit the ``i``-th of ``size`` successive one-point draws and
+after which the generator is in the same state.  A box block is one
+generator call; a Gaussian block stacks one-point draws.
 ``logpdf`` and ``clip`` of either prior, and ``BoxPrior.contains``, reject
 a point whose shape is not ``(dim,)``.  Against a given mean,
 ``GaussianSpec.logpdf`` also scores a ``(k, dim)`` stack of points, each
@@ -189,12 +190,7 @@ class GaussianSpec:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
         if size is None:
             return self.mean + self.chol @ rng.standard_normal(self.dim)
-        # one GEMV per row: a single GEMM z @ L^T sums in another order and
-        # moves the last bits of a dense factor's rows
-        z = rng.standard_normal((size, self.dim))
-        for row in z:
-            row[:] = self.mean + self.chol @ row
-        return z
+        return np.array([self.sample(rng) for _ in range(size)])
 
 
 @dataclass(frozen=True)

@@ -365,22 +365,24 @@ class TestLogPrior:
         assert block_rng.bit_generator.state == single_rng.bit_generator.state
 
     def test_box_clip_keeps_np_clip_bits(self):
-        # NaN, signed zeros, infinities, values on a bound and one ulp outside
-        lower = np.array([0.0, -0.0, -1.0, -1.0, 2.5])
-        upper = np.array([1.0, 1.0, 0.0, -0.0, 3.0])
-        box = BoxPrior(lower, upper)
+        # NaN, signed zeros, infinities, values on a bound and one ulp outside,
+        # each bound pair rolled through every position of a D = 100 point so
+        # that every split between SIMD lanes and scalar tail is exercised
+        lower5 = np.array([0.0, -0.0, -1.0, -1.0, 2.5])
+        upper5 = np.array([1.0, 1.0, 0.0, -0.0, 3.0])
         values = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5, 3.0,
                   np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
                   np.nextafter(2.5, 0.0), np.nextafter(3.0, 4.0), 0.5, 2.75]
-        for v in values:
-            x = np.full(5, v)
-            np.testing.assert_array_equal(box.clip(x).view(np.uint64),
-                                          np.clip(x, lower, upper).view(np.uint64))
-        for x in (lower, upper, np.array([-0.0, 0.0, -0.0, 0.0, np.nan])):
-            np.testing.assert_array_equal(box.clip(x).view(np.uint64),
-                                          np.clip(x, lower, upper).view(np.uint64))
+        mixed = np.tile([-0.0, 0.0, -0.0, 0.0, np.nan], 20)
+        for shift in range(100):
+            lower = np.roll(np.tile(lower5, 20), shift)
+            upper = np.roll(np.tile(upper5, 20), shift)
+            box = BoxPrior(lower, upper)
+            for x in [np.full(100, v) for v in values] + [lower, upper, np.roll(mixed, shift)]:
+                np.testing.assert_array_equal(box.clip(x).view(np.uint64),
+                                              np.clip(x, lower, upper).view(np.uint64))
         with pytest.raises(ValueError, match=r"point of shape \(4,\) against box prior"):
-            box.clip(np.zeros(4))
+            BoxPrior(lower5, upper5).clip(np.zeros(4))
 
 
 class TestSimulatorHandle:
