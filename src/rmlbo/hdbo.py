@@ -11,7 +11,11 @@ the shared ensemble and its UCB acquisition proposes the next point.
 The run keeps one table of likelihood terms, a row per record and a column
 per objective, each row filled in full, right after its record is simulated,
 with either prior; a slot's GP targets are a column slice of its embedding's
-rows, and on a box prior final selection reads the same table.
+rows, and on a box prior final selection adds each record's prior term to
+the same table.  Otherwise selection (:func:`select_maximizers`, for the
+sampler on a Gaussian prior, both baselines and external traces) stacks
+the candidates once and scores them in one :func:`objective` call per
+objective.
 Within an embedding only the first fit searches hyperparameters cold; later
 full searches start from the previous full search's hyperparameters.  A slot
 searches once its count n of finite training targets has grown by a
@@ -24,7 +28,7 @@ a compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
 With a Gaussian prior each slot additionally takes a closed-form proximal
 step toward the perturbed prior mean (one extra simulation at the refined
 point), and the final per-objective selection considers refined points
-only; with a box prior selection scans the lifted points.  A simulator
+only; with a box prior it considers the lifted points.  A simulator
 failure aborts the run, or a baseline, with its trace so far (:func:`_simulate`).
 """
 
@@ -45,7 +49,6 @@ from .problems import (
     ProblemSpec,
     SimulatorError,
     _is_integer,
-    _point,
     require_integer,
     solve_spd,
 )
@@ -349,51 +352,19 @@ def select_maximizers(records, instances, problem: ProblemSpec) -> RMLResult:
 
     Candidates are refined points when present, lifted points otherwise;
     objective values come from cached forward values (no simulator calls).
-    Each (record, objective) pair is scored once into the result's
-    ``candidate_values``: on a box prior as its likelihood term plus the
-    record's one prior term (see :func:`_select_in_box`), on a Gaussian
-    prior through :func:`objective`, whose prior term depends on each
-    objective's perturbed mean.  A NaN value never wins, and ties break
-    toward the earliest record.
+    The candidates are stacked once, and each objective scores them all in
+    one :func:`objective` call into its column of the result's
+    ``candidate_values``, each entry the one-point call's value bit for
+    bit.  A NaN value never wins, and ties break toward the earliest record.
     """
     if not records:
         raise ValueError("cannot select maximizers from an empty trace")
-    if not problem.has_gaussian_prior:
-        return _select_in_box(records, instances, problem)
+    candidates = [rec.candidate() for rec in records]
+    xs = np.array([x for x, _ in candidates])
+    fxs = np.array([fx for _, fx in candidates])
     table = np.empty((len(records), len(instances)))
-    for r, rec in enumerate(records):
-        cand_x, cand_f = rec.candidate()
-        table[r] = [objective(inst, cand_x, problem, fx=cand_f) for inst in instances]
-    return _select(records, table)
-
-
-def _select_in_box(records, instances, problem: ProblemSpec,
-                   likelihoods: np.ndarray | None = None) -> RMLResult:
-    """Box-prior selection, :func:`objective`'s values bit for bit with one
-    box test per record instead of one per pair.  A record whose candidate
-    lies outside the box gets a row of -inf and its likelihood is never
-    evaluated, as ``objective`` returns early; inside, entry ``[r, i]`` is
-    objective ``i + 1``'s likelihood term at the candidate's forward value
-    plus the prior term 0.0, which turns -0.0 into 0.0 as ``objective``
-    does.  ``likelihoods``, when given, holds those likelihood terms,
-    already evaluated at the records' candidates; otherwise each in-box
-    record's row is one stack call of the likelihood's ``logpdf``."""
-    table = np.full((len(records), len(instances)), NEG_INF)
-    gaussian = problem.likelihood.gaussian
-    if likelihoods is None:
-        # each data vector checked as a point, so a wrong length names the
-        # likelihood instead of failing to stack
-        data = np.array([_point(inst.data_n, gaussian.dim, gaussian.name)
-                         for inst in instances])
-    for r, rec in enumerate(records):
-        cand_x, cand_f = rec.candidate()
-        prior_term = problem.prior.logpdf(cand_x)
-        if prior_term == NEG_INF:
-            continue
-        if likelihoods is None:
-            table[r] = gaussian.logpdf(data, mean=cand_f) + prior_term
-        else:
-            table[r] = likelihoods[r] + prior_term
+    for i, inst in enumerate(instances):
+        table[:, i] = objective(inst, xs, problem, fx=fxs)
     return _select(records, table)
 
 
@@ -475,8 +446,10 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
         result = select_maximizers(records, instances, problem)
     else:
         # the table holds every likelihood term at the lifted points, which
-        # are the candidates of a box run
-        result = _select_in_box(records, instances, problem, likelihoods)
+        # are the candidates of a box run: adding each record's prior term
+        # gives select_maximizers' table without scoring a pair again
+        xs = np.array([rec.x for rec in records])
+        result = _select(records, likelihoods + problem.prior.logpdf(xs)[:, None])
     result.embeddings = embeddings
     return result
 

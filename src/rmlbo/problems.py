@@ -12,11 +12,11 @@ is bit for bit the ``i``-th of ``size`` successive one-point draws and
 after which the generator is in the same state.  A box block is one
 generator call; a Gaussian block stacks one-point draws.
 ``logpdf`` and ``clip`` of either prior, and ``BoxPrior.contains``, reject
-a point whose shape is not ``(dim,)``.  Against a given mean,
-``GaussianSpec.logpdf`` also scores a ``(k, dim)`` stack of points, each
-entry bit for bit its scalar value; box-prior selection scores a record's
-objectives so.  No other module branches on the prior's kind to evaluate,
-clip or draw.
+a point (``GaussianSpec.logpdf`` also a mean) whose shape is not
+``(dim,)``.  ``logpdf`` also scores a ``(k, dim)`` stack of points, each
+entry bit for bit its one-point value (``GaussianSpec``'s against a given
+mean), so ``rml.objective`` scores a stack of candidates in one call.  No
+other module branches on the prior's kind to evaluate, clip or draw.
 
 Conventions:
   * :func:`chol_spd` factors every SPD matrix, the GP's kernel matrix
@@ -119,8 +119,9 @@ class GaussianSpec:
         self.chol = np.ascontiguousarray(chol_spd(cov, name=name))
         self.name = name
         self._log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-        # logpdf's constants: the normalizer (the first two terms of its
-        # left-to-right sum) and the Fortran-ordered view of the factor
+        # logpdf's constants: the point shape, the normalizer (the first two
+        # terms of its left-to-right sum) and the factor's Fortran view
+        self._shape = self.mean.shape
         self._norm = self.dim * LOG_2PI + self._log_det
         self._chol_f = self.chol.T
         self._proximal = {}
@@ -144,13 +145,17 @@ class GaussianSpec:
 
     def logpdf(self, x, mean=None) -> float | np.ndarray:
         """Log density at the point ``x``; ``mean`` recenters the density
-        while keeping this covariance and its factor.
+        while keeping this covariance and its factor; a mean that is not a
+        point of this dimension raises instead of broadcasting.
 
         Against a given ``mean``, ``x`` may also be a ``(k, dim)`` stack of
         points: the result is then an array of their ``k`` log densities,
         entry ``i`` equal to ``logpdf(x[i], mean)`` bit for bit."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):   # _point's own test: a point converts once
+        # _point's own test for both: an array of the right shape is used as is
+        if mean is not None and getattr(mean, "shape", None) != self._shape:
+            mean = _point(mean, self.dim, self.name)
+        if x.shape != self._shape:
             if x.ndim == 2 and mean is not None:
                 return self._logpdf_rows(x, mean)
             x = _point(x, self.dim, self.name)
@@ -225,9 +230,16 @@ class BoxPrior:
         return bool(np.count_nonzero(x >= self.lower) == x.size
                     and np.count_nonzero(x <= self.upper) == x.size)
 
-    def logpdf(self, x, mean=None) -> float:
+    def logpdf(self, x, mean=None) -> float | np.ndarray:
         """Unnormalized log density: 0 inside the box, -inf outside.  A box
-        has no mean to recenter, so ``mean`` is ignored."""
+        has no mean to recenter, so ``mean`` is ignored.  A ``(k, dim)``
+        array of points gets an array of their ``k`` values, entry ``i``
+        ``logpdf(x[i])``; any other shape but ``(dim,)`` raises."""
+        # no asarray, so the one-point path costs what contains costs
+        if getattr(x, "ndim", None) == 2 and x.shape[1] == self.dim:
+            # a NaN compares False, as in contains
+            inside = (x >= self.lower).all(axis=1) & (x <= self.upper).all(axis=1)
+            return np.where(inside, 0.0, NEG_INF)
         return 0.0 if self.contains(x) else NEG_INF
 
     def clip(self, x) -> np.ndarray:

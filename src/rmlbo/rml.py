@@ -54,21 +54,31 @@ def draw_randomizations(problem: ProblemSpec, n_rml: int,
     return instances
 
 
-def objective(instance: RMLInstance, x, problem: ProblemSpec, fx) -> float:
+def objective(instance: RMLInstance, x, problem: ProblemSpec, fx) -> float | np.ndarray:
     """The randomized objective O_n at ``x``, whose forward value ``fx``
     was recorded when ``x`` was simulated.
 
     Gaussian prior: perturbed log likelihood plus the log prior density
     recentered on the perturbed mean.  Box prior: perturbed log likelihood
     inside the box, -inf outside; a prior term of -inf is returned without
-    reading ``fx``.
+    reading ``fx``.  With ``x`` a ``(k, dim)`` array of points and ``fx``
+    their ``(k, m)`` forward values, the result is the array of the ``k``
+    one-point values, bit for bit, each -inf prior term's row unread.
     """
     if instance.prior_mean_n is None and problem.has_gaussian_prior:
         raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
     prior_term = problem.prior.logpdf(x, mean=instance.prior_mean_n)
-    if prior_term == NEG_INF:
-        return NEG_INF
-    return problem.likelihood.gaussian.logpdf(instance.data_n, mean=fx) + prior_term
+    # the likelihood term with the data as the mean, so that a stack of
+    # forward values is one call
+    likelihood = problem.likelihood.gaussian
+    if isinstance(prior_term, float):
+        if prior_term == NEG_INF:
+            return NEG_INF
+        return likelihood.logpdf(fx, mean=instance.data_n) + prior_term
+    rows = prior_term != NEG_INF
+    values = np.full(rows.shape, NEG_INF)
+    values[rows] = likelihood.logpdf(fx[rows], mean=instance.data_n) + prior_term[rows]
+    return values
 
 
 def _solve_normal(B, problem: ProblemSpec, data: np.ndarray, mean: np.ndarray):

@@ -290,19 +290,22 @@ class TestBudgetCurve:
 
     def test_one_trial_scores_each_pair_once(self, small_setup, monkeypatch):
         # a box-prior trial evaluates each (record, objective) pair's
-        # likelihood once and each record's prior term once, all during
-        # selection; the curves replay the table and score nothing.  A
-        # record's likelihood terms come from one stack call, so each call
-        # counts the values it returns, one per scored pair
+        # likelihood, prior term and objective once, all during selection;
+        # the curves replay the table and score nothing.  Each objective
+        # scores the stacked records in one call of each, so a call counts
+        # the values it returns, one per scored pair, and the calls are
+        # counted apart
         prob, insts = small_setup
         zero = {"likelihood": 0, "prior": 0, "objective": 0}
         calls = {"select": dict(zero), "curve": dict(zero)}
+        stack_calls = {"select": dict(zero), "curve": dict(zero)}
         phase = ["select"]
 
         def counting(kind, real):
             def call(*args, **kwargs):
                 value = real(*args, **kwargs)
                 calls[phase[0]][kind] += np.size(value)
+                stack_calls[phase[0]][kind] += 1
                 return value
             return call
 
@@ -323,9 +326,11 @@ class TestBudgetCurve:
         monkeypatch.setattr(bench, "best_so_far_curve", curve)
         bench.budget_curve(prob, insts, [bench.random_design_method(30)], [10, 30],
                            trials=1, seed=4)
-        assert calls == {"select": {"likelihood": 30 * len(insts), "prior": 30,
-                                    "objective": 0},
+        pairs = 30 * len(insts)
+        assert calls == {"select": {"likelihood": pairs, "prior": pairs, "objective": pairs},
                          "curve": zero}
+        per_objective = {kind: len(insts) for kind in zero}
+        assert stack_calls == {"select": per_objective, "curve": zero}
 
     def test_projections_are_the_first_maximizers_times_the_active_matrix(self, small_setup):
         # budget_curve projects without scoring, so it makes no analysis call

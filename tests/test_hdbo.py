@@ -875,21 +875,29 @@ class TestDataSharing:
     @pytest.mark.parametrize("prior", ["uniform", "gaussian"])
     def test_only_gaussian_selection_scores_the_objective(self, monkeypatch, prior):
         # a box run selects from the likelihood table alone; a Gaussian run
-        # scores each (record, objective) pair's refined point once
+        # scores every record's refined point in one call per objective
         calls = []
         real_objective = hdbo.objective
 
-        def spy_objective(*args, **kwargs):
-            calls.append(args[0].index)
-            return real_objective(*args, **kwargs)
+        def spy_objective(inst, x, problem, fx):
+            calls.append((inst.index, x.copy(), fx.copy()))
+            return real_objective(inst, x, problem, fx=fx)
 
         monkeypatch.setattr("rmlbo.hdbo.objective", spy_objective)
         prob = bowl_problem(prior=prior)
         insts = drawn(prob, 3)
         cfg = HDBOConfig(n_rml=3, budget_N=48, K=2, d_e=2, n0=3, seed=5)
         res = run_hdbo_rml(prob, insts, cfg)
-        scored = len(res.records) if prior == "gaussian" else 0
-        assert sorted(calls) == [inst.index for inst in insts for _ in range(scored)]
+        if prior == "uniform":
+            assert calls == []
+            return
+        assert [index for index, _, _ in calls] == [inst.index for inst in insts]
+        refined = np.array([rec.refined_z for rec in res.records])
+        f_refined = np.array([rec.f_refined for rec in res.records])
+        for _, x, fx in calls:
+            assert x.shape == refined.shape and fx.shape == f_refined.shape
+            assert x.tobytes() == refined.tobytes()
+            assert fx.tobytes() == f_refined.tobytes()
 
     def test_best_so_far_values_non_decreasing(self):
         prob = bowl_problem()

@@ -197,6 +197,25 @@ class TestLogGaussianDensity:
                                                  rf"against obs_cov of dimension {dim}"):
                 spec.logpdf(np.zeros((k, width)), mean=mean)
 
+    @pytest.mark.parametrize("mean, shape", [
+        (0.1, (1,)), ([0.1], (1,)), ([0.1, 0.2], (2,)), ([0.1] * 4, (4,)),
+        ([[0.1, 0.2, 0.3]], (1, 3))], ids=["scalar", "one", "short", "long", "row"])
+    @pytest.mark.parametrize("form", ["point", "stack"])
+    def test_mean_of_the_wrong_shape_is_rejected(self, mean, shape, form):
+        # unchecked, a short mean broadcasts against the points: a stack of
+        # two zero residuals against mean [0.1] read [0.23, 0.23]
+        spec = GaussianSpec(np.zeros(3), np.eye(3), name="obs_cov")
+        x = np.zeros(3) if form == "point" else np.zeros((2, 3))
+        message = rf"^point of shape \({', '.join(map(str, shape))},?\) against obs_cov " \
+                  r"of dimension 3$"
+        with pytest.raises(ValueError, match=message):
+            spec.logpdf(x, mean=mean)
+        # a mean of the right shape is taken as a list or an array, and a
+        # scalar is a point of dimension one
+        want = spec.logpdf(x, mean=np.array([0.1, 0.2, 0.3]))
+        assert np.array_equal(spec.logpdf(x, mean=[0.1, 0.2, 0.3]), want)
+        assert GaussianSpec(0.0, 1.0).logpdf(0.5, mean=0.2) == GaussianSpec(0.2, 1.0).logpdf(0.5)
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianSpec([0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]))
@@ -299,18 +318,24 @@ class TestLogPrior:
     @pytest.mark.parametrize("point, shape", [
         (0.5, (1,)), ([0.5], (1,)), ([0.5] * 11, (11,)), ([0.5] * 13, (13,)),
         (np.zeros((1, 12)), (1, 12)), (np.zeros((12, 1)), (12, 1)),
-        (np.zeros((2, 12)), (2, 12))],
-        ids=["scalar", "one", "short", "long", "row", "column", "batch"])
+        (np.zeros((2, 12)), (2, 12)), (np.zeros((2, 11)), (2, 11))],
+        ids=["scalar", "one", "short", "long", "row", "column", "batch", "short-batch"])
     @pytest.mark.parametrize("kind", ["box", "gaussian"])
     def test_logpdf_and_clip_reject_a_point_of_the_wrong_shape(self, kind, point, shape):
         # unchecked, a short point broadcasts against the 12-D box bounds:
-        # logpdf(0.5) would read 0.0 and clip([0.5]) return 12 values
+        # logpdf(0.5) would read 0.0 and clip([0.5]) return 12 values.  A
+        # box's logpdf takes a (k, 12) array as a stack of points, one value
+        # a row; a stack of any other width is rejected as a point
         prior, name = ((BoxPrior(-np.ones(12), np.ones(12)), "box prior") if kind == "box"
                        else (GaussianSpec(np.zeros(12), np.eye(12)), "covariance"))
         message = rf"point of shape \({', '.join(map(str, shape))},?\) against {name} " \
                   r"of dimension 12"
-        with pytest.raises(ValueError, match=message):
-            prior.logpdf(point)
+        if kind == "box" and shape in {(1, 12), (2, 12)}:
+            got = prior.logpdf(point)
+            assert got.dtype == np.float64 and got.tolist() == [0.0] * shape[0]
+        else:
+            with pytest.raises(ValueError, match=message):
+                prior.logpdf(point)
         with pytest.raises(ValueError, match=message):
             prior.clip(point)
         if kind == "box":   # the box test behind logpdf checks the point itself

@@ -4,6 +4,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.optimize import minimize
 
@@ -163,6 +165,85 @@ class TestObjective:
         with pytest.raises(TypeError, match="fx"):
             objective(inst, np.zeros(8), prob)
         assert prob.simulator.eval_counter == 0
+
+
+    def test_forward_value_of_the_wrong_length_names_the_likelihood(self):
+        # unchecked, a one-value forward value broadcast against the bowl's
+        # three data values and scored a finite objective
+        prob = rmlbo.make_problem("quadratic-bowl", D=12, d=2, seed=3)
+        inst = draw_randomizations(prob, 1, np.random.default_rng(0))[0]
+        for fx in (np.array([0.3]), np.zeros(2), np.zeros(4)):
+            with pytest.raises(ValueError, match=rf"^point of shape \({fx.size},\) against "
+                                                 r"obs_cov of dimension 3$"):
+                objective(inst, np.zeros(12), prob, fx=fx)
+        with pytest.raises(ValueError, match=r"^points of shape \(2, 1\) against obs_cov "
+                                             r"of dimension 3$"):
+            objective(inst, np.zeros((2, 12)), prob, fx=np.zeros((2, 1)))
+
+
+def _spd(rng, n, dense):
+    if dense:
+        a = rng.standard_normal((n, n))
+        return a @ a.T + 0.5 * np.eye(n)
+    return np.diag(rng.uniform(0.1, 3.0, n))
+
+
+class TestStackedObjective:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["box", "dense", "diagonal"]), st.booleans(), st.integers(1, 6),
+           st.integers(1, 4), st.integers(1, 30), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_stack_matches_the_one_point_objective_bit_for_bit(
+            self, prior_kind, dense_lik, D, m, k, overflow, pyrng):
+        # entry i of a stacked call is the one-point objective at row i: box
+        # rows inside, on a face, outside and with NaN coordinates, dense and
+        # diagonal Gaussian priors and likelihoods, and forward values
+        # scaled by 1e200, whose likelihood overflows to -inf
+        rng = np.random.default_rng(pyrng.randrange(2 ** 32))
+        if prior_kind == "box":
+            lower = rng.uniform(-2.0, 0.0, D)
+            prior = BoxPrior(lower, lower + rng.uniform(0.5, 3.0, D))
+        else:
+            prior = GaussianSpec(rng.standard_normal(D), _spd(rng, D, prior_kind == "dense"),
+                                 name="prior covariance")
+        sim = SimulatorHandle(lambda x: np.zeros(m), D, m)   # objective never simulates
+        prob = ProblemSpec(sim, prior, LikelihoodSpec(rng.standard_normal(m),
+                                                      _spd(rng, m, dense_lik)))
+        inst = draw_randomizations(prob, 1, rng)[0]
+        xs = prior.sample(rng, k) if prior_kind == "box" else \
+            prior.sample(rng, k) * rng.choice([0.1, 1.0, 40.0], (k, 1))
+        if prior_kind == "box":   # each row inside, on a face, outside or NaN
+            kinds = rng.integers(0, 4, k)
+            cols = rng.integers(0, D, k)
+            for row, (kind, j) in enumerate(zip(kinds, cols)):
+                if kind == 1:
+                    xs[row, j] = (prior.lower, prior.upper)[row % 2][j]
+                elif kind == 2:
+                    bound, away = ((prior.lower, -np.inf), (prior.upper, np.inf))[row % 2]
+                    xs[row, j] = np.nextafter(bound[j], away)
+                elif kind == 3:
+                    xs[row, j] = np.nan
+        fxs = rng.standard_normal((k, m)) * rng.choice([1.0, 1e3], (k, 1))
+        fxs[rng.random((k, m)) < 0.2] = -0.0
+        if overflow:
+            fxs[rng.random(k) < 0.5] *= 1e200
+        with np.errstate(over="ignore"):
+            got = objective(inst, xs, prob, fx=fxs)
+            want = [objective(inst, x, prob, fx=fx) for x, fx in zip(xs, fxs)]
+            first = objective(inst, xs[:1], prob, fx=fxs[:1])
+        assert all(type(value) is float for value in want)
+        want = np.array(want)
+        assert got.dtype == np.float64 and got.shape == (k,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert first.shape == (1,) and first.view(np.uint64)[0] == want.view(np.uint64)[0]
+        if prior_kind == "box":
+            # a row outside the box never evaluates its likelihood, so its
+            # overflowing forward value raises no overflow warning
+            outside = np.isneginf(prior.logpdf(xs))
+            fxs = np.where(outside[:, None], 1e200, rng.standard_normal((k, m)))
+            with np.errstate(over="raise"):
+                got = objective(inst, xs, prob, fx=fxs)
+            assert np.isneginf(got[outside]).all() and np.isfinite(got[~outside]).all()
 
 
 # The scalar scoring path as it was written before its constants were hoisted:
