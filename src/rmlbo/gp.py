@@ -87,7 +87,12 @@ matrices, so they build their arrays in place: the evidence's
 since ``D``'s diagonal is zero), and :func:`predict`'s kernel in its fresh
 distance matrix, and :func:`ucb` scales and adds :func:`predict`'s fresh
 ``sd`` into its fresh ``mean``.  Each gives the same bits as the plain
-fresh-array expression, which the tests keep as their reference.
+fresh-array expression, which the tests keep as their reference.  Their
+products go through ``ndarray.dot`` rather than ``@``: the evidence's
+``z^T alpha``, ``alpha^T (K_l * D) alpha`` and ``alpha^T alpha``, and
+:func:`predict`'s GEMM.  Both spellings call the same BLAS routine
+(``ddot``, ``dgemv``, ``dgemm``) and give the same bits, but ``@`` pays
+about 0.3-0.5 us more dispatch per call on these small operands.
 """
 
 import math
@@ -424,7 +429,7 @@ def _concentrated(sqdist, z, theta):
     lengthscale, ratio = math.exp(theta[0]), math.exp(theta[1])
     a, chol, alpha = _factor(sqdist, z, lengthscale, ratio)   # A = K_l + r I
     n = z.size
-    q = float(z @ alpha)
+    q = float(z.dot(alpha))
     lo, hi = OUTPUTSCALE_BOUNDS
     o2 = min(max(q / n, lo ** 2), hi ** 2)
     lml = -0.5 * q / o2 - float(np.log(chol.diagonal()).sum()) \
@@ -432,9 +437,9 @@ def _concentrated(sqdist, z, theta):
     inv_lower, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
     kd = np.multiply(a, sqdist, out=a)   # A * D = K_l * D: D's diagonal is zero
     grad = (
-        (float(alpha @ (kd @ alpha)) / o2 - 2.0 * float(np.vdot(inv_lower.T, kd)))
+        (float(alpha.dot(kd.dot(alpha))) / o2 - 2.0 * float(np.vdot(inv_lower.T, kd)))
         / (2.0 * lengthscale ** 2),
-        0.5 * ratio * (float(alpha @ alpha) / o2 - float(inv_lower.trace())),
+        0.5 * ratio * (float(alpha.dot(alpha)) / o2 - float(inv_lower.trace())),
     )
     return lml, grad, 0.5 * math.log(o2)
 
@@ -473,7 +478,7 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
     # row 0 is alpha^T k_unit and rows 1.. are v = chol_inv k_unit; the
     # kernel is o^2 k_unit, so the mean is o^2 alpha^T k_unit and the
     # variance o^2 - o^4 sum(v^2)
-    rows = model.alpha_chol_inv @ k_unit
+    rows = model.alpha_chol_inv.dot(k_unit)
     o2 = model.params.outputscale ** 2
     mean = rows[0]
     mean *= model.target_sd * o2

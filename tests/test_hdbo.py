@@ -726,7 +726,7 @@ class TestDataSharing:
         prob.simulator._fn = lambda x: np.full(3, 1e200) if x[0] > 0.3 else inner(x)
         insts = drawn(prob, 2)
         cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
             res = run_hdbo_rml(prob, insts, cfg)
             expected, dropped = [], 0
             for k in range(1, cfg.K + 1):
@@ -774,7 +774,7 @@ class TestDataSharing:
         prob.simulator._fn = lambda x: np.full(3, 1e200) if x[0] > 0.3 else inner(x)
         insts = drawn(prob, 2)
         cfg = HDBOConfig(n_rml=2, budget_N=40, K=2, d_e=2, n0=3, seed=0)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
             run_hdbo_rml(prob, insts, cfg)
         per_embedding = hdbo.embedding_slots(cfg, prob) - cfg.n0
         assert len(fits) == cfg.K * per_embedding

@@ -1,8 +1,9 @@
+import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
@@ -167,12 +168,22 @@ class TestLogGaussianDensity:
                 np.float64(reference(x, mean)).tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 25), st.booleans(),
-           st.sampled_from([1.0, 1e3, 1e80, 1e160]), st.randoms(use_true_random=False))
-    def test_stack_matches_the_scalar_form_bit_for_bit(self, dim, k, dense, scale, pyrng):
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 100]), st.integers(0, 25), st.booleans(),
+           st.sampled_from([1.0, 1e3, 1e80, 1e160]), st.sampled_from(["C", "F", "strided"]),
+           st.randoms(use_true_random=False))
+    # dimension 100 is the Gaussian bowl's prior, where ddot runs its
+    # unrolled kernel; each layout and the empty stack are drawn at least once
+    @example(100, 25, True, 1.0, "C", random.Random(0))
+    @example(100, 7, False, 1e160, "F", random.Random(1))
+    @example(100, 9, True, 1e3, "strided", random.Random(2))
+    @example(100, 0, True, 1.0, "C", random.Random(5))
+    @example(2, 0, False, 1.0, "strided", random.Random(6))
+    def test_stack_matches_the_scalar_form_bit_for_bit(self, dim, k, dense, scale, layout,
+                                                       pyrng):
         # entry i of a stack call is logpdf(x[i], mean), whose bits depend on
         # the one-column solve; -0.0 residuals and a scale of 1e160, where
-        # w @ w overflows to inf and the density to -inf, are included
+        # w.dot(w) overflows to inf and the density to -inf, are included,
+        # in a C-ordered, a Fortran-ordered and a row-strided stack
         rng = np.random.default_rng(pyrng.randrange(2 ** 32))
         if dense:
             a = rng.standard_normal((dim, dim))
@@ -182,15 +193,20 @@ class TestLogGaussianDensity:
         spec = GaussianSpec(rng.standard_normal(dim), cov, name="obs_cov")
         mean = rng.standard_normal(dim)
         mean[rng.random(dim) < 0.3] = 0.0
-        x = rng.standard_normal((k, dim)) * scale
-        x[rng.random((k, dim)) < 0.2] = -0.0
-        x[0] = scale
+        x = rng.standard_normal((2 * k if layout == "strided" else k, dim)) * scale
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[:1] = scale
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            x = x[::2]
+        assert x.shape == (k, dim)
         with np.errstate(over="ignore"):
             got = spec.logpdf(x, mean=mean)
-            want = np.array([spec.logpdf(row, mean=mean) for row in x])
+            want = np.array([spec.logpdf(row, mean=mean) for row in x], dtype=float)
         assert got.dtype == np.float64 and got.shape == (k,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        if scale == 1e160:
+        if scale == 1e160 and k:
             assert got[0] == NEG_INF
         for width in {dim - 1, dim + 1} - {0}:
             with pytest.raises(ValueError, match=rf"points of shape \({k}, {width}\) "
@@ -219,6 +235,29 @@ class TestLogGaussianDensity:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianSpec([0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+def test_dot_gives_matmul_bits_at_the_hot_path_shapes():
+    # the log-density's square norm, the evidence's products and predict's
+    # GEMM call ndarray.dot for its lower dispatch cost, on the premise that
+    # numpy routes a.dot(b) and a @ b to the same BLAS routine (ddot, dgemv,
+    # dgemm) at these shapes; a numpy that does not would move traces
+    rng = np.random.default_rng(0)
+    shapes = [((n,), (n,)) for n in [*range(1, 9), 33, 100]]
+    shapes += [((n, n), (n,)) for n in (1, 30, 95)]
+    shapes += [((n + 1, n), (n, p)) for n in (0, 1, 25, 95) for p in (1, 60, 64)]
+    differ = []
+    for a_shape, b_shape in shapes:
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        # positive operands of 1e200 overflow every nonempty product to +inf
+        for scale, a, b in [(1.0, a, b), (1e200, 1e200 * abs(a), 1e200 * abs(b))]:
+            with np.errstate(over="ignore"):
+                got, want = a.dot(b), a @ b
+            if scale > 1.0 and a.shape[-1]:
+                assert np.isposinf(want).all()
+            if got.tobytes() != want.tobytes():
+                differ.append(f"{a_shape} . {b_shape} at scale {scale:g}")
+    assert not differ, f"numpy {np.__version__}: a.dot(b) and a @ b differ at {differ}"
 
 
 def log_likelihood(x, prob, fx):
