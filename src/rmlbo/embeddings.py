@@ -29,8 +29,14 @@ class Embedding:
         return self.matrix.shape[1]
 
     def contains(self, y: np.ndarray) -> bool:
+        """Whether every coordinate of ``y`` lies in its closed interval; a
+        NaN coordinate lies in none."""
         y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.y_lower) and np.all(y <= self.y_upper))
+        # count_nonzero is one direct C call, where np.all runs through
+        # numpy's Python-level wrapper (as in BoxPrior.contains)
+        above, below = y >= self.y_lower, y <= self.y_upper
+        return bool(np.count_nonzero(above) == above.size
+                    and np.count_nonzero(below) == below.size)
 
 
 def sample_embedding(input_dim: int, embed_dim: int, rng: np.random.Generator,

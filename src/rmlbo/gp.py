@@ -80,11 +80,15 @@ model stacks ``alpha`` over the inverse factor in one ``(n + 1, n)`` array,
 so a prediction is one GEMM of that array with the unit-outputscale kernel:
 row 0 gives the mean and the other rows give ``v``, whose column sums give
 the variance.  The outputscale and the target mean and sd scale those ``(m,)``
-results, not the ``(n, m)`` kernel.  These paths, and :func:`predict`
-behind every UCB call, run tens of thousands of times per run on small
-matrices, so they build their arrays in place: the evidence's
-``K + noise * I`` in one new array, which then becomes ``K_l * D`` (equal,
-since ``D``'s diagonal is zero), and :func:`predict`'s kernel in its fresh
+results, not the ``(n, m)`` kernel.  The model holds the scalars they take,
+``-2 l^2``, ``o^2``, ``target_sd * o^2`` and ``-o^2 * o^2``, computed once
+when it is built (see :class:`GPModel`), so :func:`predict` takes no
+``exp`` of a log hyperparameter and forms no product of them.  These
+paths, and :func:`predict` behind every UCB call, run tens of thousands of
+times per run on small matrices, so they build their arrays in place: the
+evidence's ``K + noise * I`` in one new array, its diagonal reached through
+a ``reshape(-1)`` view, which then becomes ``K_l * D`` (equal, since
+``D``'s diagonal is zero), and :func:`predict`'s kernel in its fresh
 distance matrix, and :func:`ucb` scales and adds :func:`predict`'s fresh
 ``sd`` into its fresh ``mean``.  Each gives the same bits as the plain
 fresh-array expression, which the tests keep as their reference.  Their
@@ -157,6 +161,10 @@ class GPModel:
     :func:`fit_with_params`).
     An empty model (n = 0) has a (0, 0) factor and a (1, 0) stack; on it
     :func:`predict` gives mean ``target_mean`` and sd ``target_sd * o``.
+    Building a model, or assigning its ``params`` or ``target_sd``, sets the
+    scalars :func:`predict` scales by, so no prediction recomputes them:
+    ``_neg_two_l2 = -2 l^2``, ``_o2 = o^2``, ``_mean_scale = target_sd * o^2``
+    and ``_var_scale = -o^2 * o^2``.
     """
 
     inputs: np.ndarray
@@ -168,6 +176,17 @@ class GPModel:
     alpha_chol_inv: np.ndarray
     nfev: int = 0
     failed_starts: int = 0
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        # __init__ assigns target_sd before params, so the scales are first
+        # set once params is
+        if name == "params" or name == "target_sd" and "params" in self.__dict__:
+            o2 = self.params.outputscale ** 2
+            self._neg_two_l2 = -2.0 * self.params.lengthscale ** 2
+            self._o2 = o2
+            self._mean_scale = self.target_sd * o2
+            self._var_scale = -o2 * o2
 
     @property
     def n_train(self) -> int:
@@ -201,8 +220,8 @@ def _kernel_matrix(sqdist: np.ndarray, lengthscale: float,
     """Kernel values ``o^2 exp(-d / 2 l^2)`` for squared distances ``d``,
     built in ``out``: a new array by default, or ``sqdist`` itself when the
     caller owns a fresh one.  ``outputscale=None`` is the unit outputscale
-    of the concentrated evidence and of :func:`predict`, which needs no
-    multiply."""
+    of the concentrated evidence, which needs no multiply.  :func:`predict`
+    runs the same two ufuncs with its model's ``-2 l^2``."""
     k = np.divide(sqdist, -2.0 * lengthscale ** 2, out=out)
     np.exp(k, out=k)
     if outputscale is not None:
@@ -214,7 +233,7 @@ def _factor(sqdist: np.ndarray, z: np.ndarray, lengthscale: float, noise_var: fl
             outputscale: float | None = None):
     """``K + noise * I`` in a new array, its lower factor and ``alpha``."""
     kn = _kernel_matrix(sqdist, lengthscale, outputscale)
-    kn.flat[::z.size + 1] += noise_var
+    kn.reshape(-1)[::z.size + 1] += noise_var   # a view: kn is fresh and contiguous
     chol = chol_spd(kn, "kernel matrix")
     alpha, _ = lapack.dpotrs(chol, z, lower=1)
     return kn, chol, alpha
@@ -266,9 +285,19 @@ def _input_diameter(inputs: np.ndarray) -> float:
 
 
 def _standardize(targets: np.ndarray):
-    mean = float(np.mean(targets))
-    sd = max(float(np.std(targets)), TARGET_SD_FLOOR)
-    return (targets - mean) / sd, mean, sd
+    """``(targets - mean) / sd`` with the mean and the sd, floored at
+    TARGET_SD_FLOOR.  The mean and sd are ``np.mean``'s and ``np.std``'s
+    bit for bit: the same ufuncs in the same order (a pairwise
+    ``add.reduce`` divided by the count, the deviations squared, their
+    ``add.reduce`` divided by the count, a square root), without numpy's
+    Python-level wrappers."""
+    n = targets.size
+    mean = np.add.reduce(targets) / n
+    z = targets - mean
+    var = np.add.reduce(np.square(z)) / n
+    sd = max(math.sqrt(var), TARGET_SD_FLOOR)
+    z /= sd
+    return z, float(mean), sd
 
 
 def _training_set(inputs, targets):
@@ -473,21 +502,23 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
         raise ValueError(
             f"query dimension {pts.shape[1]} does not match model "
             f"dimension {model.inputs.shape[1]}")
-    sqdist = _sqdist(model.inputs, pts)
-    k_unit = _kernel_matrix(sqdist, model.params.lengthscale, out=sqdist)
+    # the unit-outputscale kernel, as _kernel_matrix builds it, in the
+    # fresh distance matrix
+    k_unit = _sqdist(model.inputs, pts)
+    np.divide(k_unit, model._neg_two_l2, out=k_unit)
+    np.exp(k_unit, out=k_unit)
     # row 0 is alpha^T k_unit and rows 1.. are v = chol_inv k_unit; the
     # kernel is o^2 k_unit, so the mean is o^2 alpha^T k_unit and the
     # variance o^2 - o^4 sum(v^2)
     rows = model.alpha_chol_inv.dot(k_unit)
-    o2 = model.params.outputscale ** 2
     mean = rows[0]
-    mean *= model.target_sd * o2
+    mean *= model._mean_scale
     mean += model.target_mean
     v = rows[1:]
     np.square(v, out=v)
     sd = np.add.reduce(v, axis=0)
-    sd *= -o2 * o2
-    sd += o2
+    sd *= model._var_scale
+    sd += model._o2
     np.maximum(sd, 0.0, out=sd)
     np.sqrt(sd, out=sd)
     sd *= model.target_sd
@@ -497,9 +528,10 @@ def predict(model: GPModel, y) -> tuple[np.ndarray, np.ndarray] | tuple[float, f
 
 
 def ucb(model: GPModel, y, beta: float):
-    """Upper confidence bound ``mean + beta * sd``."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    """Upper confidence bound ``mean + beta * sd``; ``beta`` must be finite
+    and non-negative."""
+    if not 0.0 <= beta < math.inf:   # NaN fails both comparisons
+        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
     mean, sd = predict(model, y)
     # predict's arrays are fresh, so the combine reuses them; on a single
     # point's floats the same lines give mean + sd * beta

@@ -32,6 +32,7 @@ only; with a box prior it considers the lifted points.  A simulator
 failure aborts the run, or a baseline, with its trace so far (:func:`_simulate`).
 """
 
+import functools
 import json
 import math
 import numbers
@@ -257,6 +258,25 @@ def read_trace(path, problem: ProblemSpec) -> list:
     return records
 
 
+# a sweep's step update, indexed by whether each start improved: the
+# starts that did not halve their steps (x * 1.0 is x, bit for bit)
+_STEP_FACTOR = np.array([0.5, 1.0]).reshape(2, 1, 1)
+_STEP_FACTOR.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=32)
+def _compass(d: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The compass search's unit moves, ``(2 d, d)``: candidate 2j moves
+    coordinate j up, 2j + 1 down, and the others by a zero; and each of
+    ``restarts`` starts' first row in the flattened ``(restarts * 2 d, d)``
+    candidates.  Built once per ``(d, restarts)``, read-only."""
+    eye = np.eye(d)
+    moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
+    first = np.arange(0, restarts * 2 * d, 2 * d)
+    moves.flags.writeable = first.flags.writeable = False
+    return moves, first
+
+
 def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray],
                          beta: float, rng: np.random.Generator) -> np.ndarray:
     """Approximate argmax of the UCB over a box.
@@ -276,7 +296,9 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     into one buffer allocated per call, and updates the starts by mask: an
     improved start takes its best candidate and value
     (``np.copyto(..., where=improved)``) and keeps its steps, the others
-    keep their point and value and halve their steps.
+    keep their point and value and halve their steps, by one lookup in
+    ``_STEP_FACTOR``.  The unit moves come from :func:`_compass`, built
+    once per dimension and restart count.
     """
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
@@ -287,18 +309,16 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     ys = probes[order[:ACQ_RESTARTS]]
     fys = vals[order[:ACQ_RESTARTS]]
     width = upper - lower
-    # candidate 2j moves coordinate j up by its step, 2j + 1 down; the other
-    # coordinates add a zero, and a move never crosses the far bound, so
-    # clipping every coordinate equals clipping the moved one.  Each start
-    # keeps its moves scaled by its steps; halving them is exact, so they
-    # stay the product of the unit moves and the halved steps, bit for bit
-    eye = np.eye(d)
-    moves = np.stack([eye, -eye], axis=1).reshape(2 * d, d)
+    # a move never crosses the far bound and the other coordinates add a
+    # zero, so clipping every coordinate equals clipping the moved one.
+    # Each start keeps its moves scaled by its steps; halving them is exact,
+    # so they stay the product of the unit moves and the halved steps, bit
+    # for bit
+    moves, first = _compass(d, ACQ_RESTARTS)
     deltas = np.broadcast_to(moves * (0.25 * width), (ACQ_RESTARTS, 2 * d, d)).copy()
     cands = np.empty((ACQ_RESTARTS, 2 * d, d))
     flat = cands.reshape(-1, d)
     centers = ys[:, None, :]               # a view: follows the updates of ys
-    first = np.arange(0, ACQ_RESTARTS * 2 * d, 2 * d)   # each start's first row in flat
     for _ in range(ACQ_SWEEPS):
         np.add(deltas, centers, out=cands)
         np.minimum(cands, upper, out=cands)
@@ -309,10 +329,10 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
         pick_val = cv[pick]
         improved = pick_val > fys
         # a start that improved moves and keeps its steps; the others stay
-        # and halve theirs (x * 1.0 is x, bit for bit)
+        # and halve theirs
         np.copyto(ys, flat[pick], where=improved[:, None])
         np.copyto(fys, pick_val, where=improved)
-        deltas *= np.where(improved, 1.0, 0.5)[:, None, None]
+        deltas *= _STEP_FACTOR[improved.view(np.uint8)]
     # refinement only ever improves on a start's probe value, so the argmax
     # over starts covers the probe champion as well
     return ys[int(np.argmax(fys))].copy()

@@ -89,6 +89,25 @@ class TestLift:
         y = rng.uniform(emb.y_lower, emb.y_upper)
         assert box.logpdf(lift(emb, y, box)) == 0.0
 
+    def test_contains_faces_one_ulp_outside_and_nan(self):
+        emb = Embedding(matrix=np.eye(3), index=1, y_lower=np.array([-1.5, 0.0, -2.0]),
+                        y_upper=np.array([1.5, 0.25, 3.0]))
+        inside = np.array([0.1, 0.2, -1.0])
+        assert emb.contains(inside)
+        assert emb.contains(emb.y_lower) and emb.contains(emb.y_upper)
+        for j in range(3):
+            for bound, away in ((emb.y_lower, -np.inf), (emb.y_upper, np.inf)):
+                y = inside.copy()
+                y[j] = bound[j]                      # on a face: inside
+                assert emb.contains(y)
+                y[j] = np.nextafter(bound[j], away)  # one ulp outside
+                assert not emb.contains(y)
+            y = inside.copy()
+            y[j] = np.nan
+            assert not emb.contains(y)
+        assert not emb.contains(np.full(3, np.nan))
+        assert emb.contains(np.array([-0.0, -0.0, 0.0]))
+
     def test_out_of_domain_is_hard_error(self):
         emb = sample_embedding(5, 2, np.random.default_rng(2))
         box = BoxPrior(-np.ones(5), np.ones(5))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -622,8 +624,28 @@ class TestPredict:
                                    gp.KernelParams.from_natural(1.0, 1.0))
         with pytest.raises(ValueError, match="query dimension"):
             gp.ucb(model, np.zeros((4, 2)), 1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            gp.ucb(model, np.zeros((4, 3)), -0.5)
+        # NaN fails every comparison and inf scales sd = 0 into a NaN, so
+        # both are rejected with a negative beta
+        for beta in (-0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                gp.ucb(model, np.zeros((4, 3)), beta)
+            with pytest.raises(ValueError, match="non-negative"):
+                gp.ucb(model, np.zeros(3), beta)
+
+    def test_assigned_params_and_target_sd_reach_predict(self):
+        # predict reads the scales the model computed when it was built;
+        # assigning params or target_sd recomputes them, so predictions
+        # keep the reference's bits, which reads both fields afresh
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1, 1, (12, 2))
+        model = gp.fit_with_params(X, np.sin(3 * X[:, 0]) + X[:, 1],
+                                   gp.KernelParams.from_natural(1.3, 0.6, 1e-6))
+        q = rng.uniform(-1.5, 1.5, (40, 2))
+        assert bits(*gp.predict(model, q)) == bits(*ref_predict(model, q))
+        model.target_sd = 3.7
+        assert bits(*gp.predict(model, q)) == bits(*ref_predict(model, q))
+        model.params = gp.KernelParams.from_natural(0.4, 1.9, 1e-4)
+        assert bits(*gp.predict(model, q)) == bits(*ref_predict(model, q))
 
     def test_cached_inverse_factor(self):
         rng = np.random.default_rng(15)
@@ -651,6 +673,43 @@ class TestPredict:
         assert empty.chol_factor.shape == (0, 0)
         assert empty.alpha.shape == (0,) and empty.chol_inv.shape == (0, 0)
         assert empty.alpha.base is empty.chol_inv.base is empty.alpha_chol_inv
+
+
+class TestStandardize:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 200), st.floats(-150.0, 150.0),
+           st.sampled_from(["spread", "offset", "constant", "signed-zeros",
+                            "negative-zeros"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 0.0, "spread", 0)
+    @example(200, 150.0, "offset", 1)
+    @example(200, -150.0, "offset", 2)
+    @example(7, 0.0, "signed-zeros", 3)
+    @example(5, 0.0, "negative-zeros", 0)
+    @example(9, 0.0, "negative-zeros", 0)
+    @example(64, 150.0, "constant", 4)
+    def test_mean_and_sd_are_numpy_bits(self, n, log_scale, kind, seed):
+        # _standardize runs np.mean's and np.std's ufuncs without their
+        # wrappers: the mean, the sd (and its floor) and the standardized
+        # targets keep the bits of the numpy expression
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        if kind == "spread":
+            targets = scale * rng.standard_normal(n)
+        elif kind == "offset":   # a large mean with a small spread cancels
+            targets = scale * (1e3 + rng.standard_normal(n))
+        elif kind == "constant":
+            targets = np.full(n, scale * rng.normal())
+        elif kind == "signed-zeros":
+            targets = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        else:
+            targets = np.full(n, -0.0)
+        z, mean, sd = gp._standardize(targets)
+        ref_mean = float(np.mean(targets))
+        ref_sd = max(float(np.std(targets)), gp.TARGET_SD_FLOOR)
+        assert isinstance(mean, float) and isinstance(sd, float)
+        assert bits(mean, sd) == bits(ref_mean, ref_sd)
+        assert bits(z) == bits((targets - ref_mean) / ref_sd)
 
 
 class TestFit:

@@ -72,13 +72,22 @@ def acquisition_model(n, seed, lower, upper):
         return gp.empty_model(gp.KernelParams.from_natural(1.3, 0.7), dim=lower.size)
     rng = np.random.default_rng(seed)
     X = rng.uniform(lower, upper, (n, lower.size))
-    z = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 - 0.5 * X[:, 2]
+    # in 3-D: sin(2 y0) + y1^2 - 0.5 y2
+    z = np.sin(2 * X[:, 0])
+    if lower.size > 1:
+        z = z + X[:, 1] ** 2
+    if lower.size > 2:
+        z = z - 0.5 * X[:, 2:].sum(axis=1)
     return gp.fit(X, z, rng)
 
 
 # asymmetric boxes: offset, unequal widths, one wholly positive
 ACQ_BOXES = [(np.array([-1.3, 0.2, -0.05]), np.array([2.7, 0.9, 3.1])),
              (np.array([0.1, 0.25, 1.0]), np.array([0.6, 3.0, 1.7]))]
+# asymmetric boxes of dimension 1, 2 and 8
+OTHER_DIM_BOXES = [(np.array([-0.4]), np.array([1.1])),
+                   (np.array([-2.0, 0.3]), np.array([0.5, 0.8])),
+                   (np.linspace(-1.0, 0.4, 8), np.linspace(-0.2, 2.5, 8))]
 
 
 class TestAcquisitionMaximize:
@@ -117,7 +126,10 @@ class TestAcquisitionMaximize:
 
     @pytest.mark.parametrize("n", [0, 1, 25, 95])
     def test_bits_match_per_coordinate_reference(self, n, monkeypatch):
-        for b, (lo, hi) in enumerate(ACQ_BOXES):
+        # five dimensions and two restart counts: the search's compass
+        # template is built once per (d, restarts), so one process reuses
+        # and switches between several of them
+        for b, (lo, hi) in enumerate(ACQ_BOXES + OTHER_DIM_BOXES):
             model = acquisition_model(n, 30 + n + b, lo, hi)
             for restarts in (1, 10):
                 monkeypatch.setattr(hdbo, "ACQ_RESTARTS", restarts)
