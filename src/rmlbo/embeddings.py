@@ -70,4 +70,4 @@ def lift(emb: Embedding, y, prior) -> np.ndarray:
     if not emb.contains(y):
         raise ValueError(f"y {y!r} is outside the embedding domain "
                          f"[{emb.y_lower[0]}, {emb.y_upper[0]}]^{emb.embed_dim}")
-    return prior.clip(emb.matrix @ y)
+    return prior.clip(emb.matrix.dot(y))

@@ -315,7 +315,8 @@ def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray
     # so they stay the product of the unit moves and the halved steps, bit
     # for bit
     moves, first = _compass(d, ACQ_RESTARTS)
-    deltas = np.broadcast_to(moves * (0.25 * width), (ACQ_RESTARTS, 2 * d, d)).copy()
+    deltas = np.empty((ACQ_RESTARTS, 2 * d, d))
+    np.multiply(moves, 0.25 * width, out=deltas)   # broadcast over the starts
     cands = np.empty((ACQ_RESTARTS, 2 * d, d))
     flat = cands.reshape(-1, d)
     centers = ys[:, None, :]               # a view: follows the updates of ys
@@ -354,7 +355,7 @@ def local_prior_refine(x0, instance: RMLInstance, prior: GaussianSpec,
     if eta <= 0:
         raise ValueError("eta must be strictly positive")
     x0 = np.asarray(x0, dtype=float)
-    return solve_spd(prior.proximal_chol(eta), eta * instance.prior_mean_n + prior.cov @ x0)
+    return solve_spd(prior.proximal_chol(eta), eta * instance.prior_mean_n + prior.cov.dot(x0))
 
 
 def gp_target(instance: RMLInstance, record: SimulationRecord,

@@ -20,7 +20,12 @@ other module branches on the prior's kind to evaluate, clip or draw.
 
 The log density's square norm is ``w.dot(w)``, not ``w @ w``: both call
 BLAS ``ddot`` and give the same bits, but on one short vector ``@`` costs
-about 0.3-0.5 us more dispatch, paid once per scored row.
+about 0.3-0.5 us more dispatch, paid once per scored row.  Every product on
+a budgeted evaluation's path follows the same rule: the catalog forward
+maps (``bench``), ``lift``'s ``R y`` and the proximal step's ``Sigma x0``.
+:class:`SimulatorHandle` tests an output's finiteness by counting its finite
+entries, where ``ndarray.all()`` would run numpy's ``_methods`` wrapper and
+a ufunc reduce.
 
 Conventions:
   * :func:`chol_spd` factors every SPD matrix, the GP's kernel matrix
@@ -203,7 +208,10 @@ class GaussianSpec:
         # lower-Cholesky convention: mean + L @ xi, xi drawn coordinate-ascending
         if size is None:
             return self.mean + self.chol @ rng.standard_normal(self.dim)
-        return np.array([self.sample(rng) for _ in range(size)])
+        block = np.empty((size, self.dim))   # (0, dim) when size is 0
+        for row in block:
+            row[:] = self.sample(rng)
+        return block
 
 
 @dataclass(frozen=True)
@@ -296,7 +304,9 @@ class SimulatorHandle:
                 out = out.reshape(self.output_dim)
         except Exception as exc:
             raise SimulatorError(f"{self.name} failed at input {x!r}: {exc}", x) from exc
-        if not np.isfinite(out).all():
+        # np.count_nonzero passes straight to its C counter, where
+        # ndarray.all() runs numpy's _methods wrapper and a ufunc reduce
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             raise SimulatorError(f"{self.name} returned a non-finite output {out!r} "
                                  f"at input {x!r}", x)
         in_analysis = getattr(self._local, "depth", 0) > 0

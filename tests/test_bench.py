@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmlbo import baselines, bench, hdbo
 from rmlbo.hdbo import ConfigError, HDBOConfig, RMLResult, jsonable
 from rmlbo.problems import NEG_INF, BoxPrior, GaussianSpec
 from rmlbo.rml import draw_randomizations, objective
-from rmlbo.seeding import STREAM_LANDSCAPE, STREAM_RANDOMIZE, labeled_stream
+from rmlbo.seeding import STREAM_LANDSCAPE, STREAM_PROBLEM, STREAM_RANDOMIZE, labeled_stream
 
 
 def drawn(problem, n_rml, seed=1):
@@ -32,6 +34,43 @@ class TestMakeProblem:
         with prob.simulator.analysis():
             assert np.array_equal(prob.simulator(x), B @ x)
         assert B.shape == (5, 8)
+
+    @pytest.mark.parametrize("name", bench.CATALOG)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 5), draw=st.integers(0, 2 ** 31 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 40.0]),
+           zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=8))
+    @example(seed=0, draw=0, scale=1.0, zeros=[-0.0] * 100)
+    @example(seed=0, draw=0, scale=1.0, zeros=[0.0] * 100)
+    def test_forward_maps_keep_the_bits_of_the_matmul_expressions(self, name, seed, draw,
+                                                                  scale, zeros):
+        # each catalog simulator takes its products through ndarray.dot and
+        # writes the bowl's output into one array; the reference is the
+        # expressions they replace: B @ x, link(A.T @ x), the bowl's
+        # concatenate and sine-ridge's W @ u taken twice.  Leading
+        # coordinates of x are replaced by signed zeros
+        prob = bench.make_problem(name, seed=seed)
+        sim = prob.simulator
+        x = scale * np.random.default_rng(draw).standard_normal(sim.input_dim)
+        x[:len(zeros)] = zeros[:sim.input_dim]
+        if name == "linear-gaussian":
+            want = sim.matrix @ x
+        else:
+            A = sim.active_matrix
+            u = A.T @ x
+            if name == "quadratic-bowl":
+                want = np.concatenate([u, [float(u @ u)]])
+            elif name == "rosenbrock-2d":
+                want = np.array([1.0 - u[0], 10.0 * (u[1] - u[0] ** 2)])
+            else:
+                # make_problem draws W and phi from the problem stream right after A
+                rng = labeled_stream(seed, STREAM_PROBLEM)
+                assert bench._orthonormal_columns(*A.shape, rng).tobytes() == A.tobytes()
+                W, phi = rng.standard_normal((2, A.shape[1])), rng.uniform(0.0, 2.0 * np.pi, 2)
+                want = np.sin(W @ u + phi) + 0.3 * (W @ u)
+        with sim.analysis():
+            got = sim(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_active_matrix_is_semi_orthogonal(self):
         prob = bench.make_problem("quadratic-bowl", D=100, d=2, seed=0)

@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -241,22 +242,33 @@ def test_dot_gives_matmul_bits_at_the_hot_path_shapes():
     # the log-density's square norm, the evidence's products and predict's
     # GEMM call ndarray.dot for its lower dispatch cost, on the premise that
     # numpy routes a.dot(b) and a @ b to the same BLAS routine (ddot, dgemv,
-    # dgemm) at these shapes; a numpy that does not would move traces
+    # dgemm) at these shapes; a numpy that does not would move traces.  The
+    # budgeted evaluations take the same rule: the forward maps (B x, the
+    # ridges' A^T x, sine-ridge's W u), lift's R y and the proximal step's
+    # Sigma x0
     rng = np.random.default_rng(0)
     shapes = [((n,), (n,)) for n in [*range(1, 9), 33, 100]]
     shapes += [((n, n), (n,)) for n in (1, 30, 95)]
     shapes += [((n + 1, n), (n, p)) for n in (0, 1, 25, 95) for p in (1, 60, 64)]
+    shapes += [((5, 8), (8,)), ((2, 2), (2,)), ((100, 3), (3,)), ((12, 3), (3,)),
+               ((8, 8), (8,)), ((100, 100), (100,))]
+    # the ridges take A^T as the transposed view of a C-ordered (D, 2) array
+    transposed = [((D, 2), (D,)) for D in (20, 30, 100)]
     differ = []
-    for a_shape, b_shape in shapes:
+    for (a_shape, b_shape), view in ([(s, False) for s in shapes]
+                                     + [(s, True) for s in transposed]):
         a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
         # positive operands of 1e200 overflow every nonempty product to +inf
         for scale, a, b in [(1.0, a, b), (1e200, 1e200 * abs(a), 1e200 * abs(b))]:
+            if view:
+                a = a.T
+                assert not a.flags.c_contiguous
             with np.errstate(over="ignore"):
                 got, want = a.dot(b), a @ b
             if scale > 1.0 and a.shape[-1]:
                 assert np.isposinf(want).all()
             if got.tobytes() != want.tobytes():
-                differ.append(f"{a_shape} . {b_shape} at scale {scale:g}")
+                differ.append(f"{a.shape}{' view' * view} . {b_shape} at scale {scale:g}")
     assert not differ, f"numpy {np.__version__}: a.dot(b) and a @ b differ at {differ}"
 
 
@@ -408,10 +420,17 @@ class TestLogPrior:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["box", "dense", "diagonal"]), st.integers(1, 8),
-           st.integers(1, 50), st.integers(0, 2 ** 31 - 1))
+           st.integers(0, 50), st.integers(0, 2 ** 31 - 1))
+    @example("box", 3, 0, 11)
+    @example("dense", 3, 0, 11)
+    @example("box", 3, 1, 11)
+    @example("dense", 3, 1, 11)
+    @example("box", 3, 3, 11)
+    @example("dense", 3, 3, 11)
     def test_block_draw_rows_are_successive_single_draws(self, kind, dim, size, seed):
         # row i of sample(rng, size) is the i-th of size one-point draws, bit
-        # for bit, and the generator ends in the same state
+        # for bit, and the generator ends in the same state; size 0 is an
+        # empty (0, dim) block that leaves the generator untouched
         gen = np.random.default_rng(seed)
         if kind == "box":
             lower = gen.uniform(-5.0, 5.0, dim)
@@ -423,7 +442,7 @@ class TestLogPrior:
             prior = GaussianSpec(gen.standard_normal(dim), cov)
         block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         block = prior.sample(block_rng, size)
-        singles = np.array([prior.sample(single_rng) for _ in range(size)])
+        singles = np.array([prior.sample(single_rng) for _ in range(size)]).reshape(size, dim)
         assert block.shape == (size, dim)
         np.testing.assert_array_equal(block.view(np.uint64), singles.view(np.uint64))
         assert block_rng.bit_generator.state == single_rng.bit_generator.state
@@ -501,6 +520,24 @@ class TestSimulatorHandle:
             sim(np.array([0.5, 1.0]))
         assert sim.eval_counter == 1
         assert sim.analysis_counter == 0
+        # the value at each position of an m = 3 output, as a vector and as
+        # an (m, 1) column, inside and outside analysis: no call is counted
+        # until a finite output, which counts once
+        out = np.zeros(3)
+        for shape in [(3,), (3, 1)]:
+            sim = SimulatorHandle(lambda x: out.reshape(shape).copy(), 2, 3)
+            for pos in range(3):
+                out[:] = [0.5, -0.5, 2.0]
+                out[pos] = bad
+                for analysis in (False, True):
+                    with sim.analysis() if analysis else nullcontext():
+                        with pytest.raises(SimulatorError, match="non-finite"):
+                            sim(np.zeros(2))
+                    assert (sim.eval_counter, sim.analysis_counter) == (0, 0)
+            out[:] = [0.5, -0.5, 2.0]
+            got = sim(np.zeros(2))
+            assert got.shape == (3,) and got.tobytes() == out.tobytes()
+            assert (sim.eval_counter, sim.analysis_counter) == (1, 0)
 
     def test_analysis_calls_tracked_separately(self):
         sim = SimulatorHandle(lambda x: x.copy(), 2, 2)
