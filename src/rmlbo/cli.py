@@ -147,6 +147,10 @@ def resolve_config(cfg: dict) -> dict:
             if not (isinstance(entry["name"], str) and isinstance(entry["trace"], str)):
                 raise ConfigError(f"methods: a trace entry's name and trace must be strings, "
                                   f"got {entry!r}")
+            # the name is a bare field of curves.csv and summary.csv
+            if not entry["name"] or any(c in entry["name"] for c in ',"\r\n'):
+                raise ConfigError(f"methods: a trace entry's name must be non-empty and hold "
+                                  f"no comma, double quote or line break, got {entry['name']!r}")
             if not os.path.isfile(entry["trace"]):
                 raise ConfigError(f"methods: trace file not found: {entry['trace']}")
         elif entry not in METHOD_NAMES:

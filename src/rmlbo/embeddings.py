@@ -3,15 +3,18 @@ low-dimensional parametrization ``x = R y``.
 
 Each row of ``R`` is drawn uniformly on the unit hypersphere.  The search
 domain for ``y`` is the box ``[-scale, scale]^d_e`` with
-``scale = sqrt(d_e)`` by default; for box priors the lifted point is
-clipped coordinate-wise into the prior support so every simulator call is
-a feasible sample.
+``scale = sqrt(d_e)`` by default, a :class:`BoxPrior` (:attr:`Embedding.domain`);
+for box priors the lifted point is clipped coordinate-wise into the prior
+support so every simulator call is a feasible sample.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .problems import BoxPrior, _point
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -28,15 +31,11 @@ class Embedding:
     def embed_dim(self) -> int:
         return self.matrix.shape[1]
 
-    def contains(self, y: np.ndarray) -> bool:
-        """Whether every coordinate of ``y`` lies in its closed interval; a
-        NaN coordinate lies in none."""
-        y = np.asarray(y, dtype=float)
-        # count_nonzero is one direct C call, where np.all runs through
-        # numpy's Python-level wrapper (as in BoxPrior.contains)
-        above, below = y >= self.y_lower, y <= self.y_upper
-        return bool(np.count_nonzero(above) == above.size
-                    and np.count_nonzero(below) == below.size)
+    @cached_property
+    def domain(self) -> BoxPrior:
+        """The y-box ``[y_lower, y_upper]``, built on first use and kept for
+        the embedding's life; not a field, so not part of the JSON form."""
+        return BoxPrior(self.y_lower, self.y_upper)
 
 
 def sample_embedding(input_dim: int, embed_dim: int, rng: np.random.Generator,
@@ -64,10 +63,8 @@ def lift(emb: Embedding, y, prior) -> np.ndarray:
 
     ``y`` outside the embedding's domain is a contract violation.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (emb.embed_dim,):
-        raise ValueError(f"expected y of shape ({emb.embed_dim},), got {y.shape}")
-    if not emb.contains(y):
+    y = _point(y, emb.embed_dim, "embedding")
+    if not emb.domain.contains(y):
         raise ValueError(f"y {y!r} is outside the embedding domain "
                          f"[{emb.y_lower[0]}, {emb.y_upper[0]}]^{emb.embed_dim}")
     return prior.clip(emb.matrix.dot(y))

@@ -146,7 +146,7 @@ class KernelParams:
         return math.exp(self.log_noise_var)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GPModel:
     """Fitted surrogate: training pairs, hyperparameters, cached factors.
 
@@ -161,10 +161,10 @@ class GPModel:
     :func:`fit_with_params`).
     An empty model (n = 0) has a (0, 0) factor and a (1, 0) stack; on it
     :func:`predict` gives mean ``target_mean`` and sd ``target_sd * o``.
-    Building a model, or assigning its ``params`` or ``target_sd``, sets the
-    scalars :func:`predict` scales by, so no prediction recomputes them:
-    ``_neg_two_l2 = -2 l^2``, ``_o2 = o^2``, ``_mean_scale = target_sd * o^2``
-    and ``_var_scale = -o^2 * o^2``.
+    A model is immutable (``dataclasses.replace`` builds a changed copy), and
+    building one sets the scalars :func:`predict` scales by, so no
+    prediction recomputes them: ``_neg_two_l2 = -2 l^2``, ``_o2 = o^2``,
+    ``_mean_scale = target_sd * o^2`` and ``_var_scale = -o^2 * o^2``.
     """
 
     inputs: np.ndarray
@@ -177,16 +177,12 @@ class GPModel:
     nfev: int = 0
     failed_starts: int = 0
 
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        # __init__ assigns target_sd before params, so the scales are first
-        # set once params is
-        if name == "params" or name == "target_sd" and "params" in self.__dict__:
-            o2 = self.params.outputscale ** 2
-            self._neg_two_l2 = -2.0 * self.params.lengthscale ** 2
-            self._o2 = o2
-            self._mean_scale = self.target_sd * o2
-            self._var_scale = -o2 * o2
+    def __post_init__(self):
+        o2 = self.params.outputscale ** 2
+        object.__setattr__(self, "_neg_two_l2", -2.0 * self.params.lengthscale ** 2)
+        object.__setattr__(self, "_o2", o2)
+        object.__setattr__(self, "_mean_scale", self.target_sd * o2)
+        object.__setattr__(self, "_var_scale", -o2 * o2)
 
     @property
     def n_train(self) -> int:
@@ -215,14 +211,12 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b, metric="sqeuclidean")
 
 
-def _kernel_matrix(sqdist: np.ndarray, lengthscale: float,
-                   outputscale: float | None = None, out: np.ndarray | None = None):
-    """Kernel values ``o^2 exp(-d / 2 l^2)`` for squared distances ``d``,
-    built in ``out``: a new array by default, or ``sqdist`` itself when the
-    caller owns a fresh one.  ``outputscale=None`` is the unit outputscale
-    of the concentrated evidence, which needs no multiply.  :func:`predict`
-    runs the same two ufuncs with its model's ``-2 l^2``."""
-    k = np.divide(sqdist, -2.0 * lengthscale ** 2, out=out)
+def _kernel_matrix(sqdist: np.ndarray, lengthscale: float, outputscale: float | None = None):
+    """Kernel values ``o^2 exp(-d / 2 l^2)`` for squared distances ``d``, in
+    a new array.  ``outputscale=None`` is the unit outputscale of the
+    concentrated evidence, which needs no multiply.  :func:`predict` runs
+    the same two ufuncs, in place, with its model's ``-2 l^2``."""
+    k = np.divide(sqdist, -2.0 * lengthscale ** 2)
     np.exp(k, out=k)
     if outputscale is not None:
         np.multiply(k, outputscale ** 2, out=k)
@@ -311,13 +305,14 @@ def _training_set(inputs, targets):
     return (inputs, targets, _sqdist(inputs, inputs), *_standardize(targets))
 
 
-def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams) -> GPModel:
+def _assemble(inputs, raw_targets, sqdist, z, mean, sd, params: KernelParams,
+              nfev: int = 0, failed_starts: int = 0) -> GPModel:
     _, chol, alpha = _factor(sqdist, z, params.lengthscale, params.noise_var,
                              params.outputscale)
     alpha_chol_inv = np.vstack((alpha, lapack.dtrtri(chol, lower=1)[0]))
     return GPModel(inputs=inputs, raw_targets=raw_targets, target_mean=mean,
                    target_sd=sd, params=params, chol_factor=chol,
-                   alpha_chol_inv=alpha_chol_inv)
+                   alpha_chol_inv=alpha_chol_inv, nfev=nfev, failed_starts=failed_starts)
 
 
 def empty_model(params: KernelParams, dim: int) -> GPModel:
@@ -376,10 +371,9 @@ def fit(inputs, targets, rng: np.random.Generator,
     log_l, log_ratio = best
     log_o = log_o_at[best]   # the winner was evaluated, so no further pass
     params = KernelParams(log_o, log_l, log_ratio + 2.0 * log_o)
-    model = _assemble(inputs, targets, sqdist, z, mean, sd, params)
-    model.nfev = sum(res[2] for res in results)
-    model.failed_starts = sum(not res[3] for res in results)
-    return model
+    return _assemble(inputs, targets, sqdist, z, mean, sd, params,
+                     nfev=sum(res[2] for res in results),
+                     failed_starts=sum(not res[3] for res in results))
 
 
 def _search(fun, x, bounds, maxiter):

@@ -45,6 +45,7 @@ from . import gp
 from .embeddings import Embedding, lift, sample_embedding
 from .problems import (
     NEG_INF,
+    BoxPrior,
     ConfigError,
     GaussianSpec,
     ProblemSpec,
@@ -277,33 +278,32 @@ def _compass(d: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
     return moves, first
 
 
-def acquisition_maximize(model: gp.GPModel, domain: tuple[np.ndarray, np.ndarray],
-                         beta: float, rng: np.random.Generator) -> np.ndarray:
-    """Approximate argmax of the UCB over a box.
+def acquisition_maximize(model: gp.GPModel, domain: BoxPrior, beta: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Approximate argmax of the UCB over the box ``domain``.
 
-    Ranks ACQ_PROBES probes drawn uniformly from ``rng``, then runs
-    coordinate-wise refinement with adaptive step halving from the best
-    ACQ_RESTARTS of them, for exactly ACQ_SWEEPS sweeps; returns the best
-    point seen, always inside the box.  That is 1 + ACQ_SWEEPS UCB calls.
-    The probes are the first ACQ_PROBES rows of any larger draw from the
-    same stream, so a search from more probes ranks every probe this one
-    ranks, and one of more sweeps from the same probes passes through the
-    point this one returns.  A step starts at a quarter of the
-    box width and halves at most once per sweep, so at ACQ_SWEEPS <= 37 no
-    step falls below 1e-12 of the width and the search needs no step-floor
-    exit.  The restart points advance in lockstep so each sweep costs one
-    batched UCB call.  Each sweep writes its ``(starts, 2 d, d)`` candidates
-    into one buffer allocated per call, and updates the starts by mask: an
-    improved start takes its best candidate and value
-    (``np.copyto(..., where=improved)``) and keeps its steps, the others
-    keep their point and value and halve their steps, by one lookup in
-    ``_STEP_FACTOR``.  The unit moves come from :func:`_compass`, built
-    once per dimension and restart count.
+    Ranks ACQ_PROBES probes, one ``domain.sample(rng, ACQ_PROBES)`` block,
+    then runs coordinate-wise refinement with adaptive step halving from the
+    best ACQ_RESTARTS of them, for exactly ACQ_SWEEPS sweeps; returns the
+    best point seen, always inside the box.  That is 1 + ACQ_SWEEPS UCB
+    calls.  By the block contract of ``sample`` the probes are the first
+    ACQ_PROBES rows of any larger draw from the same stream, so a search
+    from more probes ranks every probe this one ranks, and one of more
+    sweeps from the same probes passes through the point this one returns.
+    A step starts at a quarter of the box width and halves at most once
+    per sweep, so at ACQ_SWEEPS <= 37 no step falls below 1e-12 of the
+    width and the search needs no step-floor exit.  The restart points
+    advance in lockstep so each sweep costs one batched UCB call.  Each
+    sweep writes its ``(starts, 2 d, d)`` candidates into one buffer
+    allocated per call, clips them there (the box's clip, done in place),
+    and updates the starts by mask: an improved start takes its best
+    candidate and value (``np.copyto(..., where=improved)``) and keeps its
+    steps, the others keep their point and value and halve their steps, by
+    one lookup in ``_STEP_FACTOR``.  The unit moves come from
+    :func:`_compass`, built once per dimension and restart count.
     """
-    lower = np.asarray(domain[0], dtype=float)
-    upper = np.asarray(domain[1], dtype=float)
-    d = lower.size
-    probes = rng.uniform(lower, upper, (ACQ_PROBES, d))
+    lower, upper, d = domain.lower, domain.upper, domain.dim
+    probes = domain.sample(rng, ACQ_PROBES)
     vals = gp.ucb(model, probes, beta)
     order = np.argsort(-vals)
     ys = probes[order[:ACQ_RESTARTS]]
@@ -498,7 +498,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
         train_z = rows[:m - 1, nprime - 1]
         finite = np.isfinite(train_z)
         if m <= config.n0 or not finite.any():
-            y = init_rng.uniform(emb.y_lower, emb.y_upper)
+            y = emb.domain.sample(init_rng)
         else:
             train_y = ys[:m - 1][finite]
             train_z = train_z[finite]
@@ -508,7 +508,7 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
                 searched_at = train_z.size
             else:
                 model = gp.fit_with_params(train_y, train_z, params)
-            y = acquisition_maximize(model, (emb.y_lower, emb.y_upper), config.beta, acq_rng)
+            y = acquisition_maximize(model, emb.domain, config.beta, acq_rng)
         x = lift(emb, y, problem.prior)
         fx = _simulate(problem, x, records)
         refined_z = f_refined = None

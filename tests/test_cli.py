@@ -412,9 +412,11 @@ class TestCompare:
         ({"name": "x", "trace": 0}, "must be strings"),
         ({"name": 5, "trace": "t.jsonl"}, "must be strings"),
         ({"name": "x", "trace": "t.jsonl", "foo": 1},
-         "unknown field 'foo' in a trace entry")],
+         "unknown field 'foo' in a trace entry"),
+        *[({"name": name, "trace": "t.jsonl"}, "no comma, double quote or line break")
+          for name in ("a,b", 'a"b', "a\rb", "a\nb", "")]],
         ids=["missing", "directory", "trace-not-a-string", "name-not-a-string",
-             "unknown-key"])
+             "unknown-key", "name-comma", "name-quote", "name-cr", "name-lf", "name-empty"])
     def test_missing_trace_file_exits_2(self, tmp_path, capsys, entry, message):
         # paths are relative to tmp_path, where t.jsonl exists and . is a directory
         (tmp_path / "t.jsonl").write_text("")

@@ -90,23 +90,34 @@ class TestLift:
         assert box.logpdf(lift(emb, y, box)) == 0.0
 
     def test_contains_faces_one_ulp_outside_and_nan(self):
+        # the domain test, through lift: R = I and a Gaussian prior, so a y
+        # that lifts comes back unchanged
         emb = Embedding(matrix=np.eye(3), index=1, y_lower=np.array([-1.5, 0.0, -2.0]),
                         y_upper=np.array([1.5, 0.25, 3.0]))
+        prior = GaussianSpec(np.zeros(3), np.eye(3))
+
+        def lifts(y):
+            return np.array_equal(lift(emb, y, prior), y)
+
+        def reject(y):
+            with pytest.raises(ValueError, match="outside the embedding domain"):
+                lift(emb, y, prior)
+
         inside = np.array([0.1, 0.2, -1.0])
-        assert emb.contains(inside)
-        assert emb.contains(emb.y_lower) and emb.contains(emb.y_upper)
+        assert lifts(inside)
+        assert lifts(emb.y_lower) and lifts(emb.y_upper)
         for j in range(3):
             for bound, away in ((emb.y_lower, -np.inf), (emb.y_upper, np.inf)):
                 y = inside.copy()
                 y[j] = bound[j]                      # on a face: inside
-                assert emb.contains(y)
+                assert lifts(y)
                 y[j] = np.nextafter(bound[j], away)  # one ulp outside
-                assert not emb.contains(y)
+                reject(y)
             y = inside.copy()
             y[j] = np.nan
-            assert not emb.contains(y)
-        assert not emb.contains(np.full(3, np.nan))
-        assert emb.contains(np.array([-0.0, -0.0, 0.0]))
+            reject(y)
+        reject(np.full(3, np.nan))
+        assert lifts(np.array([-0.0, -0.0, 0.0]))
 
     def test_out_of_domain_is_hard_error(self):
         emb = sample_embedding(5, 2, np.random.default_rng(2))
@@ -120,6 +131,14 @@ class TestLift:
         prior = GaussianSpec(np.zeros(10), np.eye(10))
         y = emb.y_upper.copy()
         assert np.allclose(lift(emb, y, prior), emb.matrix @ y)
+
+    def test_domain_is_one_box_over_the_y_bounds(self):
+        # built once and kept; not a field, so the JSON form keeps its keys
+        emb = sample_embedding(6, 2, np.random.default_rng(4), index=3)
+        domain = emb.domain
+        assert isinstance(domain, BoxPrior) and emb.domain is domain
+        assert domain.lower is emb.y_lower and domain.upper is emb.y_upper
+        assert list(jsonable(emb)) == ["index", "matrix", "y_lower", "y_upper"]
 
     def test_round_trip_serialization(self):
         # the jsonable form is the report's embeddings format: it survives

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -509,9 +511,9 @@ class TestPredict:
         for _ in range(200):
             scale, length = np.exp(rng.uniform(-6, 6, 2))
             d = int(rng.integers(1, 6))
-            model = gp.empty_model(gp.KernelParams.from_natural(scale, length), dim=d)
-            model.target_mean = float(rng.normal() * 100)
-            model.target_sd = float(np.exp(rng.uniform(-4, 4)))
+            model = replace(gp.empty_model(gp.KernelParams.from_natural(scale, length), dim=d),
+                            target_mean=float(rng.normal() * 100),
+                            target_sd=float(np.exp(rng.uniform(-4, 4))))
             o = model.params.outputscale
             mean, sd = gp.predict(model, rng.normal(size=(3, d)))
             assert mean.tolist() == [model.target_mean] * 3
@@ -633,19 +635,26 @@ class TestPredict:
                 gp.ucb(model, np.zeros(3), beta)
 
     def test_assigned_params_and_target_sd_reach_predict(self):
-        # predict reads the scales the model computed when it was built;
-        # assigning params or target_sd recomputes them, so predictions
-        # keep the reference's bits, which reads both fields afresh
+        # predict reads the scales the model computed when it was built; a
+        # copy with other params or target_sd computes its own, so
+        # predictions keep the reference's bits, which reads both fields afresh
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, (12, 2))
         model = gp.fit_with_params(X, np.sin(3 * X[:, 0]) + X[:, 1],
                                    gp.KernelParams.from_natural(1.3, 0.6, 1e-6))
         q = rng.uniform(-1.5, 1.5, (40, 2))
         assert bits(*gp.predict(model, q)) == bits(*ref_predict(model, q))
-        model.target_sd = 3.7
+        model = replace(model, target_sd=3.7)
         assert bits(*gp.predict(model, q)) == bits(*ref_predict(model, q))
-        model.params = gp.KernelParams.from_natural(0.4, 1.9, 1e-4)
+        model = replace(model, params=gp.KernelParams.from_natural(0.4, 1.9, 1e-4))
         assert bits(*gp.predict(model, q)) == bits(*ref_predict(model, q))
+
+    def test_a_model_is_immutable(self):
+        model = gp.fit_with_params([[0.0], [1.0]], [0.0, 2.0],
+                                   gp.KernelParams.from_natural(1.0, 0.5, 1e-6))
+        for f in fields(model):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, f.name, getattr(model, f.name))
 
     def test_cached_inverse_factor(self):
         rng = np.random.default_rng(15)
@@ -1157,10 +1166,8 @@ class TestUCB:
 
     def test_arithmetic(self):
         params = gp.KernelParams.from_natural(1.0, 0.5)
-        model = gp.empty_model(params, 1)
         # mean 0, sd 1 at the prior: shift by hand-set target stats
-        model.target_mean = 1.0
-        model.target_sd = 0.5
+        model = replace(gp.empty_model(params, 1), target_mean=1.0, target_sd=0.5)
         assert gp.ucb(model, np.zeros(1), 2.0) == pytest.approx(1.0 + 2.0 * 0.5)
 
     def test_empty_model_value(self):

@@ -19,7 +19,7 @@ from rmlbo.hdbo import (
     select_maximizers,
     write_trace,
 )
-from rmlbo.problems import GaussianSpec, chol_spd, solve_spd
+from rmlbo.problems import BoxPrior, GaussianSpec, chol_spd, solve_spd
 from rmlbo.rml import RMLInstance, draw_randomizations, objective
 from rmlbo.seeding import STREAM_INIT, STREAM_RANDOMIZE, labeled_stream
 
@@ -100,28 +100,28 @@ class TestAcquisitionMaximize:
     def test_beats_fresh_random_probes(self):
         model = self._model(0)
         lo, hi = -np.sqrt(3) * np.ones(3), np.sqrt(3) * np.ones(3)
-        ystar = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(100))
+        ystar = acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(100))
         probes = np.random.default_rng(200).uniform(lo, hi, (1000, 3))
         assert gp.ucb(model, ystar, 2.0) >= np.max(gp.ucb(model, probes, 2.0))
 
     def test_empty_model_returns_in_domain_point(self):
         model = gp.empty_model(gp.KernelParams.from_natural(1.0, 1.0), dim=2)
         lo, hi = -np.ones(2), np.ones(2)
-        y = acquisition_maximize(model, (lo, hi), 1.0, np.random.default_rng(0))
+        y = acquisition_maximize(model, BoxPrior(lo, hi), 1.0, np.random.default_rng(0))
         assert np.all(y >= lo) and np.all(y <= hi)
 
     def test_deterministic_per_seed(self):
         model = self._model(3)
         lo, hi = -np.sqrt(3) * np.ones(3), np.sqrt(3) * np.ones(3)
-        a = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(5))
-        b = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(5))
+        a = acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(5))
+        b = acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(5))
         assert a.tobytes() == b.tobytes()
 
     def test_always_inside_box(self):
         model = self._model(4)
         lo, hi = -np.sqrt(3) * np.ones(3), np.sqrt(3) * np.ones(3)
         for seed in range(5):
-            y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(seed))
+            y = acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(seed))
             assert np.all(y >= lo) and np.all(y <= hi)
 
     @pytest.mark.parametrize("n", [0, 1, 25, 95])
@@ -135,7 +135,7 @@ class TestAcquisitionMaximize:
                 monkeypatch.setattr(hdbo, "ACQ_RESTARTS", restarts)
                 for beta in (0.0, 2.0):
                     seed = 1000 * n + 100 * b + 10 * restarts + int(beta)
-                    y = acquisition_maximize(model, (lo, hi), beta,
+                    y = acquisition_maximize(model, BoxPrior(lo, hi), beta,
                                              np.random.default_rng(seed))
                     ref = ref_acquisition_maximize(model, (lo, hi), beta,
                                                    np.random.default_rng(seed), restarts)
@@ -154,7 +154,7 @@ class TestAcquisitionMaximize:
 
         monkeypatch.setattr(gp, "ucb", spy)
         monkeypatch.setattr(hdbo, "ACQ_RESTARTS", 4)
-        acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(9))
+        acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(9))
         # every search runs all ACQ_SWEEPS sweeps, a flat UCB (n = 0) that
         # never improves included
         assert sizes == [hdbo.ACQ_PROBES] + [4 * 2 * lo.size] * hdbo.ACQ_SWEEPS
@@ -174,7 +174,7 @@ class TestAcquisitionMaximize:
 
         monkeypatch.setattr(gp, "ucb", spy("ucb", gp.ucb))
         monkeypatch.setattr(gp, "predict", spy("predict", gp.predict))
-        acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(3))
+        acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(3))
         assert calls == {"ucb": 1 + hdbo.ACQ_SWEEPS, "predict": 1 + hdbo.ACQ_SWEEPS}
 
     def test_starts_that_do_not_improve_keep_their_point_and_value(self, monkeypatch):
@@ -195,7 +195,7 @@ class TestAcquisitionMaximize:
 
         monkeypatch.setattr(gp, "ucb", spy)
         monkeypatch.setattr(hdbo, "ACQ_RESTARTS", 4)
-        y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(3))
+        y = acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(3))
         probes, sweeps = calls[0], calls[1:]
         starts = probes[np.argsort(-real_ucb(model, probes, 2.0))[:4]]
         assert y.tobytes() == starts[0].tobytes()
@@ -226,7 +226,7 @@ class TestAcquisitionMaximize:
             ref = ref_acquisition_maximize(model, (lo, hi), 2.0,
                                            np.random.default_rng(seed), 10, improved)
             monkeypatch.setattr(gp, "ucb", recording(new_calls))
-            y = acquisition_maximize(model, (lo, hi), 2.0, np.random.default_rng(seed))
+            y = acquisition_maximize(model, BoxPrior(lo, hi), 2.0, np.random.default_rng(seed))
             assert any(0 < mask.sum() < 10 for mask in improved)
             assert y.tobytes() == ref.tobytes()
             assert [a.tobytes() for a in new_calls] == [a.tobytes() for a in ref_calls]
@@ -260,13 +260,13 @@ class TestAcquisitionMaximize:
                     calls.clear()
                     with monkeypatch.context() as m:
                         m.setattr(gp, "ucb", spy)
-                        ys = [acquisition_maximize(model, (lo, hi), beta,
+                        ys = [acquisition_maximize(model, BoxPrior(lo, hi), beta,
                                                    np.random.default_rng(seed))]
                     assert calls[0].tobytes() == wide[:hdbo.ACQ_PROBES].tobytes()
                     for name, value in (("ACQ_SWEEPS", 50), ("ACQ_PROBES", 512)):
                         with monkeypatch.context() as m:
                             m.setattr(hdbo, name, value)
-                            ys.append(acquisition_maximize(model, (lo, hi), beta,
+                            ys.append(acquisition_maximize(model, BoxPrior(lo, hi), beta,
                                                            np.random.default_rng(seed)))
                     shipped, longer, more = real_ucb(model, np.stack(ys), beta)
                     assert shipped <= longer <= shipped + 1e-3 * model.target_sd
