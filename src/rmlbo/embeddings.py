@@ -3,7 +3,7 @@ low-dimensional parametrization ``x = R y``.
 
 Each row of ``R`` is drawn uniformly on the unit hypersphere.  The search
 domain for ``y`` is the box ``[-scale, scale]^d_e`` with
-``scale = sqrt(d_e)`` by default, a :class:`BoxPrior` (:attr:`Embedding.domain`);
+``scale = sqrt(d_e)``, a :class:`BoxPrior` (:attr:`Embedding.domain`);
 for box priors the lifted point is clipped coordinate-wise into the prior
 support so every simulator call is a feasible sample.
 """
@@ -65,6 +65,6 @@ def lift(emb: Embedding, y, prior) -> np.ndarray:
     """
     y = _point(y, emb.embed_dim, "embedding")
     if not emb.domain.contains(y):
-        raise ValueError(f"y {y!r} is outside the embedding domain "
-                         f"[{emb.y_lower[0]}, {emb.y_upper[0]}]^{emb.embed_dim}")
+        raise ValueError(f"y {y.tolist()} is outside the embedding domain: "
+                         f"lower {emb.y_lower.tolist()}, upper {emb.y_upper.tolist()}")
     return prior.clip(emb.matrix.dot(y))

@@ -11,31 +11,32 @@ the shared ensemble and its UCB acquisition proposes the next point.
 The run keeps one table of likelihood terms, a row per record and a column
 per objective, each row filled in full, right after its record is simulated,
 with either prior; a slot's GP targets are a column slice of its embedding's
-rows, and on a box prior final selection adds each record's prior term to
-the same table.  Otherwise selection (:func:`select_maximizers`, for the
-sampler on a Gaussian prior, both baselines and external traces) stacks
-the candidates once and scores them in one :func:`objective` call per
-objective.
+rows, and a box-prior run selects from the table as it stands (its lifted
+points lie in the box, where the prior term is 0).  Otherwise selection
+(:func:`select_maximizers`, for the sampler on a Gaussian prior, both
+baselines and external traces) stacks the candidates once and scores them
+in one :func:`objective` call per objective.
 Within an embedding only the first fit searches hyperparameters cold; later
 full searches start from the previous full search's hyperparameters.  A slot
 searches once its count n of finite training targets has grown by a
 1/REFIT_DIVISOR share since the embedding's latest search at n_s points
 (6 n >= 7 n_s, in integers; n_s is 0 before the first search); the other
 slots refactor at the latest searched hyperparameters.  Each acquisition
-ranks ACQ_PROBES uniform probes by UCB and polishes the best ACQ_RESTARTS by
-a compass search of ACQ_SWEEPS sweeps, one batched UCB call each.
+ranks ACQ_PROBES uniform probes by UCB at weight UCB_BETA and polishes the
+best ACQ_RESTARTS by a compass search of ACQ_SWEEPS sweeps, one batched UCB
+call each.
 
 With a Gaussian prior each slot additionally takes a closed-form proximal
-step toward the perturbed prior mean (one extra simulation at the refined
-point), and the final per-objective selection considers refined points
-only; with a box prior it considers the lifted points.  A simulator
-failure aborts the run, or a baseline, with its trace so far (:func:`_simulate`).
+step of strength PROX_ETA toward the perturbed prior mean (one extra
+simulation at the refined point), and the final per-objective selection
+considers refined points only; with a box prior it considers the lifted
+points.  A simulator failure aborts the run, or a baseline, with its trace
+so far (:func:`_simulate`).
 """
 
+import contextlib
 import functools
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -61,6 +62,8 @@ REFIT_DIVISOR = 6   # search once the training set has grown by 1/REFIT_DIVISOR
 ACQ_PROBES = 64
 ACQ_SWEEPS = 15
 ACQ_RESTARTS = 10
+UCB_BETA = 2.0      # the UCB's weight on the predictive sd (gp.ucb's beta)
+PROX_ETA = 0.25     # the proximal step's strength (local_prior_refine's eta)
 
 
 class RunAborted(RuntimeError):
@@ -73,35 +76,24 @@ class RunAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class HDBOConfig:
-    """Run configuration.  ``budget_N`` caps total simulator evaluations;
-    ``K`` embeddings of dimension ``d_e`` each get ``n0`` initial points."""
+    """The experiment; the sampler's tuning is module constants.  ``budget_N``
+    caps total evaluations; ``K`` embeddings of dimension ``d_e`` each get
+    ``n0`` initial points."""
 
     n_rml: int = 20
     budget_N: int = 1000
     K: int = 10
     d_e: int = 3
     n0: int = 5
-    beta: float = 2.0
-    prox_eta: float = 0.25
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first invalid field.  Integer fields
-        take Python or numpy integers but not bools, positive except ``seed``
-        (non-negative); ``beta`` and ``prox_eta`` take any finite real
-        number but a bool."""
+        """Raise ConfigError naming the first invalid field.  Every field
+        takes Python or numpy integers but not bools, positive except
+        ``seed`` (non-negative)."""
         for name in ("n_rml", "budget_N", "K", "d_e", "n0"):
             require_integer(name, getattr(self, name))
         require_integer("seed", self.seed, minimum=0)
-        for name in ("beta", "prox_eta"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-        if self.beta < 0:
-            raise ConfigError("beta: must be non-negative")
-        if self.prox_eta <= 0:
-            raise ConfigError("prox_eta: must be strictly positive")
 
 
 def embedding_slots(config: HDBOConfig, problem: ProblemSpec) -> int:
@@ -195,11 +187,17 @@ class RMLResult:
 
 def atomic_write(path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it into
-    place, so ``path`` never holds a partial file."""
+    place, so ``path`` never holds a partial file.  If the write or the
+    rename fails, the temp file is removed and the error re-raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):   # the error that matters is the first
+            os.unlink(tmp)
+        raise
 
 
 def jsonable(obj):
@@ -347,13 +345,12 @@ def local_prior_refine(x0, instance: RMLInstance, prior: GaussianSpec,
     ``log N(x | mu_n, Sigma) - ||x - x0||^2 / (2 eta)``, which is
     ``(Sigma + eta I)^{-1} (eta mu_n + Sigma x0)``; consumes no simulator
     evaluations and never decreases the prior density relative to ``x0``.
+    ``prior.proximal_chol`` rejects a bad ``eta`` before any arithmetic on it.
     """
     if not isinstance(prior, GaussianSpec):
         raise ValueError("prior refinement requires a Gaussian prior")
     if instance.prior_mean_n is None:
         raise ValueError(f"instance {instance.index} lacks a perturbed prior mean")
-    if eta <= 0:
-        raise ValueError("eta must be strictly positive")
     x0 = np.asarray(x0, dtype=float)
     return solve_spd(prior.proximal_chol(eta), eta * instance.prior_mean_n + prior.cov.dot(x0))
 
@@ -466,11 +463,9 @@ def run_hdbo_rml(problem: ProblemSpec, instances, config: HDBOConfig) -> RMLResu
     if gaussian:
         result = select_maximizers(records, instances, problem)
     else:
-        # the table holds every likelihood term at the lifted points, which
-        # are the candidates of a box run: adding each record's prior term
-        # gives select_maximizers' table without scoring a pair again
-        xs = np.array([rec.x for rec in records])
-        result = _select(records, likelihoods + problem.prior.logpdf(xs)[:, None])
+        # a box run's candidates, its lifted points, lie in the box, where the
+        # prior term is 0: the table is select_maximizers' table, bit for bit
+        result = _select(records, likelihoods)
     result.embeddings = embeddings
     return result
 
@@ -508,12 +503,12 @@ def _run_embedding(problem, instances, config, emb: Embedding, k: int, gaussian:
                 searched_at = train_z.size
             else:
                 model = gp.fit_with_params(train_y, train_z, params)
-            y = acquisition_maximize(model, emb.domain, config.beta, acq_rng)
+            y = acquisition_maximize(model, emb.domain, UCB_BETA, acq_rng)
         x = lift(emb, y, problem.prior)
         fx = _simulate(problem, x, records)
         refined_z = f_refined = None
         if gaussian:
-            refined_z = local_prior_refine(x, inst, problem.prior, config.prox_eta)
+            refined_z = local_prior_refine(x, inst, problem.prior, PROX_ETA)
             f_refined = _simulate(problem, refined_z, records)
         rec = SimulationRecord(emb_index=emb.index, y=np.asarray(y, dtype=float), x=x,
                                fx=fx, refined_z=refined_z, f_refined=f_refined,

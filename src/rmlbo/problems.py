@@ -144,7 +144,10 @@ class GaussianSpec:
 
     def proximal_chol(self, eta: float) -> np.ndarray:
         """Read-only lower Cholesky factor of ``cov + eta * I``, factored
-        once per ``eta`` and kept for the life of this prior."""
+        once per ``eta`` (finite and strictly positive, else ValueError, so
+        no NaN key grows the cache) and kept for the life of this prior."""
+        if not 0.0 < eta < np.inf:   # NaN fails both comparisons
+            raise ValueError(f"eta must be finite and strictly positive, got {eta!r}")
         chol = self._proximal.get(eta)
         if chol is None:
             chol = chol_spd(self.cov + eta * np.eye(self.dim), name="proximal system")

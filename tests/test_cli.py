@@ -76,13 +76,6 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "problem" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["beta=NaN", "beta=Infinity", "prox_eta=NaN"])
-    def test_non_finite_number_exits_2_naming_field(self, tmp_path, capsys, override):
-        path = write_config(tmp_path, BOWL)
-        code = main(["run", "--config", path, "--set", override, "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert f"{override.split('=')[0]}:" in capsys.readouterr().err
-
     def test_invalid_budget_type_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BOWL, "budget_N": "lots"})
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
@@ -93,12 +86,17 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "buget_N" in capsys.readouterr().err
 
-    def test_acq_restarts_is_not_a_run_option(self, tmp_path, capsys):
-        # the acquisition's start count is hdbo.ACQ_RESTARTS, like its probe
-        # and sweep counts
-        path = write_config(tmp_path, {**BOWL, "acq_restarts": 10})
-        assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
-        assert "unknown field 'acq_restarts'" in capsys.readouterr().err
+    @pytest.mark.parametrize("name,value", [("acq_restarts", 10), ("beta", 2.0),
+                                            ("prox_eta", 0.25)])
+    def test_sampler_tuning_is_not_a_run_option(self, tmp_path, capsys, name, value):
+        # the acquisition's start count, the UCB weight and the proximal
+        # strength are hdbo.ACQ_RESTARTS, UCB_BETA and PROX_ETA, like the
+        # probe and sweep counts; the config is rejected before any output
+        path = write_config(tmp_path, {**BOWL, name: value})
+        out = tmp_path / "x"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert f"unknown field '{name}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulator_failure_exits_3_with_partial_trace(self, tmp_path, capsys,
                                                           monkeypatch, fail_after):
@@ -122,6 +120,16 @@ class TestRun:
         assert report["analysis_evals"] == 1
         assert set(report["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                "MKL_NUM_THREADS"}
+
+    def test_failed_trace_write_exits_3_leaving_no_temp_file(self, tmp_path, capsys):
+        # the trace's rename onto a directory fails: the temp file that holds
+        # the whole trace goes with it
+        path = write_config(tmp_path, BOWL)
+        out = tmp_path / "x"
+        (out / "trace.jsonl").mkdir(parents=True)
+        assert main(["run", "--config", path, "--out", str(out)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp.*"))
 
     def test_aborted_gaussian_run_reports_the_evaluations_the_simulator_counted(
             self, tmp_path, monkeypatch, fail_after):

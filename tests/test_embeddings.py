@@ -119,6 +119,15 @@ class TestLift:
         reject(np.full(3, np.nan))
         assert lifts(np.array([-0.0, -0.0, 0.0]))
 
+    def test_out_of_domain_message_prints_the_box_bounds(self):
+        emb = Embedding(matrix=np.eye(3), index=1, y_lower=np.array([-1.5, 0.0, -2.0]),
+                        y_upper=np.array([1.5, 0.25, 3.0]))
+        prior = GaussianSpec(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError) as err:
+            lift(emb, np.array([0.1, 0.5, -1.0]), prior)
+        assert str(err.value) == ("y [0.1, 0.5, -1.0] is outside the embedding domain: "
+                                  "lower [-1.5, 0.0, -2.0], upper [1.5, 0.25, 3.0]")
+
     def test_out_of_domain_is_hard_error(self):
         emb = sample_embedding(5, 2, np.random.default_rng(2))
         box = BoxPrior(-np.ones(5), np.ones(5))

@@ -12,6 +12,7 @@ from rmlbo.hdbo import (
     RunAborted,
     SimulationRecord,
     acquisition_maximize,
+    atomic_write,
     jsonable,
     local_prior_refine,
     read_trace,
@@ -346,6 +347,17 @@ class TestLocalPriorRefine:
         local_prior_refine(np.zeros(20), inst, prob.prior,  0.25)
         assert prob.simulator.eval_counter == before
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_eta_not_finite_and_positive(self, eta):
+        # the prior's factor cache checks eta before any arithmetic on it,
+        # so a rejected eta adds no factor
+        prob = bowl_problem(prior="gaussian")
+        inst = drawn(prob, 1)[0]
+        local_prior_refine(np.zeros(20), inst, prob.prior, 0.25)
+        with pytest.raises(ValueError, match="eta must be finite and strictly positive"):
+            local_prior_refine(np.zeros(20), inst, prob.prior, eta)
+        assert list(prob.prior._proximal) == [0.25]
+
 
 class TestBudgetAccounting:
     def test_uniform_budget_is_k_times_floor(self):
@@ -389,12 +401,16 @@ class TestBudgetAccounting:
             run_hdbo_rml(prob, insts, cfg)
 
     @pytest.mark.parametrize("field,value", [
-        ("K", True), ("budget_N", "lots"), ("n0", 2.5), ("beta", "wide"), ("seed", -1),
-        ("beta", float("nan")), ("beta", float("inf")),
-        ("prox_eta", float("nan")), ("prox_eta", float("inf"))])
+        ("K", True), ("budget_N", "lots"), ("n0", 2.5), ("seed", -1)])
     def test_validate_rejects_wrong_types_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             HDBOConfig(**{field: value}).validate()
+
+    def test_config_holds_the_experiment_only(self):
+        # the sampler's tuning is module constants (UCB_BETA, PROX_ETA, the
+        # acquisition counts, REFIT_DIVISOR), not config fields
+        assert list(HDBOConfig.__dataclass_fields__) == [
+            "n_rml", "budget_N", "K", "d_e", "n0", "seed"]
 
     def test_validate_accepts_numpy_integers(self):
         HDBOConfig(K=np.int64(4), seed=np.uint64(7)).validate()
@@ -560,6 +576,34 @@ class TestRunTrace:
 
 
 class TestGaussianPath:
+    def test_tuning_constants_reach_every_acquisition_and_refinement(self, monkeypatch):
+        # the run reads hdbo.UCB_BETA and hdbo.PROX_ETA at each call
+        prob = bowl_problem(prior="gaussian")
+        insts = drawn(prob, 3)
+        cfg = HDBOConfig(n_rml=3, budget_N=48, K=2, d_e=2, n0=3, seed=5)
+        default = run_hdbo_rml(prob, insts, cfg)
+        betas, etas = [], []
+        real_acq, real_refine = hdbo.acquisition_maximize, hdbo.local_prior_refine
+
+        def spy_acq(model, domain, beta, rng):
+            betas.append(beta)
+            return real_acq(model, domain, beta, rng)
+
+        def spy_refine(x0, instance, prior, eta):
+            etas.append(eta)
+            return real_refine(x0, instance, prior, eta)
+
+        monkeypatch.setattr(hdbo, "UCB_BETA", 0.5)
+        monkeypatch.setattr(hdbo, "PROX_ETA", 1.5)
+        monkeypatch.setattr(hdbo, "acquisition_maximize", spy_acq)
+        monkeypatch.setattr(hdbo, "local_prior_refine", spy_refine)
+        tuned = run_hdbo_rml(prob, insts, cfg)
+        slots = cfg.budget_N // (2 * cfg.K)
+        assert betas == [0.5] * (cfg.K * (slots - cfg.n0))
+        assert etas == [1.5] * len(tuned.records)
+        line = lambda rec: json.dumps(rec, default=jsonable)
+        assert [line(r) for r in tuned.records] != [line(r) for r in default.records]
+
     def test_every_record_is_refined(self, gaussian_run):
         _, _, _, res = gaussian_run
         assert all(r.refined_z is not None and r.f_refined is not None
@@ -979,6 +1023,21 @@ class TestSelectMaximizers:
         prob = bowl_problem(D=6, d=2)
         with pytest.raises(ValueError, match="empty trace"):
             select_maximizers([], drawn(prob, 1), prob)
+
+
+class TestAtomicWrite:
+    def test_failed_rename_removes_the_temp_file_and_reraises(self, tmp_path,
+                                                              monkeypatch):
+        error = OSError("rename refused")
+
+        def fail(src, dst):
+            raise error
+
+        monkeypatch.setattr(hdbo.os, "replace", fail)
+        with pytest.raises(OSError) as raised:
+            atomic_write(tmp_path / "out.txt", "abc\n")
+        assert raised.value is error
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReductionToSingleObjectiveBO:

@@ -115,6 +115,17 @@ class TestProximalFactor:
             assert first[eta].tobytes() == fresh.tobytes()
             assert not first[eta].flags.writeable
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_eta_not_finite_and_positive_caching_nothing(self, eta):
+        # a NaN key never matches itself, so a cached NaN factor would be a
+        # new entry on every call
+        spec = GaussianSpec(np.zeros(3), np.eye(3))
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="eta must be finite and strictly positive"):
+                spec.proximal_chol(eta)
+        assert spec._proximal == {}
+
 
 class TestLogGaussianDensity:
     def test_standard_normal_at_mode(self):
